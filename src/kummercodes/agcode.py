@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .curve import KummerCurve, Place
@@ -92,15 +93,32 @@ def _check_evaluation_set(G: Divisor, places: Sequence[Place]) -> None:
             raise PlaceInSupportError(f"place {p} lies in supp(G)")
 
 
+def evaluation_matrix(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> Matrix:
+    """Basis monomials of L(G) at places, one row each: g^<(i, j), L> at an affine
+    place, with L the logs of z, x - alpha_2, ..., x - alpha_r there (y and every
+    x - alpha_mu are nonzero), and evaluate_monomial at the other places."""
+    F = curve.field
+    logs = []
+    for pl in places:
+        L = None
+        if pl.kind == "affine":
+            L = [F.log(F.sub(pl.x, alpha)) for alpha in curve.roots]
+            L[0] = curve.A * F.log(pl.y) + curve.B * sum(L)  # z = y^A f(x)^B
+        logs.append(L)
+    rows = []
+    for pt in omega_enumerate(curve, G):
+        vec = (pt.i,) + pt.j
+        rows.append([F.exp(sum(map(mul, vec, L))) if L is not None
+                     else evaluate_monomial(curve, pt, pl)
+                     for L, pl in zip(logs, places)])
+    return Matrix(F, rows, len(places))
+
+
 def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearCode:
     """The evaluation code C_L(D, G) with a canonical RREF generator."""
     _check_evaluation_set(G, places)
-    rows = []
-    for pt in omega_enumerate(curve, G):
-        rows.append([evaluate_monomial(curve, pt, pl) for pl in places])
     n = len(places)
-    raw = Matrix(curve.field, rows, n)
-    rank, red, _ = raw.rref()
+    rank, red, _ = evaluation_matrix(curve, G, places).rref()
     gen = Matrix(curve.field, red.rows[:rank], n)
     code = LinearCode(gen, n, rank)
     if G.degree < n:

@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import configparser
 import itertools
 import sys
 from configparser import ConfigParser
@@ -27,11 +28,18 @@ class ConfigError(ValueError):
     pass
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"not an integer: {text.strip()!r}") from exc
+
+
 def _ints(text: str) -> List[int]:
     text = text.strip()
     if not text:
         return []
-    return [int(tok) for tok in text.split(",")]
+    return [_int(tok) for tok in text.split(",")]
 
 
 def load_config(path: str) -> ConfigParser:
@@ -47,9 +55,10 @@ def build_field(cp: ConfigParser) -> FiniteField:
         raise ConfigError("missing [field] section")
     sec = cp["field"]
     try:
-        return FiniteField(int(sec["p"]), int(sec["e"]), _ints(sec["modulus"]))
+        p, e, modulus = _int(sec["p"]), _int(sec["e"]), _ints(sec["modulus"])
     except KeyError as exc:
         raise ConfigError(f"[field] missing key {exc}") from exc
+    return FiniteField(p, e, modulus)
 
 
 def build_curve(cp: ConfigParser) -> KummerCurve:
@@ -58,8 +67,8 @@ def build_curve(cp: ConfigParser) -> KummerCurve:
         raise ConfigError("missing [curve] section")
     sec = cp["curve"]
     try:
-        m = int(sec["m"])
-        lam = int(sec["lambda"])
+        m = _int(sec["m"])
+        lam = _int(sec["lambda"])
     except KeyError as exc:
         raise ConfigError(f"[curve] missing key {exc}") from exc
     if "roots" in sec:
@@ -165,7 +174,7 @@ def cmd_semigroup(curve: KummerCurve, args, cp) -> int:
 
 def cmd_pure_gaps(curve: KummerCurve, args, cp) -> int:
     places = parse_places(curve, job_value(cp, "places"))
-    bound = args.bound or int(job_value(cp, "bound") or 0)
+    bound = args.bound or _int(job_value(cp, "bound") or "0")
     if bound < 1:
         raise ConfigError("pure-gaps needs --bound or bound= in [job]")
     rows = []
@@ -178,7 +187,7 @@ def cmd_pure_gaps(curve: KummerCurve, args, cp) -> int:
 
 def cmd_box_search(curve: KummerCurve, args, cp) -> int:
     places = parse_places(curve, job_value(cp, "places"))
-    bound = args.bound or int(job_value(cp, "bound") or 0)
+    bound = args.bound or _int(job_value(cp, "bound") or "0")
     if bound < 1:
         raise ConfigError("box-search needs --bound or bound= in [job]")
     result = box_search(curve, places, bound)
@@ -203,9 +212,9 @@ def cmd_floor(curve: KummerCurve, args, cp) -> int:
 def _build_code(curve, args, cp):
     G = parse_divisor(curve, job_value(cp, "divisor"))
     n_text = job_value(cp, "n")
-    n = int(n_text) if n_text else None
+    n = _int(n_text) if n_text else None
     seed = args.seed if args.seed is not None else (
-        int(job_value(cp, "seed")) if job_value(cp, "seed") else None)
+        _int(job_value(cp, "seed")) if job_value(cp, "seed") else None)
     D = evaluation_places(curve, G, n=n, seed=seed)
     kind = (job_value(cp, "code") or "omega").lower()
     if kind == "l":
@@ -229,7 +238,7 @@ def cmd_build_code(curve: KummerCurve, args, cp) -> int:
 
 
 def cmd_check_distance(curve: KummerCurve, args, cp) -> int:
-    budget = args.budget or int(job_value(cp, "budget") or DEFAULT_BUDGET)
+    budget = args.budget or _int(job_value(cp, "budget") or str(DEFAULT_BUDGET))
     _, _, code, _ = _build_code(curve, args, cp)
     d = brute_force_distance(code, budget)
     _emit(args.out, ("undefined" if d is None else str(d)) + "\n")
@@ -281,16 +290,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         cp = load_config(args.config)
-        curve = build_curve(cp)
-    except (ConfigError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return COMMANDS[args.command](curve, args, cp)
-    except ConfigError as exc:
+        return COMMANDS[args.command](build_curve(cp), args, cp)
+    except (ConfigError, KeyError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, IndexError) as exc:

@@ -96,7 +96,6 @@ class KummerCurve:
         self.roots = tuple(roots)
         self.r = r
         self.g = (r - 1) * (m - 1) // 2
-        assert (r - 1) * (m - 1) % 2 == 0
 
         # A*lambda + B*m = 1 with A the least nonnegative residue, and
         # likewise a*r + b*m = 1; pinning A and a makes z and the basis
@@ -105,8 +104,8 @@ class KummerCurve:
         self.B = (1 - self.A * lam) // m
         self.a = pow(r, -1, m)
         self.b = (1 - self.a * r) // m
-        assert self.A * lam + self.B * m == 1
-        assert self.a * r + self.b * m == 1
+        if (r - 1) * (m - 1) % 2 or self.A * lam + self.B * m != 1 or self.a * r + self.b * m != 1:
+            raise AssertionError("odd (r-1)(m-1) or a failed Bezout identity")
 
     def f_at(self, x0: int) -> int:
         """f(x0) = prod (x0 - alpha_i)."""
@@ -115,9 +114,6 @@ class KummerCurve:
         for alpha in self.roots:
             val = F.mul(val, F.sub(x0, alpha))
         return val
-
-    def genus(self) -> int:
-        return self.g
 
     def num_places(self) -> int:
         return len(self.places())
@@ -131,17 +127,25 @@ class KummerCurve:
         return cached
 
     def _enumerate_places(self) -> List[Place]:
+        """y^m = c has d = gcd(m, q-1) roots, with logs (log c / d) * (m/d)^-1
+        mod (q-1)/d plus multiples of (q-1)/d, when d | log c, and none otherwise."""
         F = self.field
+        order = F.q - 1
+        d = math.gcd(self.m, order)
+        period = order // d
+        inv_m = pow(self.m // d, -1, period)
         out = [Place.infinity()]
         out.extend(Place.ramified(mu) for mu in range(1, self.r + 1))
         for x0 in F.elements():
             fx = self.f_at(x0)
             if fx == 0:
                 continue
-            target = F.pow(fx, self.lam)
-            for y0 in F.elements():
-                if F.pow(y0, self.m) == target:
-                    out.append(Place.affine(x0, y0))
+            log_c = F.log(fx) * self.lam % order
+            if log_c % d:
+                continue
+            base = log_c // d * inv_m % period
+            ys = sorted(F.exp(base + k * period) for k in range(d))
+            out.extend(Place.affine(x0, y0) for y0 in ys)
         return out
 
     def on_curve(self, place: Place) -> bool:

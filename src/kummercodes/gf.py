@@ -7,10 +7,12 @@ irreducible modulus.  This integer form is the "codec integer" used in
 every file format, so encode/decode are near-trivial and round-trip by
 construction.
 
-Multiplication, inversion and powers go through discrete log tables
-built once per field from a primitive element; addition is table-backed
-for small fields and digitwise otherwise.  The supported range is
-q <= 2^16, which keeps every table exact and small.
+Multiplication, inversion, negation and powers use discrete log tables
+built once per field from a primitive element; the exp table is doubled,
+so a sum of two logs indexes it directly.  Addition is XOR for p = 2, a
+q x q table for odd q <= 256 and digitwise otherwise.  Row reduction,
+null space and products scale and add whole rows through these tables,
+with no method call per entry.  The supported range is q <= 2^16.
 """
 
 from __future__ import annotations
@@ -38,14 +40,7 @@ MAX_Q = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> List[int]:
@@ -64,6 +59,15 @@ def prime_factors(n: int) -> List[int]:
 
 
 # -- polynomial helpers over GF(p), coefficients low-degree first --------
+
+def _digits(a: int, p: int, n: int) -> List[int]:
+    """The n lowest base-p digits of a, least significant first."""
+    out = []
+    for _ in range(n):
+        a, d = divmod(a, p)
+        out.append(d)
+    return out
+
 
 def _poly_trim(a: List[int]) -> List[int]:
     while a and a[-1] == 0:
@@ -105,12 +109,7 @@ def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
         return True
     for deg in range(1, e // 2 + 1):
         for code in range(p ** deg):
-            trial = []
-            c = code
-            for _ in range(deg):
-                trial.append(c % p)
-                c //= p
-            trial.append(1)
+            trial = _digits(code, p, deg) + [1]
             if not _poly_divmod(mod, trial, p)[1]:
                 return False
     return True
@@ -155,10 +154,10 @@ class FiniteField:
         mod = list(self.modulus)
 
         def raw_mul(a: int, b: int) -> int:
-            return self._encode(_poly_mulmod(self._digits(a), self._digits(b), mod, p))
+            return self._encode(_poly_mulmod(_digits(a, p, e), _digits(b, p, e), mod, p))
 
         gen = self._find_generator(raw_mul)
-        exp = [0] * max(q - 1, 1)
+        exp = [0] * (q - 1)
         log = [0] * q
         v = 1
         for i in range(q - 1):
@@ -166,10 +165,12 @@ class FiniteField:
             log[v] = i
             v = raw_mul(v, gen)
         self.generator = gen
-        self._exp = exp
+        self._exp = exp + exp
         self._log = log
+        # log(-1): -1 = g^((q-1)/2) for odd q, and -1 = 1 in characteristic 2.
+        self._log_minus_one = (q - 1) // 2 if p != 2 else 0
 
-        if q <= 1 << 8:
+        if p != 2 and q <= 1 << 8:
             self._add_table = [
                 [self._add_digitwise(a, b) for b in range(q)] for a in range(q)
             ]
@@ -178,8 +179,6 @@ class FiniteField:
 
     def _find_generator(self, raw_mul) -> int:
         q = self.q
-        if q == 2:
-            return 1
         factors = prime_factors(q - 1)
 
         def raw_pow(a: int, n: int) -> int:
@@ -191,20 +190,13 @@ class FiniteField:
                 n >>= 1
             return acc
 
-        for c in range(2, q):
+        # c = 1 passes only for q = 2, where q - 1 has no prime factors.
+        for c in range(1, q):
             if all(raw_pow(c, (q - 1) // f) != 1 for f in factors):
                 return c
         raise AssertionError("no primitive element found")  # pragma: no cover
 
     # -- codec ----------------------------------------------------------
-
-    def _digits(self, a: int) -> List[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        _poly_trim(out)
-        return out
 
     def _encode(self, coeffs: Iterable[int]) -> int:
         a = 0
@@ -214,18 +206,12 @@ class FiniteField:
 
     def coeffs(self, a: int) -> Tuple[int, ...]:
         """Polynomial-basis coefficients of a, low degree first, length e."""
-        self.check(a)
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(_digits(self.check(a), self.p, self.e))
 
     def from_coeffs(self, coeffs: Sequence[int]) -> int:
         if len(coeffs) > self.e:
             raise ValueError(f"too many coefficients for GF({self.p}^{self.e})")
-        a = self._encode(c % self.p for c in coeffs)
-        return a
+        return self._encode(c % self.p for c in coeffs)
 
     def check(self, a: int) -> int:
         if not 0 <= a < self.q:
@@ -238,14 +224,14 @@ class FiniteField:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self._add_table is not None:
             return self._add_table[a][b]
         return self._add_digitwise(a, b)
 
     def _add_digitwise(self, a: int, b: int) -> int:
         p = self.p
-        if p == 2:
-            return a ^ b
         out = 0
         mult = 1
         for _ in range(self.e):
@@ -256,16 +242,7 @@ class FiniteField:
         return out
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += (-a) % p * mult
-            a //= p
-            mult *= p
-        return out
+        return self._exp[self._log[a] + self._log_minus_one] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -273,15 +250,12 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, n: int) -> int:
         """a^n for any integer n; negative n uses the inverse."""
@@ -292,6 +266,31 @@ class FiniteField:
                 return 1
             raise ZeroDivisionError("0 to a negative power")
         return self._exp[self._log[a] * n % (self.q - 1)]
+
+    def log(self, a: int) -> int:
+        """The discrete log of a nonzero a to the base self.generator, in [0, q-1)."""
+        if a == 0:
+            raise ZeroDivisionError("log of 0")
+        return self._log[a]
+
+    def exp(self, n: int) -> int:
+        """generator^n for any integer n."""
+        return self._exp[n % (self.q - 1)]
+
+    def _axpy(self, dst: List[int], lc: int, terms: Sequence[Tuple[int, int]]) -> None:
+        """dst[j] += g^(lc + l) for every (j, l) in terms; lc and l in [0, q-1)."""
+        exp = self._exp
+        if self.p == 2:
+            for j, l in terms:
+                dst[j] ^= exp[lc + l]
+        elif self._add_table is not None:
+            table = self._add_table
+            for j, l in terms:
+                dst[j] = table[dst[j]][exp[lc + l]]
+        else:
+            add = self._add_digitwise
+            for j, l in terms:
+                dst[j] = add(dst[j], exp[lc + l])
 
     def poly_eval(self, coeffs: Sequence[int], x: int) -> int:
         """Evaluate a polynomial (codec-integer coefficients, low first) at x."""
@@ -321,10 +320,6 @@ class Matrix:
             self.ncols = 0 if ncols is None else ncols
         self.nrows = len(self.rows)
 
-    def _check_field(self, other: "Matrix") -> None:
-        if not self.field.same_as(other.field):
-            raise FieldMismatchError("matrices over different fields")
-
     def rref(self) -> Tuple[int, "Matrix", List[int]]:
         """Reduced row echelon form.
 
@@ -333,27 +328,27 @@ class Matrix:
         Returns (rank, rref matrix, pivot column list).
         """
         F = self.field
+        exp, log, order = F._exp, F._log, F.q - 1
         rows = [list(r) for r in self.rows]
+        nrows = len(rows)
         pivots: List[int] = []
         prow = 0
         for col in range(self.ncols):
-            sel = None
-            for r in range(prow, len(rows)):
-                if rows[r][col] != 0:
-                    sel = r
-                    break
+            sel = next((r for r in range(prow, nrows) if rows[r][col]), None)
             if sel is None:
                 continue
             rows[prow], rows[sel] = rows[sel], rows[prow]
-            inv = F.inv(rows[prow][col])
-            rows[prow] = [F.mul(inv, v) for v in rows[prow]]
-            for r in range(len(rows)):
-                if r != prow and rows[r][col] != 0:
-                    c = rows[r][col]
-                    rows[r] = [F.sub(v, F.mul(c, w)) for v, w in zip(rows[r], rows[prow])]
+            shift = order - log[rows[prow][col]]
+            pivot = rows[prow] = [exp[shift + log[v]] if v else 0 for v in rows[prow]]
+            terms = [(j, log[v]) for j, v in enumerate(pivot) if v]
+            for r, row in enumerate(rows):
+                c = row[col]
+                if c and r != prow:
+                    # row -= c * pivot, as row += (-c) * pivot
+                    F._axpy(row, (log[c] + F._log_minus_one) % order, terms)
             pivots.append(col)
             prow += 1
-            if prow == len(rows):
+            if prow == nrows:
                 break
         return prow, Matrix(F, rows, self.ncols), pivots
 
@@ -376,33 +371,21 @@ class Matrix:
         return Matrix(F, basis, self.ncols)
 
     def mul_matrix(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
+        if not self.field.same_as(other.field):
+            raise FieldMismatchError("matrices over different fields")
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         F = self.field
-        ot = list(zip(*other.rows)) if other.rows else []
+        log = F._log
+        other_terms = [[(j, log[v]) for j, v in enumerate(row) if v] for row in other.rows]
         out = []
         for row in self.rows:
-            new = []
-            for col in ot:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = F.add(acc, F.mul(a, b))
-                new.append(acc)
-            out.append(new)
-        return Matrix(F, out, other.ncols)
-
-    def mul_vector(self, v: Sequence[int]) -> List[int]:
-        F = self.field
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = F.add(acc, F.mul(a, b))
+            acc = [0] * other.ncols
+            for a, terms in zip(row, other_terms):
+                if a:
+                    F._axpy(acc, log[a], terms)
             out.append(acc)
-        return out
+        return Matrix(F, out, other.ncols)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(map(list, zip(*self.rows))) if self.rows else [],
@@ -418,6 +401,3 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
-
-def identity(field: FiniteField, n: int) -> Matrix:
-    return Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])

@@ -24,35 +24,30 @@ GF81 = (3, 4, (2, 1, 0, 0, 1))     # x^4 + x + 2
 GF64 = (2, 6, (1, 1, 0, 0, 0, 0, 1))  # x^6 + x + 1
 
 
-def make_field(spec) -> FiniteField:
-    p, e, modulus = spec
-    return FiniteField(p, e, modulus)
-
-
 def curve_example_1() -> KummerCurve:
     """y^5 = x^9 + x over GF(81): quotient of the Hermitian curve, g=16."""
-    F = make_field(GF81)
+    F = FiniteField(*GF81)
     roots = find_roots(F, [0, 1] + [0] * 7 + [1])
     return KummerCurve(F, 5, 1, roots)
 
 
 def curve_example_2() -> KummerCurve:
     """y^6 = x^5 + x over GF(25): the Hermitian curve for q=5, g=10."""
-    F = make_field(GF25)
+    F = FiniteField(*GF25)
     roots = find_roots(F, [0, 1, 0, 0, 0, 1])
     return KummerCurve(F, 6, 1, roots)
 
 
 def curve_example_4() -> KummerCurve:
     """y^9 = x^4 + x^2 + x over GF(64): maximal curve with g=12."""
-    F = make_field(GF64)
+    F = FiniteField(*GF64)
     roots = find_roots(F, [0, 1, 1, 0, 1])
     return KummerCurve(F, 9, 1, roots)
 
 
 def curve_hermitian_gf4() -> KummerCurve:
     """y^3 = x^2 + x over GF(4): the smallest Hermitian curve, g=1."""
-    F = make_field(GF4)
+    F = FiniteField(*GF4)
     roots = find_roots(F, [0, 1, 1])
     return KummerCurve(F, 3, 1, roots)
 
@@ -132,7 +127,7 @@ def verify_example_3() -> Tuple[bool, List[str]]:
     lines.append("NOTE the curve y^6=(x^5-x)^4 over GF(25) violates gcd(m, r*lambda)=1 "
                  "(gcd(6,20)=2); only the (m,r)=(6,5) formula claims are checked and "
                  "code construction is skipped")
-    F = make_field(GF25)
+    F = FiniteField(*GF25)
     roots = find_roots(F, [0, 4, 0, 0, 0, 1])  # x^5 - x
     try:
         KummerCurve(F, 6, 4, roots)

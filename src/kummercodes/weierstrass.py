@@ -217,7 +217,8 @@ def box_search(curve, places: PlaceTuple, search_bound: int) -> Optional[Tuple[G
             if best_key is None or key < best_key:
                 best_key = key
                 best = box
-    assert best is not None
+    if best is None:
+        raise AssertionError("a nonempty gap set has at least a one-point box")
     return best, best.induced_divisor(curve.r)
 
 

@@ -10,11 +10,13 @@ import pytest
 from kummercodes.agcode import (BudgetExceededError, InconsistentDivisorError,
                                 PlaceInSupportError, brute_force_distance,
                                 build_cl, build_comega, designed_distance,
-                                duality_holds, evaluation_places, in_support)
-from kummercodes.curve import Place
+                                duality_holds, evaluation_matrix, evaluation_places,
+                                in_support)
+from kummercodes.curve import KummerCurve, Place
 from kummercodes.gf import Matrix
-from kummercodes.rrlattice import Divisor
-from kummercodes.verify import curve_example_2, curve_hermitian_gf4
+from kummercodes.rrlattice import Divisor, evaluate_monomial, omega_enumerate
+from kummercodes.verify import (curve_example_1, curve_example_2, curve_example_4,
+                                curve_hermitian_gf4)
 from kummercodes.weierstrass import GapBox, PlaceTuple, floor_divisor
 
 
@@ -65,6 +67,22 @@ def test_build_cl_hermitian():
     assert (code.n, code.k) == (8, 3)
     assert ("goppa_L", 5) in code.bounds
     assert brute_force_distance(code) == 5
+
+
+def test_evaluation_matrix_matches_evaluate_monomial():
+    ex4 = curve_example_4()
+    cases = [
+        (curve_example_1(), Divisor.make(9, {1: 51}, 1)),
+        (curve_example_2(), Divisor.make(5, {1: 26, 2: 1})),
+        (ex4, Divisor.make(4, {1: 28, 2: 1}, 8)),
+        # lambda = 2 gives B = -1; every example curve has lambda = 1 and B = 0
+        (KummerCurve(ex4.field, 9, 2, ex4.roots), Divisor.make(4, {1: 9, 3: 2}, 5)),
+    ]
+    for c, G in cases:
+        D = evaluation_places(c, G)
+        assert {p.kind for p in D} >= {"ramified", "affine"}
+        expected = [[evaluate_monomial(c, pt, pl) for pl in D] for pt in omega_enumerate(c, G)]
+        assert evaluation_matrix(c, G, D).rows == expected
 
 
 def test_build_cl_rejects_support():

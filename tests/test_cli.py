@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import configparser
+import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +136,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "dim")
     assert code == 2
 
+    not_int = tmp_path / "not_int.ini"
+    not_int.write_text(HERM_CFG.replace("p = 2", "p = abc").format(
+        divisor="0,0,3", places="P1", coords="1", bound="6"))
+    code, _, err = run_cli(capsys, "dim", "--config", not_int.as_posix())
+    assert code == 2
+    assert "config error" in err and "abc" in err
+
+    unclosed = tmp_path / "unclosed.ini"
+    unclosed.write_text("[field\np = 2\n")
+    code, _, err = run_cli(capsys, "dim", "--config", unclosed.as_posix())
+    assert code == 2
+    assert "config error" in err
+
+    bad_bound = tmp_path / "bad_bound.ini"
+    bad_bound.write_text(HERM_CFG.format(divisor="0,0,3", places="P1", coords="1", bound="x"))
+    code, _, err = run_cli(capsys, "pure-gaps", "--config", bad_bound.as_posix())
+    assert code == 2
+    assert "config error" in err
+
 
 def test_math_errors_exit_1(tmp_path, capsys):
     gcd_bad = tmp_path / "gcd.ini"
@@ -158,3 +180,68 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") >= 6
+
+
+EXAMPLE_1_CFG = """
+[field]
+p = 3
+e = 4
+modulus = 2,1,0,0,1
+
+[curve]
+m = 5
+lambda = 1
+f = 0,1,0,0,0,0,0,0,0,1
+
+[job]
+divisor = 51,0,0,0,0,0,0,0,0,1
+"""
+
+EXAMPLE_2_CFG = """
+[field]
+p = 5
+e = 2
+modulus = 2,0,1
+
+[curve]
+m = 6
+lambda = 1
+f = 0,1,0,0,0,1
+
+[job]
+divisor = 26,1,0,0,0,0
+"""
+
+CONSTRUCT_CFG = (Path(__file__).resolve().parent.parent
+                 / "perfbench" / "workloads" / "construct.ini").read_text()
+
+# SHA-256 of build-code stdout, pinned from the scalar field arithmetic
+# that preceded the log-domain matrix kernel.
+GOLDEN_BUILD_CODE = [
+    ("example1", EXAMPLE_1_CFG, "l",
+     "1cdccfebf5071b9f819e8837c56e720203d2dcde9cebd933848d8ba48cd5109c"),
+    ("example1", EXAMPLE_1_CFG, "omega",
+     "432cc0e5096822ba9cdb1ddf9d6d0aa5281bb929b232927a0b7db9292fc85464"),
+    ("example2", EXAMPLE_2_CFG, "l",
+     "b3bc21ffa06e748acfa6ed64f3a24a8bd2716009fcbcff47c618edd5320925e8"),
+    ("example2", EXAMPLE_2_CFG, "omega",
+     "f4c64e92e796d840aff0afb42ae909dac7627b41c5c8b55d41db1557e3ecd3a2"),
+    ("construct", CONSTRUCT_CFG, "l",
+     "23a0f24081ca7bcea2d4ccde9416d977abe026d107f785ff4297cab1e240ed67"),
+    ("construct", CONSTRUCT_CFG, "omega",
+     "df88ee0db51f49bca8f0742f669e0eb8f4b9401c83a1483d9b83226cb769e296"),
+]
+
+
+@pytest.mark.parametrize("name,text,kind,digest", GOLDEN_BUILD_CODE,
+                         ids=[f"{name}-{kind}" for name, _, kind, _ in GOLDEN_BUILD_CODE])
+def test_build_code_golden_hashes(tmp_path, capsys, name, text, kind, digest):
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    cp["job"]["code"] = kind
+    path = tmp_path / f"{name}.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    code, out, _ = run_cli(capsys, "build-code", "--config", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -79,6 +79,36 @@ def test_affine_places_satisfy_equation():
             assert c.f_at(p.x) != 0
 
 
+def brute_force_places(c):
+    """The q^2 scan: every (x, y) with y^m = f(x)^lambda and f(x) != 0."""
+    F = c.field
+    out = [Place.infinity()] + [Place.ramified(mu) for mu in range(1, c.r + 1)]
+    for x in F.elements():
+        fx = c.f_at(x)
+        if fx:
+            target = F.pow(fx, c.lam)
+            out.extend(Place.affine(x, y) for y in F.elements() if F.pow(y, c.m) == target)
+    return out
+
+
+def test_places_match_brute_force_scan():
+    gf2 = FiniteField(2, 1, [0, 1])
+    gf7 = FiniteField(7, 1, [0, 1])
+    gf16 = FiniteField(2, 4, [1, 1, 0, 0, 1])
+    curves = [
+        KummerCurve(gf2, 3, 1, [0]),                      # y^3 = x over GF(2)
+        KummerCurve(gf2, 3, 1, [0, 1]),                   # no affine places
+        KummerCurve(gf7, 3, 1, [0]),                      # gcd(3, 6) = 3
+        KummerCurve(gf7, 3, 2, [0, 1, 3, 5]),             # lambda = 2, gcd(3, 6) = 3
+        KummerCurve(gf7, 5, 1, [1, 2]),                   # gcd(5, 6) = 1
+        KummerCurve(gf16, 5, 1, find_roots(gf16, [0, 1, 0, 0, 1])),  # gcd(5, 15) = 5
+        curve_hermitian_gf4(),                            # gcd(3, 3) = 3
+        curve_example_2(),                                # gcd(6, 24) = 6
+    ]
+    for c in curves:
+        assert c.places() == brute_force_places(c), c
+
+
 def test_principal_divisors():
     c = curve_example_1()
     y = c.principal_divisor("y")

@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kummercodes.gf import (BadModulusError, FieldMismatchError, FiniteField,
-                            Matrix, NotIrreducibleError, NotPrimeError, identity)
+                            Matrix, NotIrreducibleError, NotPrimeError)
 
 
 def gf2():
@@ -20,6 +21,57 @@ def gf9():
 
 def gf64():
     return FiniteField(2, 6, [1, 1, 0, 0, 0, 0, 1])
+
+
+# One field per addition path of the matrix kernel: XOR (p = 2), the
+# q x q table (odd p, q <= 256) and digitwise addition (odd p, q > 256).
+KERNEL_FIELDS = [
+    FiniteField(2, 1, [0, 1]),
+    FiniteField(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
+    FiniteField(3, 4, [2, 1, 0, 0, 1]),
+    FiniteField(5, 2, [2, 0, 1]),
+    FiniteField(3, 6, [1, 0, 0, 0, 1, 1, 1]),
+]
+
+
+def oracle_rref(F, rows):
+    """Scalar Gauss-Jordan elimination with the pivot rule of Matrix.rref."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        prow = len(pivots)
+        sel = next((r for r in range(prow, len(rows)) if rows[r][col]), None)
+        if sel is None:
+            continue
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        inv = F.inv(rows[prow][col])
+        rows[prow] = [F.mul(inv, v) for v in rows[prow]]
+        for r, row in enumerate(rows):
+            c = row[col]
+            if r != prow and c:
+                rows[r] = [F.add(v, F.mul(F.sub(0, c), w)) for v, w in zip(row, rows[prow])]
+        pivots.append(col)
+    return len(pivots), rows, pivots
+
+
+def oracle_dot(F, u, v):
+    acc = 0
+    for a, b in zip(u, v):
+        acc = F.add(acc, F.mul(a, b))
+    return acc
+
+
+def oracle_nullspace(F, rows, ncols):
+    """Null space read off the oracle RREF: one vector per free column."""
+    _, red, pivots = oracle_rref(F, rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = F.sub(0, row[fc])
+        basis.append(v)
+    return basis
 
 
 def test_construction_validates():
@@ -102,7 +154,7 @@ def test_poly_eval():
 
 def test_matrix_identity_and_zero():
     F = gf2()
-    eye = identity(F, 4)
+    eye = Matrix(F, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
     rank, _, pivots = eye.rref()
     assert rank == 4 and pivots == [0, 1, 2, 3]
     assert eye.nullspace().nrows == 0
@@ -133,7 +185,7 @@ def test_rank_nullity_random():
             ns = M.nullspace()
             assert rank + ns.nrows == nc
             for row in ns.rows:
-                assert all(v == 0 for v in M.mul_vector(row))
+                assert all(oracle_dot(F, m_row, row) == 0 for m_row in M.rows)
 
 
 def test_rref_deterministic():
@@ -151,3 +203,40 @@ def test_field_mismatch():
     B = Matrix(gf64(), [[1]])
     with pytest.raises(FieldMismatchError):
         A.mul_matrix(B)
+
+
+@st.composite
+def kernel_matrices(draw):
+    F = draw(st.sampled_from(KERNEL_FIELDS))
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.sampled_from([0, 0, 1, F.q - 1]), st.integers(0, F.q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if nrows >= 2 and draw(st.booleans()):
+        # a dependent row, so rank-deficient matrices are common
+        c = draw(st.integers(1, F.q - 1))
+        rows.append([F.add(a, F.mul(c, b)) for a, b in zip(rows[0], rows[1])])
+    return F, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_matrices())
+def test_kernel_matches_scalar_oracle(case):
+    F, rows = case
+    M = Matrix(F, rows)
+    rank, red, pivots = M.rref()
+    assert (rank, red.rows, pivots) == oracle_rref(F, rows)
+    ns = M.nullspace()
+    assert ns.rows == oracle_nullspace(F, rows, M.ncols)
+    assert all(oracle_dot(F, m_row, v) == 0 for m_row in rows for v in ns.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_matrices(), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_mul_matrix_matches_scalar_oracle(case, ncols, rng):
+    F, rows = case
+    other = [[rng.randrange(F.q) for _ in range(ncols)] for _ in rows[0]]
+    got = Matrix(F, rows).mul_matrix(Matrix(F, other)).rows
+    cols = list(zip(*other))
+    assert got == [[oracle_dot(F, row, col) for col in cols] for row in rows]
