@@ -9,7 +9,7 @@ degrees.
 """
 
 from kummercodes import (Divisor, FiniteField, KummerCurve, dimension,
-                         find_roots, omega_enumerate)
+                         find_roots, monomial_divisor, omega_enumerate)
 
 F = FiniteField(2, 6, [1, 1, 0, 0, 0, 0, 1])
 curve = KummerCurve(F, 9, 1, find_roots(F, [0, 1, 1, 0, 1]))
@@ -18,10 +18,9 @@ print(curve)
 H = Divisor.make(curve.r, {1: 14, 2: 1}, 4)
 print(f"\nH = {H}   ell(H) = {dimension(curve, H)}")
 print("basis exponents and pole orders (-i, -i-m*j_mu, r*i+m*sum j):")
-m, r = curve.m, curve.r
 for pt in omega_enumerate(curve, H):
-    orders = [-pt.i] + [-pt.i - m * j for j in pt.j] + [r * pt.i + m * sum(pt.j)]
-    print(f"  i={pt.i:3d} j={pt.j}   ->  {tuple(orders)}")
+    orders = -monomial_divisor(curve, pt)  # pole orders are minus the valuations
+    print(f"  i={pt.i:3d} j={pt.j}   ->  {orders.s + (orders.t,)}")
 
 print("\nRiemann-Roch for large degree (deg > 2g - 2 = 22):")
 for t in (23, 30, 40):

@@ -6,7 +6,8 @@ and compute a divisor floor two different ways.
 """
 
 from kummercodes import (Divisor, FiniteField, KummerCurve, PlaceTuple,
-                         box_search, find_roots, floor_divisor, pure_gap)
+                         box_search, designed_distance, find_roots,
+                         floor_divisor, pure_gaps)
 from kummercodes.weierstrass import floor_via_gcd
 
 F = FiniteField(5, 2, [2, 0, 1])
@@ -14,13 +15,12 @@ curve = KummerCurve(F, 6, 1, find_roots(F, [0, 1, 0, 0, 0, 1]))
 print(curve)
 
 pair = PlaceTuple(2)
-gaps = [(i, j) for i in range(1, 20) for j in range(1, 20)
-        if pure_gap(curve, pair, (i, j))]
+gaps = pure_gaps(curve, pair, 19)
 print(f"\n{len(gaps)} pure gaps at (P1, P2) in the 19 x 19 window")
 print("the extreme ones:", sorted(gaps)[-4:])
 
 box, G = box_search(curve, pair, 40)
-bound = G.degree - (2 * curve.g - 2) + sum(box.widths) + pair.arity()
+bound = designed_distance(curve, G, "pure_gap_box", box=box)
 print(f"\nbest box: base={box.base} widths={box.widths}")
 print(f"induced G = {G}  ->  designed distance >= {bound}")
 

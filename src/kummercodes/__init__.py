@@ -4,20 +4,18 @@ from .agcode import (LinearCode, brute_force_distance, build_cl, build_comega,
                      designed_distance, duality_holds, evaluation_places)
 from .curve import KummerCurve, Place, find_roots
 from .gf import FiniteField, Matrix
-from .rrlattice import (Divisor, LatticePoint, ThetaPoint, dimension,
+from .rrlattice import (Divisor, LatticePoint, RamificationData, dimension,
                         evaluate_monomial, increment_predicate, monomial_divisor,
-                        omega_enumerate, theta_enumerate)
-from .weierstrass import (GapBox, PlaceTuple, RamificationData, box_search,
-                          floor_divisor, make_gap_box, one_point_gaps, pure_gap,
-                          semigroup_member)
+                        omega_enumerate)
+from .weierstrass import (GapBox, PlaceTuple, box_search, floor_divisor,
+                          one_point_gaps, pure_gap, pure_gaps, semigroup_member)
 
 __all__ = [
     "FiniteField", "Matrix", "KummerCurve", "Place", "find_roots",
-    "Divisor", "LatticePoint", "ThetaPoint", "dimension", "omega_enumerate",
-    "theta_enumerate", "increment_predicate", "monomial_divisor",
-    "evaluate_monomial", "PlaceTuple", "RamificationData", "GapBox",
-    "semigroup_member", "pure_gap", "one_point_gaps", "box_search",
-    "make_gap_box", "floor_divisor", "LinearCode", "build_cl", "build_comega",
+    "Divisor", "LatticePoint", "RamificationData", "dimension", "omega_enumerate",
+    "increment_predicate", "monomial_divisor", "evaluate_monomial", "PlaceTuple",
+    "GapBox", "semigroup_member", "pure_gap", "pure_gaps", "one_point_gaps",
+    "box_search", "floor_divisor", "LinearCode", "build_cl", "build_comega",
     "designed_distance", "brute_force_distance", "duality_holds",
     "evaluation_places",
 ]

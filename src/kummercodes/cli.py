@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import sys
 from configparser import ConfigParser
 from typing import List, Optional, Sequence
@@ -20,8 +19,8 @@ from .agcode import (brute_force_distance, build_cl, build_comega,
                      designed_distance, evaluation_places, DEFAULT_BUDGET)
 from .curve import KummerCurve, find_roots
 from .gf import FiniteField
-from .rrlattice import Divisor, dimension, omega_enumerate
-from .weierstrass import PlaceTuple, box_search, floor_divisor, pure_gap, semigroup_member
+from .rrlattice import Divisor, dimension, monomial_divisor, omega_enumerate
+from .weierstrass import PlaceTuple, box_search, floor_divisor, pure_gaps, semigroup_member
 
 
 class ConfigError(ValueError):
@@ -86,6 +85,15 @@ def job_value(cp: ConfigParser, key: str) -> Optional[str]:
     return None
 
 
+def _job_int(args, cp: ConfigParser, key: str, default: Optional[int]) -> Optional[int]:
+    """--key when given (0 included), else key= in [job], else default."""
+    flag = getattr(args, key)
+    if flag is not None:
+        return flag
+    text = job_value(cp, key)
+    return _int(text) if text else default
+
+
 def parse_divisor(curve: KummerCurve, text: Optional[str]) -> Divisor:
     if text is None:
         raise ConfigError("this command needs divisor=s1,...,sr,t in [job]")
@@ -148,12 +156,10 @@ def cmd_places(curve: KummerCurve, args, cp) -> int:
 
 def cmd_rr_basis(curve: KummerCurve, args, cp) -> int:
     G = parse_divisor(curve, job_value(cp, "divisor"))
-    m, r = curve.m, curve.r
     rows = []
     for pt in omega_enumerate(curve, G):
         left = " ".join(str(v) for v in (pt.i,) + pt.j)
-        orders = [-pt.i] + [-pt.i - m * j for j in pt.j] + [r * pt.i + m * sum(pt.j)]
-        rows.append(left + " | " + " ".join(str(v) for v in orders))
+        rows.append(f"{left} | {-monomial_divisor(curve, pt)}")
     _emit(args.out, "\n".join(rows) + "\n")
     return 0
 
@@ -174,20 +180,17 @@ def cmd_semigroup(curve: KummerCurve, args, cp) -> int:
 
 def cmd_pure_gaps(curve: KummerCurve, args, cp) -> int:
     places = parse_places(curve, job_value(cp, "places"))
-    bound = args.bound or _int(job_value(cp, "bound") or "0")
+    bound = _job_int(args, cp, "bound", 0)
     if bound < 1:
         raise ConfigError("pure-gaps needs --bound or bound= in [job]")
-    rows = []
-    for pt in itertools.product(range(1, bound + 1), repeat=places.arity()):
-        if pure_gap(curve, places, pt):
-            rows.append(",".join(str(v) for v in pt))
+    rows = [",".join(str(v) for v in pt) for pt in pure_gaps(curve, places, bound)]
     _emit(args.out, "\n".join(rows) + ("\n" if rows else ""))
     return 0
 
 
 def cmd_box_search(curve: KummerCurve, args, cp) -> int:
     places = parse_places(curve, job_value(cp, "places"))
-    bound = args.bound or _int(job_value(cp, "bound") or "0")
+    bound = _job_int(args, cp, "bound", 0)
     if bound < 1:
         raise ConfigError("box-search needs --bound or bound= in [job]")
     result = box_search(curve, places, bound)
@@ -213,8 +216,7 @@ def _build_code(curve, args, cp):
     G = parse_divisor(curve, job_value(cp, "divisor"))
     n_text = job_value(cp, "n")
     n = _int(n_text) if n_text else None
-    seed = args.seed if args.seed is not None else (
-        _int(job_value(cp, "seed")) if job_value(cp, "seed") else None)
+    seed = _job_int(args, cp, "seed", None)
     D = evaluation_places(curve, G, n=n, seed=seed)
     kind = (job_value(cp, "code") or "omega").lower()
     if kind == "l":
@@ -238,7 +240,7 @@ def cmd_build_code(curve: KummerCurve, args, cp) -> int:
 
 
 def cmd_check_distance(curve: KummerCurve, args, cp) -> int:
-    budget = args.budget or _int(job_value(cp, "budget") or str(DEFAULT_BUDGET))
+    budget = _job_int(args, cp, "budget", DEFAULT_BUDGET)
     _, _, code, _ = _build_code(curve, args, cp)
     d = brute_force_distance(code, budget)
     _emit(args.out, ("undefined" if d is None else str(d)) + "\n")

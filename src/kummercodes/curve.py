@@ -2,9 +2,10 @@
 
 f(x) = prod (x - alpha_i) with r distinct roots in the base field and
 gcd(m, r*lambda) = 1, so the places over the roots and the place at
-infinity are totally ramified.  The curve object carries the genus and
-the Bezout coefficients that normalize the auxiliary function
-z = y^A f(x)^B with divisor P_1 + ... + P_r - r*P_inf.
+infinity are totally ramified.  The curve extends its (m, r) profile
+(genus and Bezout pair a, b) with the field, the roots and the Bezout
+pair A, B that normalizes the auxiliary function z = y^A f(x)^B with
+divisor P_1 + ... + P_r - r*P_inf.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .gf import FiniteField
-from .rrlattice import Divisor
+from .rrlattice import Divisor, RamificationData
 
 
 class GcdViolationError(ValueError):
@@ -71,7 +72,7 @@ class Place:
         return f"({self.x},{self.y})"
 
 
-class KummerCurve:
+class KummerCurve(RamificationData):
     """y^m = f(x)^lambda over a finite field, with explicit roots of f."""
 
     def __init__(self, field: FiniteField, m: int, lam: int, roots: Sequence[int]):
@@ -89,23 +90,18 @@ class KummerCurve:
             raise GcdViolationError(f"gcd(m, r*lambda) = gcd({m}, {r * lam}) != 1")
         if m % field.p == 0:
             raise CharacteristicDividesMError(f"characteristic {field.p} divides m={m}")
+        super().__init__(m, r)
 
         self.field = field
-        self.m = m
         self.lam = lam
         self.roots = tuple(roots)
-        self.r = r
-        self.g = (r - 1) * (m - 1) // 2
 
-        # A*lambda + B*m = 1 with A the least nonnegative residue, and
-        # likewise a*r + b*m = 1; pinning A and a makes z and the basis
-        # monomials byte-identical across runs.
+        # A*lambda + B*m = 1 with A the least nonnegative residue, pinned
+        # like a so that z is byte-identical across runs.
         self.A = pow(lam, -1, m)
         self.B = (1 - self.A * lam) // m
-        self.a = pow(r, -1, m)
-        self.b = (1 - self.a * r) // m
-        if (r - 1) * (m - 1) % 2 or self.A * lam + self.B * m != 1 or self.a * r + self.b * m != 1:
-            raise AssertionError("odd (r-1)(m-1) or a failed Bezout identity")
+        if self.A * lam + self.B * m != 1:
+            raise AssertionError("failed Bezout identity A*lambda + B*m = 1")
 
     def f_at(self, x0: int) -> int:
         """f(x0) = prod (x0 - alpha_i)."""

@@ -123,21 +123,21 @@ class FiniteField:
     """
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
-        if not is_prime(p):
-            raise NotPrimeError(f"p={p} is not prime")
         if e < 1:
             raise BadModulusError(f"extension degree e={e} must be >= 1")
         modulus = list(modulus)
-        if len(modulus) != e + 1:
+        if len(modulus) != e + 1:  # bounds e before p ** e is formed
             raise BadModulusError(
                 f"modulus needs {e + 1} coefficients for degree {e}, got {len(modulus)}")
+        q = p ** e
+        if q > MAX_Q:  # before the trial division, which a huge p would stall
+            raise BadModulusError(f"q={q} exceeds supported range 2^16")
+        if not is_prime(p):
+            raise NotPrimeError(f"p={p} is not prime")
         if any(not 0 <= c < p for c in modulus):
             raise BadModulusError("modulus coefficients out of [0, p)")
         if modulus[-1] != 1:
             raise BadModulusError("modulus must be monic")
-        q = p ** e
-        if q > MAX_Q:
-            raise BadModulusError(f"q={q} exceeds supported range 2^16")
         if not _poly_is_irreducible(modulus, p):
             raise NotIrreducibleError(f"modulus {modulus} is reducible over GF({p})")
 

@@ -10,8 +10,9 @@ codes, all with exact integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve, Place
@@ -28,6 +29,25 @@ class UnsupportedPlaceError(ValueError):
 def ceil_div(a: int, b: int) -> int:
     """ceil(a/b) for integers, b > 0."""
     return -((-a) // b)
+
+
+class RamificationData:
+    """The (m, r) profile shared by all curves y^m = f(x)^lambda, deg f = r.
+
+    The lattice and semigroup layers need nothing else, so they accept a
+    bare profile when no valid curve exists over the field at hand.
+    """
+
+    def __init__(self, m: int, r: int):
+        if m < 2 or r < 1 or math.gcd(m, r) != 1:
+            raise ValueError(f"need m >= 2, r >= 1, gcd(m, r) = 1; got m={m}, r={r}")
+        self.m = m
+        self.r = r
+        self.g = (r - 1) * (m - 1) // 2
+        # a*r + b*m = 1 with a the least nonnegative residue; pinning a
+        # makes the basis monomials byte-identical across runs.
+        self.a = pow(r, -1, m)
+        self.b = (1 - self.a * r) // m
 
 
 @dataclass(frozen=True)
@@ -76,14 +96,6 @@ class LatticePoint:
     j: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ThetaPoint:
-    """Exponent tuple of the alternative monomial beta^u prod h_mu^{v_mu}."""
-
-    u: int
-    v: Tuple[int, ...]
-
-
 def omega_enumerate(curve: "KummerCurve", G: Divisor) -> List[LatticePoint]:
     """All lattice points of the basis index set for L(G), sorted by i.
 
@@ -116,27 +128,6 @@ def dimension(curve: "KummerCurve", G: Divisor) -> int:
     return len(omega_enumerate(curve, G))
 
 
-def theta_to_lattice(curve: "KummerCurve", pt: ThetaPoint) -> LatticePoint:
-    a, b, m = curve.a, curve.b, curve.m
-    vsum = sum(pt.v)
-    i = -(a + b * m) * pt.u - m * vsum
-    j = tuple(b * pt.u + vsum + v for v in pt.v)
-    return LatticePoint(i, j)
-
-
-def lattice_to_theta(curve: "KummerCurve", pt: LatticePoint) -> ThetaPoint:
-    a, b, m, r = curve.a, curve.b, curve.m, curve.r
-    jsum = sum(pt.j)
-    u = -r * pt.i - m * jsum
-    v = tuple(b * pt.i - a * jsum + j for j in pt.j)
-    return ThetaPoint(u, v)
-
-
-def theta_enumerate(curve: "KummerCurve", G: Divisor) -> List[ThetaPoint]:
-    """Image of the basis index set under the (u, v) change of variables."""
-    return [lattice_to_theta(curve, pt) for pt in omega_enumerate(curve, G)]
-
-
 def increment_predicate(curve: "KummerCurve", G: Divisor, at: str) -> bool:
     """Whether raising the coefficient at `at` ("P1" or "Pinf") raised ell.
 
@@ -155,16 +146,14 @@ def increment_predicate(curve: "KummerCurve", G: Divisor, at: str) -> bool:
     raise ValueError(f"unknown place selector {at!r}")
 
 
-def monomial_divisor(curve: "KummerCurve", pt) -> Divisor:
+def monomial_divisor(curve: "KummerCurve", pt: LatticePoint) -> Divisor:
     """Principal divisor of the basis monomial indexed by pt (degree 0)."""
-    if isinstance(pt, ThetaPoint):
-        pt = theta_to_lattice(curve, pt)
     m, r = curve.m, curve.r
     s = [pt.i] + [pt.i + m * j for j in pt.j]
     return Divisor(tuple(s), -(r * pt.i + m * sum(pt.j)))
 
 
-def evaluate_monomial(curve: "KummerCurve", pt, place: "Place") -> int:
+def evaluate_monomial(curve: "KummerCurve", pt: LatticePoint, place: "Place") -> int:
     """Value of the basis monomial at a rational place (codec integer).
 
     Requires the monomial to have no pole there.  At the ramified places
@@ -172,8 +161,6 @@ def evaluate_monomial(curve: "KummerCurve", pt, place: "Place") -> int:
     x - alpha_mu = z^m * prod_{nu != mu} (x - alpha_nu)^{-1}, which
     rewrites the monomial so its local valuation is explicit.
     """
-    if isinstance(pt, ThetaPoint):
-        pt = theta_to_lattice(curve, pt)
     F = curve.field
     m = curve.m
     roots = curve.roots
@@ -217,9 +204,9 @@ def evaluate_monomial(curve: "KummerCurve", pt, place: "Place") -> int:
         return val
 
     if place.kind == "infinity":
-        # In (u, v) form the monomial is beta^u times ratios h_mu that
-        # are 1 at infinity, and beta vanishes to order 1 there.
-        w = curve.r * i + m * sum(js)  # pole order at P_inf; u = -w
+        # The monomial is t^-w times a unit that is 1 at P_inf, for a
+        # local parameter t there, so its value is 1 or 0 once w <= 0.
+        w = curve.r * i + m * sum(js)  # pole order at P_inf
         if w > 0:
             raise PoleAtPlaceError("monomial has a pole at P_inf")
         return 1 if w == 0 else 0

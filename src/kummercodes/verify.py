@@ -1,20 +1,21 @@
 """Canned reproduction checks for the four reference code constructions.
 
-Each verify_example_N returns (all_passed, lines); the CLI prints the
-lines verbatim.  Everything here is deterministic, so two runs emit
+Each verify_example_N returns a Report of PASS/FAIL lines;
+verify_example(N) gives (all_passed, lines) and the CLI prints the lines
+verbatim.  Everything here is deterministic, so two runs emit
 byte-identical output.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from .agcode import build_comega, designed_distance, evaluation_places
+from .agcode import LinearCode, build_comega, designed_distance, evaluation_places
 from .curve import GcdViolationError, KummerCurve, find_roots
 from .gf import FiniteField
-from .rrlattice import Divisor, omega_enumerate
-from .weierstrass import (GapBox, PlaceTuple, RamificationData, box_bound_value,
-                          box_search, floor_divisor, pure_gap)
+from .rrlattice import Divisor, RamificationData, monomial_divisor, omega_enumerate
+from .weierstrass import (GapBox, PlaceTuple, box_bound_value, box_search,
+                          floor_divisor, pure_gap)
 
 # Pinned moduli (low-degree-first base-p digits); all verified irreducible
 # at field construction time.
@@ -52,81 +53,87 @@ def curve_hermitian_gf4() -> KummerCurve:
     return KummerCurve(F, 3, 1, roots)
 
 
-def _check(lines: List[str], label: str, ok: bool, detail: str = "") -> bool:
-    status = "PASS" if ok else "FAIL"
-    suffix = f": {detail}" if detail else ""
-    lines.append(f"{status} {label}{suffix}")
-    return ok
+class Report:
+    """PASS/FAIL lines in order, and whether every check passed."""
+
+    def __init__(self):
+        self.lines: List[str] = []
+        self.ok = True
+
+    def check(self, label: str, ok: bool, detail: str = "") -> None:
+        suffix = f": {detail}" if detail else ""
+        self.lines.append(f"{'PASS' if ok else 'FAIL'} {label}{suffix}")
+        self.ok = self.ok and ok
 
 
-def verify_example_1() -> Tuple[bool, List[str]]:
-    lines: List[str] = []
-    ok = True
-    curve = curve_example_1()
-    ok &= _check(lines, "genus", curve.g == 16, f"g={curve.g}")
-    n_places = curve.num_places()
-    ok &= _check(lines, "rational places", n_places == 370, f"N={n_places}")
-
-    places = PlaceTuple(1, include_infinity=True)
-    pg = pure_gap(curve, places, (26, 1))
-    npg = pure_gap(curve, places, (27, 1))
-    ok &= _check(lines, "pure gap (26,1)", pg and not npg,
-                 f"(26,1)->{pg} (27,1)->{npg}")
-
-    box, G = box_search(curve, places, 40)
-    ok &= _check(lines, "box search",
-                 box.base == (26, 1) and box.widths == (0, 0),
-                 f"base={box.base} widths={box.widths}")
-    ok &= _check(lines, "divisor G", G == Divisor.make(curve.r, {1: 51}, 1),
-                 f"G={G}")
-    bound = designed_distance(curve, G, "pure_gap_box", box=box)
-    ok &= _check(lines, "designed distance", bound == 24, f"d_omega>={bound}")
-
-    D = evaluation_places(curve, G)
-    code = build_comega(curve, G, D)
-    ok &= _check(lines, "code parameters", (code.n, code.k) == (368, 331),
-                 f"[{code.n},{code.k}]")
-    code.add_bound("pure_gap_box", bound)
-    lines.append(f"INFO evaluation set: all {len(D)} places outside supp(G)")
-    return bool(ok), lines
+def _point(coords: Tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, coords)) + ")"
 
 
-def verify_example_2() -> Tuple[bool, List[str]]:
-    lines: List[str] = []
-    ok = True
-    curve = curve_example_2()
-    ok &= _check(lines, "genus", curve.g == 10, f"g={curve.g}")
-    n_places = curve.num_places()
-    ok &= _check(lines, "rational places", n_places == 126, f"N={n_places}")
-
-    places = PlaceTuple(2)
-    pgs = [pure_gap(curve, places, c) for c in ((13, 1), (14, 1))]
-    ok &= _check(lines, "pure gaps (13,1),(14,1)", all(pgs), f"{pgs}")
-
-    box, G = box_search(curve, places, 40)
-    ok &= _check(lines, "box search",
-                 box.base == (13, 1) and box.widths == (1, 0),
-                 f"base={box.base} widths={box.widths}")
-    ok &= _check(lines, "divisor G", G == Divisor.make(curve.r, {1: 26, 2: 1}),
-                 f"G={G}")
-    bound = designed_distance(curve, G, "pure_gap_box", box=box)
-    ok &= _check(lines, "designed distance", bound == 12, f"d_omega>={bound}")
-
-    D = evaluation_places(curve, G)
-    code = build_comega(curve, G, D)
-    ok &= _check(lines, "code parameters", (code.n, code.k) == (124, 106),
-                 f"[{code.n},{code.k}]")
-    lines.append(f"INFO evaluation set: all {len(D)} places outside supp(G), "
-                 "including the place at infinity")
-    return bool(ok), lines
+def _curve_claims(rep: Report, curve: KummerCurve, genus: int, n_places: int) -> None:
+    rep.check("genus", curve.g == genus, f"g={curve.g}")
+    n = curve.num_places()
+    rep.check("rational places", n == n_places, f"N={n}")
 
 
-def verify_example_3() -> Tuple[bool, List[str]]:
-    lines: List[str] = []
-    ok = True
-    lines.append("NOTE the curve y^6=(x^5-x)^4 over GF(25) violates gcd(m, r*lambda)=1 "
-                 "(gcd(6,20)=2); only the (m,r)=(6,5) formula claims are checked and "
-                 "code construction is skipped")
+def _box_claims(rep: Report, curve: KummerCurve, places: PlaceTuple,
+                verdicts: Dict[Tuple[int, ...], bool], base: Tuple[int, ...],
+                widths: Tuple[int, ...], G: Divisor) -> Tuple[GapBox, Divisor]:
+    """Pure-gap verdicts at a few points, then the box search and its G.
+
+    The label names the claimed pure gaps; the detail lists the verdicts,
+    each beside its point when some point is claimed not to be one.
+    """
+    got = {c: pure_gap(curve, places, c) for c in verdicts}
+    gaps = [_point(c) for c, v in verdicts.items() if v]
+    detail = (" ".join(f"{_point(c)}->{v}" for c, v in got.items())
+              if not all(verdicts.values()) else f"{list(got.values())}")
+    rep.check(f"pure gap{'s' * (len(gaps) > 1)} {','.join(gaps)}", got == verdicts, detail)
+    box, found = box_search(curve, places, 40)
+    rep.check("box search", (box.base, box.widths) == (base, widths),
+              f"base={box.base} widths={box.widths}")
+    rep.check("divisor G", found == G, f"G={found}")
+    return box, found
+
+
+def _code_claims(rep: Report, curve: KummerCurve, G: Divisor, method: str,
+                 distance: int, nk: Tuple[int, int], **bound_args) -> LinearCode:
+    """The designed distance of C_Omega by `method`, then its [n, k] on all
+    rational places outside supp(G)."""
+    bound = designed_distance(curve, G, method, **bound_args)
+    rep.check("designed distance", bound == distance, f"d_omega>={bound}")
+    code = build_comega(curve, G, evaluation_places(curve, G))
+    rep.check("code parameters", (code.n, code.k) == nk, f"[{code.n},{code.k}]")
+    return code
+
+
+def verify_example_1() -> Report:
+    rep, curve = Report(), curve_example_1()
+    _curve_claims(rep, curve, 16, 370)
+    box, G = _box_claims(rep, curve, PlaceTuple(1, include_infinity=True),
+                         {(26, 1): True, (27, 1): False}, (26, 1), (0, 0),
+                         Divisor.make(curve.r, {1: 51}, 1))
+    code = _code_claims(rep, curve, G, "pure_gap_box", 24, (368, 331), box=box)
+    rep.lines.append(f"INFO evaluation set: all {code.n} places outside supp(G)")
+    return rep
+
+
+def verify_example_2() -> Report:
+    rep, curve = Report(), curve_example_2()
+    _curve_claims(rep, curve, 10, 126)
+    box, G = _box_claims(rep, curve, PlaceTuple(2), {(13, 1): True, (14, 1): True},
+                         (13, 1), (1, 0), Divisor.make(curve.r, {1: 26, 2: 1}))
+    code = _code_claims(rep, curve, G, "pure_gap_box", 12, (124, 106), box=box)
+    rep.lines.append(f"INFO evaluation set: all {code.n} places outside supp(G), "
+                     "including the place at infinity")
+    return rep
+
+
+def verify_example_3() -> Report:
+    rep = Report()
+    rep.lines.append("NOTE the curve y^6=(x^5-x)^4 over GF(25) violates gcd(m, r*lambda)=1 "
+                     "(gcd(6,20)=2); only the (m,r)=(6,5) formula claims are checked and "
+                     "code construction is skipped")
     F = FiniteField(*GF25)
     roots = find_roots(F, [0, 4, 0, 0, 0, 1])  # x^5 - x
     try:
@@ -134,55 +141,47 @@ def verify_example_3() -> Tuple[bool, List[str]]:
         rejected = False
     except GcdViolationError:
         rejected = True
-    ok &= _check(lines, "curve rejected", rejected, "GcdViolation raised")
+    rep.check("curve rejected", rejected, "GcdViolation raised")
 
     profile = RamificationData(6, 5)
-    ok &= _check(lines, "genus", profile.g == 10, f"g={profile.g}")
+    rep.check("genus", profile.g == 10, f"g={profile.g}")
 
     places = PlaceTuple(2, include_infinity=True)
     box_pts = [(i, 1, k) for i in (8, 9) for k in (1, 2, 3)]
-    pure = {c: pure_gap(profile, places, c) for c in box_pts}
-    bad = sorted(c for c, v in pure.items() if not v)
-    ok &= _check(lines, "pure gap box {8..9}x{1}x{1..3}", not bad,
-                 f"{len(box_pts) - len(bad)}/{len(box_pts)} tuples are pure gaps"
-                 + (f"; failing: {bad}" if bad else ""))
+    bad = sorted(c for c in box_pts if not pure_gap(profile, places, c))
+    rep.check("pure gap box {8..9}x{1}x{1..3}", not bad,
+              f"{len(box_pts) - len(bad)}/{len(box_pts)} tuples are pure gaps"
+              + (f"; failing: {bad}" if bad else ""))
     if bad:
-        lines.append("NOTE the published box overreaches: the corner (9,1,3) "
-                     "satisfies both defining inequalities with equality, and the "
-                     "dimension count confirms it is not a pure gap")
+        rep.lines.append("NOTE the published box overreaches: the corner (9,1,3) "
+                         "satisfies both defining inequalities with equality, and the "
+                         "dimension count confirms it is not a pure gap")
 
     # Bound and dimension arithmetic for the published parameters, taken
     # as formula checks on the claimed box shape.
     box = GapBox(places, (8, 1, 1), (1, 0, 2))
     G = box.induced_divisor(profile.r)
-    ok &= _check(lines, "divisor G", G == Divisor.make(profile.r, {1: 16, 2: 1}, 3),
-                 f"G={G}")
+    rep.check("divisor G", G == Divisor.make(profile.r, {1: 16, 2: 1}, 3), f"G={G}")
     bound = box_bound_value(profile, box)
-    ok &= _check(lines, "designed distance", bound == 8, f"d_omega>={bound}")
+    rep.check("designed distance", bound == 8, f"d_omega>={bound}")
 
     n = 123
     k_omega = n + profile.g - 1 - G.degree
-    ok &= _check(lines, "dimension formula", k_omega == 112,
-                 f"n={n} k_omega={k_omega}")
-    return bool(ok), lines
+    rep.check("dimension formula", k_omega == 112, f"n={n} k_omega={k_omega}")
+    return rep
 
 
-def verify_example_4() -> Tuple[bool, List[str]]:
-    lines: List[str] = []
-    ok = True
-    curve = curve_example_4()
-    ok &= _check(lines, "genus", curve.g == 12, f"g={curve.g}")
-    n_places = curve.num_places()
-    ok &= _check(lines, "rational places", n_places == 257, f"N={n_places}")
+def verify_example_4() -> Report:
+    rep, curve = Report(), curve_example_4()
+    _curve_claims(rep, curve, 12, 257)
 
     H = Divisor.make(curve.r, {1: 14, 2: 1}, 4)
     pts = omega_enumerate(curve, H)
-    ok &= _check(lines, "ell(H)", len(pts) == 8, f"ell={len(pts)}")
+    rep.check("ell(H)", len(pts) == 8, f"ell={len(pts)}")
 
-    m, r = curve.m, curve.r
-    tuples = {(-p.i,) + tuple(-p.i - m * j for j in p.j) + (r * p.i + m * sum(p.j),)
-              for p in pts}
-    expected = {
+    # Pole orders (s_1..s_r, t) of the basis monomials of L(H).
+    orders = {-monomial_divisor(curve, p) for p in pts}
+    expected = {Divisor(c[:-1], c[-1]) for c in (
         (14, -4, -4, -4, -2),
         (13, -5, -5, -5, 2),
         (9, 0, 0, 0, -9),
@@ -191,23 +190,13 @@ def verify_example_4() -> Tuple[bool, List[str]]:
         (6, -3, -3, -3, 3),
         (0, 0, 0, 0, 0),
         (-1, -1, -1, -1, 4),
-    }
-    ok &= _check(lines, "basis listing", tuples == expected,
-                 f"{len(tuples & expected)}/8 tuples match")
+    )}
+    rep.check("basis listing", orders == expected, f"{len(orders & expected)}/8 tuples match")
 
     flo = floor_divisor(curve, H)
-    ok &= _check(lines, "floor", flo == Divisor.make(curve.r, {1: 14}, 4),
-                 f"floor={flo}")
-
-    G = H + flo
-    bound = designed_distance(curve, G, "floor_pair", H=H)
-    ok &= _check(lines, "designed distance", bound == 16, f"d_omega>={bound}")
-
-    D = evaluation_places(curve, G)
-    code = build_comega(curve, G, D)
-    ok &= _check(lines, "code parameters", (code.n, code.k) == (254, 228),
-                 f"[{code.n},{code.k}]")
-    return bool(ok), lines
+    rep.check("floor", flo == Divisor.make(curve.r, {1: 14}, 4), f"floor={flo}")
+    _code_claims(rep, curve, H + flo, "floor_pair", 16, (254, 228), H=H)
+    return rep
 
 
 VERIFIERS = {
@@ -221,4 +210,5 @@ VERIFIERS = {
 def verify_example(number: int) -> Tuple[bool, List[str]]:
     if number not in VERIFIERS:
         raise ValueError(f"no example {number}; choose from 1-4")
-    return VERIFIERS[number]()
+    rep = VERIFIERS[number]()
+    return rep.ok, rep.lines

@@ -1,8 +1,8 @@
 """Closed-form Weierstrass semigroups, pure gaps, gap boxes and floors.
 
-The membership and pure-gap predicates only need the ramification data
-(m, r) and the Bezout pair a*r + b*m = 1, so they also accept a bare
-RamificationData when no valid curve exists over the field at hand.
+Everything here reads only the (m, r) profile of the curve (genus and
+Bezout pair a*r + b*m = 1), so a bare RamificationData serves as well
+as a KummerCurve.
 """
 
 from __future__ import annotations
@@ -24,21 +24,6 @@ class NonPositiveCoordinateError(ValueError):
 
 class EmptyRiemannRochSpaceError(ValueError):
     pass
-
-
-class RamificationData:
-    """The (m, r) skeleton shared by all curves y^m = f(x)^lambda, deg f = r."""
-
-    def __init__(self, m: int, r: int):
-        import math
-
-        if m < 2 or r < 1 or math.gcd(m, r) != 1:
-            raise ValueError(f"need m >= 2, r >= 1, gcd(m, r) = 1; got m={m}, r={r}")
-        self.m = m
-        self.r = r
-        self.g = (r - 1) * (m - 1) // 2
-        self.a = pow(r, -1, m)
-        self.b = (1 - self.a * r) // m
 
 
 @dataclass(frozen=True)
@@ -72,17 +57,15 @@ class GapBox:
     def points(self) -> Iterable[Tuple[int, ...]]:
         return itertools.product(*(range(b, b + w + 1) for b, w in zip(self.base, self.widths)))
 
+    def coefficients(self) -> List[int]:
+        """2*base_i + width_i - 1: the coefficient of G at the i-th place."""
+        return [2 * b + w - 1 for b, w in zip(self.base, self.widths)]
+
     def induced_divisor(self, r: int) -> Divisor:
-        """G = sum (2*base_i + width_i - 1) Q_i over the selected places."""
-        coeffs = [2 * b + w - 1 for b, w in zip(self.base, self.widths)]
-        s = [0] * r
-        t = 0
-        if self.places.include_infinity:
-            t = coeffs[-1]
-            coeffs = coeffs[:-1]
-        for idx, c in enumerate(coeffs):
-            s[idx] = c
-        return Divisor(tuple(s), t)
+        """G = sum coefficients_i Q_i over the selected places."""
+        coeffs = self.coefficients()
+        t = coeffs.pop() if self.places.include_infinity else 0
+        return Divisor.make(r, dict(enumerate(coeffs, 1)), t)
 
 
 def _split_coords(places: PlaceTuple, coords: Sequence[int]) -> Tuple[List[int], Optional[int]]:
@@ -139,6 +122,12 @@ def pure_gap(curve, places: PlaceTuple, coords: Sequence[int]) -> bool:
     return all(v > 0 for v in _member_conditions(curve, ss, t))
 
 
+def pure_gaps(curve, places: PlaceTuple, bound: int) -> List[Tuple[int, ...]]:
+    """All pure gaps in [1, bound]^arity, in itertools.product order."""
+    return [pt for pt in itertools.product(range(1, bound + 1), repeat=places.arity())
+            if pure_gap(curve, places, pt)]
+
+
 def one_point_gaps(curve, which: str, limit: int) -> List[int]:
     """Sorted gap numbers at P_1 or P_inf up to the value `limit`."""
     if limit < 1:
@@ -159,22 +148,9 @@ def one_point_gaps(curve, which: str, limit: int) -> List[int]:
     return sorted(x for x in gaps if 1 <= x <= limit)
 
 
-def make_gap_box(curve, places: PlaceTuple, base: Sequence[int], widths: Sequence[int]) -> GapBox:
-    """Build a GapBox, verifying every integer point is a pure gap."""
-    box = GapBox(places, tuple(base), tuple(widths))
-    if len(box.base) != places.arity() or len(box.widths) != places.arity():
-        raise BadArityError("base/widths arity does not match the place tuple")
-    if any(b < 1 for b in box.base) or any(w < 0 for w in box.widths):
-        raise ValueError("base coordinates must be >= 1 and widths >= 0")
-    for pt in box.points():
-        if not pure_gap(curve, places, pt):
-            raise ValueError(f"{pt} is not a pure gap; box invalid")
-    return box
-
-
 def box_bound_value(curve, box: GapBox) -> int:
     """The designed-distance value deg(G) - (2g - 2) + sum(widths) + arity."""
-    deg = sum(2 * b + w - 1 for b, w in zip(box.base, box.widths))
+    deg = sum(box.coefficients())
     return deg - (2 * curve.g - 2) + sum(box.widths) + box.places.arity()
 
 
@@ -187,13 +163,9 @@ def box_search(curve, places: PlaceTuple, search_bound: int) -> Optional[Tuple[G
     largest widths.
     """
     places.validate(curve.r)
-    d = places.arity()
     if curve.g == 0:
         return None
-    gaps = set()
-    for pt in itertools.product(range(1, search_bound + 1), repeat=d):
-        if pure_gap(curve, places, pt):
-            gaps.add(pt)
+    gaps = set(pure_gaps(curve, places, search_bound))
     if not gaps:
         return None
 
@@ -211,9 +183,8 @@ def box_search(curve, places: PlaceTuple, search_bound: int) -> Optional[Tuple[G
                 continue
             widths = tuple(b - a for a, b in zip(lo, hi))
             box = GapBox(places, lo, widths)
-            deg = sum(2 * a + w - 1 for a, w in zip(lo, widths))
-            value = deg - (2 * curve.g - 2) + sum(widths) + d
-            key = (-value, deg, tuple(-c for c in lo), tuple(-w for w in widths))
+            key = (-box_bound_value(curve, box), sum(box.coefficients()),
+                   tuple(-c for c in lo), tuple(-w for w in widths))
             if best_key is None or key < best_key:
                 best_key = key
                 best = box

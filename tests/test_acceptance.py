@@ -22,12 +22,13 @@ from kummercodes.agcode import (brute_force_distance, build_cl, build_comega,
                                 designed_distance, duality_holds,
                                 evaluation_places)
 from kummercodes.cli import main
-from kummercodes.rrlattice import Divisor, dimension, omega_enumerate
+from kummercodes.rrlattice import (Divisor, RamificationData, dimension,
+                                   omega_enumerate)
 from kummercodes.verify import (curve_example_1, curve_example_2,
                                 curve_example_4, curve_hermitian_gf4)
-from kummercodes.weierstrass import (GapBox, PlaceTuple, RamificationData,
-                                     box_bound_value, floor_divisor,
-                                     floor_via_gcd, pure_gap, semigroup_member)
+from kummercodes.weierstrass import (GapBox, PlaceTuple, box_bound_value,
+                                     floor_divisor, floor_via_gcd, pure_gap,
+                                     semigroup_member)
 
 PROFILES = [(3, 2), (5, 9), (6, 5), (9, 4)]
 

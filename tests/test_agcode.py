@@ -17,7 +17,7 @@ from kummercodes.gf import Matrix
 from kummercodes.rrlattice import Divisor, evaluate_monomial, omega_enumerate
 from kummercodes.verify import (curve_example_1, curve_example_2, curve_example_4,
                                 curve_hermitian_gf4)
-from kummercodes.weierstrass import GapBox, PlaceTuple, floor_divisor
+from kummercodes.weierstrass import BadArityError, GapBox, PlaceTuple, floor_divisor
 
 
 def herm():
@@ -194,6 +194,11 @@ def test_designed_distance_validation():
     with pytest.raises(InconsistentDivisorError):
         designed_distance(c, G, "pure_gap_box",
                           box=GapBox(PlaceTuple(2), (13, 2), (1, 0)))
+    with pytest.raises(InconsistentDivisorError, match="not a pure gap"):
+        designed_distance(c, G, "pure_gap_box",  # leaves the pure-gap region
+                          box=GapBox(PlaceTuple(2), (1, 1), (20, 0)))
+    with pytest.raises(BadArityError):
+        designed_distance(c, G, "pure_gap_box", box=GapBox(PlaceTuple(2), (13,), (1,)))
     with pytest.raises(InconsistentDivisorError):
         designed_distance(c, G, "floor_pair", H=Divisor.make(c.r, {1: 13}))
     with pytest.raises(ValueError):

@@ -165,6 +165,26 @@ def test_math_errors_exit_1(tmp_path, capsys):
     assert code == 1
     assert "gcd" in err
 
+    huge_p = tmp_path / "huge_p.ini"
+    huge_p.write_text("\n".join([
+        "[field]", "p = 1000000000000000003", "e = 1", "modulus = 0,1",
+        "[curve]", "m = 2", "lambda = 1", "roots = 0", ""]))
+    code, _, err = run_cli(capsys, "curve-info", "--config", huge_p.as_posix())
+    assert code == 1
+    assert "exceeds supported range" in err
+
+
+def test_zero_flags_are_not_ignored(tmp_path, capsys):
+    # An explicit 0 wins over the config value and the default.
+    cfg = write_cfg(tmp_path, places="P1")
+    for cmd in ("pure-gaps", "box-search"):
+        code, out, err = run_cli(capsys, cmd, "--config", cfg, "--bound", "0")
+        assert code == 2 and out == ""
+        assert "needs --bound" in err
+    code, out, err = run_cli(capsys, "check-distance", "--config", cfg, "--budget", "0")
+    assert code == 1 and out == ""
+    assert "exceed budget 0" in err
+
 
 def test_verify_example_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify-example", "4")

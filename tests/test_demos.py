@@ -1,0 +1,30 @@
+"""Each narrative script in demos/ runs to completion against the package."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    if demo.name == "03_pure_gaps_and_floor.py":
+        assert "designed distance >= 12" in proc.stdout
+        assert "gcd route gives the same: True" in proc.stdout
+
+
+def test_demos_found():
+    assert DEMOS  # an empty glob would leave test_demo_runs with no cases

@@ -87,6 +87,12 @@ def test_construction_validates():
         FiniteField(2, 17, [1] + [0] * 16 + [1])  # q > 2^16
 
 
+def test_range_checked_before_primality():
+    # Trial division of an 18-digit p would stall; q > 2^16 rejects it first.
+    with pytest.raises(BadModulusError):
+        FiniteField(1000000000000000003, 1, [0, 1])
+
+
 def test_small_fields_exist():
     assert gf2().q == 2
     assert gf9().q == 9

@@ -1,4 +1,4 @@
-"""Lattice enumeration, dimensions, basis changes and monomial evaluation."""
+"""Lattice enumeration, dimensions and monomial evaluation."""
 
 from __future__ import annotations
 
@@ -7,14 +7,12 @@ import random
 import pytest
 
 from kummercodes.curve import Place
-from kummercodes.rrlattice import (Divisor, PoleAtPlaceError, ceil_div,
-                                   dimension, evaluate_monomial,
-                                   increment_predicate, lattice_to_theta,
-                                   monomial_divisor, omega_enumerate,
-                                   theta_enumerate, theta_to_lattice)
+from kummercodes.rrlattice import (Divisor, PoleAtPlaceError, RamificationData,
+                                   ceil_div, dimension, evaluate_monomial,
+                                   increment_predicate, monomial_divisor,
+                                   omega_enumerate)
 from kummercodes.verify import (curve_example_1, curve_example_2,
                                 curve_example_4, curve_hermitian_gf4)
-from kummercodes.weierstrass import RamificationData
 
 
 def random_divisor(rng, r, lo=-6, hi=20):
@@ -101,31 +99,6 @@ def test_monotonicity():
             assert base <= up <= base + 1
 
 
-def test_theta_bijection():
-    rng = random.Random(17)
-    c = curve_example_4()
-    for _ in range(60):
-        G = random_divisor(rng, c.r)
-        omega = omega_enumerate(c, G)
-        theta = theta_enumerate(c, G)
-        assert len(theta) == len(omega)
-        for o, th in zip(omega, theta):
-            assert theta_to_lattice(c, th) == o
-            assert lattice_to_theta(c, o) == th
-
-
-def test_theta_constraints():
-    # Theta points satisfy the defining window of the (u, v) description
-    c = curve_example_2()
-    G = Divisor((3, 1, 0, 2, 0), 11)
-    a, b, m = c.a, c.b, c.m
-    for th in theta_enumerate(c, G):
-        assert -(a + b * m) * th.u - m * sum(th.v) + G.s[0] >= 0
-        for mu, v in enumerate(th.v):
-            assert 0 <= -a * th.u + m * v + G.s[mu + 1] < m
-        assert th.u >= -G.t
-
-
 def test_increment_predicate_oracle():
     rng = random.Random(19)
     c = curve_example_2()
@@ -157,7 +130,6 @@ def test_monomial_divisors():
     for pt in pts:
         d = monomial_divisor(c, pt)
         assert d.degree == 0
-        assert monomial_divisor(c, lattice_to_theta(c, pt)) == d
     # z itself: i=1, j=0
     z_pt = [pt for pt in omega_enumerate(c, Divisor.make(c.r, t=c.r)) if pt.i == 1]
     assert monomial_divisor(c, z_pt[0]) == Divisor(tuple([1] * c.r), -c.r)

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kummercodes.rrlattice import Divisor, ceil_div, dimension
+from kummercodes.rrlattice import Divisor, RamificationData, ceil_div, dimension
 from kummercodes.verify import (curve_example_1, curve_example_2,
                                 curve_example_4, curve_hermitian_gf4)
 from kummercodes.weierstrass import (BadArityError, EmptyRiemannRochSpaceError,
                                      GapBox, NonPositiveCoordinateError,
-                                     PlaceTuple, RamificationData, box_search,
-                                     floor_divisor, floor_via_gcd, make_gap_box,
-                                     one_point_gaps, pure_gap, semigroup_member)
+                                     PlaceTuple, box_search, floor_divisor,
+                                     floor_via_gcd, one_point_gaps, pure_gap,
+                                     pure_gaps, semigroup_member)
 
 
 def test_place_tuple_validation():
@@ -140,6 +143,39 @@ def dimension_pure_gap(curve, pl, coords):
     return dimension(curve, G) == dimension(curve, lower)
 
 
+@st.composite
+def profile_places_bound(draw):
+    """A coprime profile with 2 <= m <= 12, 1 <= r <= 8, a 2- or 3-place
+    tuple on it, and a coordinate bound small enough to scan."""
+    m = draw(st.integers(2, 12))
+    r = draw(st.integers(1, 8).filter(lambda r: math.gcd(m, r) == 1))
+    l, inf = draw(st.sampled_from([(l, inf) for inf in (False, True)
+                                   for l in range(r + 1) if l + inf in (2, 3)]))
+    pl = PlaceTuple(l, inf)
+    return RamificationData(m, r), pl, draw(st.integers(1, 16 if pl.arity() == 2 else 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(profile_places_bound())
+def test_profile_gaps_and_members_match_ell_counts(case):
+    # ell-count definitions: at every selected Q_j, ell(G - Q_j) = ell(G)
+    # for a pure gap and ell(G - Q_j) = ell(G) - 1 for a semigroup member.
+    prof, pl, bound = case
+    d = pl.arity()
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+
+    def drops(coords):
+        G = tuple_divisor(prof.r, pl, coords)
+        base = dimension(prof, G)
+        return [dimension(prof, G - tuple_divisor(prof.r, pl, u)) != base for u in units]
+
+    window = {pt: drops(pt) for pt in itertools.product(range(bound + 1), repeat=d)}
+    want = [pt for pt, dr in window.items() if min(pt) >= 1 and not any(dr)]
+    assert pure_gaps(prof, pl, bound) == want
+    for pt, dr in window.items():
+        assert semigroup_member(prof, pl, pt) == all(dr)
+
+
 def test_oracle_membership_and_pure_gap():
     rng = random.Random(31)
     c = curve_hermitian_gf4()
@@ -173,17 +209,6 @@ def test_gap_box_geometry():
     assert box.corner() == (14, 1)
     assert sorted(box.points()) == [(13, 1), (14, 1)]
     assert box.induced_divisor(5) == Divisor.make(5, {1: 26, 2: 1})
-
-
-def test_make_gap_box_validates():
-    c = curve_example_2()
-    pl = PlaceTuple(2)
-    box = make_gap_box(c, pl, (13, 1), (1, 0))
-    assert box.base == (13, 1)
-    with pytest.raises(ValueError):
-        make_gap_box(c, pl, (1, 1), (20, 0))  # leaves the pure-gap region
-    with pytest.raises(BadArityError):
-        make_gap_box(c, pl, (13,), (1,))
 
 
 def test_box_search_example_curves():
