@@ -17,22 +17,16 @@ from typing import List, Optional, Sequence, Tuple
 from .curve import KummerCurve, Place
 from .gf import Matrix
 from .rrlattice import Divisor, evaluate_monomial, omega_enumerate
-from .weierstrass import GapBox, box_bound_value, floor_divisor, pure_gap
+from .weierstrass import (DEFAULT_BUDGET, BudgetExceededError, GapBox, box_bound_value,
+                          floor_divisor, pure_gap)
 
 
 class PlaceInSupportError(ValueError):
     pass
 
 
-class BudgetExceededError(ValueError):
-    pass
-
-
 class InconsistentDivisorError(ValueError):
     pass
-
-
-DEFAULT_BUDGET = 1 << 24
 
 
 def in_support(G: Divisor, place: Place) -> bool:
@@ -176,12 +170,14 @@ def designed_distance(curve: KummerCurve, G: Divisor, method: str, *,
 
 
 def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Optional[int]:
-    """Exact minimum distance by enumerating all q^k - 1 nonzero codewords.
+    """Exact minimum distance over the q^k - 1 nonzero codewords.
 
-    Messages run in codec order as a base-q odometer; each tick adds a
-    precomputed delta row (next scalar multiple minus the current one),
-    so the codeword is updated in O(n) per message.  Returns None for
-    the zero-dimensional code, which has no distance.
+    A nonzero scalar multiple of a codeword has its weight, so only the
+    (q^k - 1)/(q - 1) messages whose first nonzero digit is 1 are visited:
+    for each leading row, the rows below it run in codec order as a base-q
+    odometer whose ticks add a precomputed delta row (next scalar multiple
+    minus the current one), O(n) per message.  The budget still counts all
+    q^k - 1 codewords.  Returns None for the zero-dimensional code.
     """
     F = code.field
     q = F.q
@@ -193,33 +189,24 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
         raise BudgetExceededError(f"{total - 1} codewords exceed budget {budget}")
     n = code.n
     add = F.add
-    mul = F.mul
-    sub = F.sub
+    rows = code.generator.rows
     # delta[d][a]: row d scaled by decode((a+1) mod q) - decode(a).
-    delta = []
-    for row in code.generator.rows:
-        per_digit = []
-        for a in range(q):
-            step = sub((a + 1) % q, a)
-            per_digit.append([mul(step, v) for v in row])
-        delta.append(per_digit)
-    cw = [0] * n
-    digits = [0] * k
+    steps = [F.sub((a + 1) % q, a) for a in range(q)]
+    delta = [[[F.mul(step, v) for v in row] for step in steps] for row in rows]
     best = n + 1
-    for _ in range(total - 1):
-        d = 0
-        while True:
-            step_row = delta[d][digits[d]]
-            for idx in range(n):
-                cw[idx] = add(cw[idx], step_row[idx])
-            digits[d] += 1
-            if digits[d] < q:
-                break
-            digits[d] = 0
-            d += 1
-        w = n - cw.count(0)
-        if w < best:
-            best = w
+    for lead in range(k):
+        cw = list(rows[lead])  # codec 1 is the field's one
+        digits = [0] * k
+        for _ in range(q ** (k - 1 - lead)):
+            best = min(best, n - cw.count(0))
+            d = lead + 1
+            while d < k:
+                cw = list(map(add, cw, delta[d][digits[d]]))
+                digits[d] += 1
+                if digits[d] < q:
+                    break
+                digits[d] = 0
+                d += 1
     return best
 
 

@@ -16,11 +16,12 @@ from typing import List, Optional, Sequence
 
 from . import verify
 from .agcode import (brute_force_distance, build_cl, build_comega,
-                     designed_distance, evaluation_places, DEFAULT_BUDGET)
+                     designed_distance, evaluation_places)
 from .curve import KummerCurve, find_roots
 from .gf import FiniteField
 from .rrlattice import Divisor, dimension, monomial_divisor, omega_enumerate
-from .weierstrass import PlaceTuple, box_search, floor_divisor, pure_gaps, semigroup_member
+from .weierstrass import (DEFAULT_BUDGET, PlaceTuple, box_search, floor_divisor, pure_gaps,
+                          semigroup_member)
 
 
 class ConfigError(ValueError):
@@ -183,7 +184,8 @@ def cmd_pure_gaps(curve: KummerCurve, args, cp) -> int:
     bound = _job_int(args, cp, "bound", 0)
     if bound < 1:
         raise ConfigError("pure-gaps needs --bound or bound= in [job]")
-    rows = [",".join(str(v) for v in pt) for pt in pure_gaps(curve, places, bound)]
+    budget = _job_int(args, cp, "budget", DEFAULT_BUDGET)
+    rows = [",".join(str(v) for v in pt) for pt in pure_gaps(curve, places, bound, budget)]
     _emit(args.out, "\n".join(rows) + ("\n" if rows else ""))
     return 0
 
@@ -193,7 +195,8 @@ def cmd_box_search(curve: KummerCurve, args, cp) -> int:
     bound = _job_int(args, cp, "bound", 0)
     if bound < 1:
         raise ConfigError("box-search needs --bound or bound= in [job]")
-    result = box_search(curve, places, bound)
+    budget = _job_int(args, cp, "budget", DEFAULT_BUDGET)
+    result = box_search(curve, places, bound, budget)
     if result is None:
         _emit(args.out, "no pure gaps\n")
         return 0
@@ -270,7 +273,7 @@ def make_parser() -> argparse.ArgumentParser:
                     help="example number for verify-example (1-4)")
     ap.add_argument("--config", help="path to the job config file")
     ap.add_argument("--out", help="write primary output to this file")
-    ap.add_argument("--budget", type=int, help="brute-force codeword budget")
+    ap.add_argument("--budget", type=int, help="work budget for exhaustive searches")
     ap.add_argument("--seed", type=int, help="seed for evaluation-place selection")
     ap.add_argument("--bound", type=int, help="coordinate bound for gap searches")
     return ap

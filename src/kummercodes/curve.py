@@ -144,14 +144,6 @@ class KummerCurve(RamificationData):
             out.extend(Place.affine(x0, y0) for y0 in ys)
         return out
 
-    def on_curve(self, place: Place) -> bool:
-        """Re-validate a place against the curve equation."""
-        if place.kind != "affine":
-            return place.kind == "infinity" or 1 <= place.mu <= self.r
-        fx = self.f_at(place.x)
-        F = self.field
-        return fx != 0 and F.pow(place.y, self.m) == F.pow(fx, self.lam)
-
     def principal_divisor(self, item: str, index: int = 0) -> Divisor:
         """Divisor of x - alpha_index, y, f, or z."""
         r, m, lam = self.r, self.m, self.lam

@@ -126,14 +126,16 @@ class FiniteField:
         if e < 1:
             raise BadModulusError(f"extension degree e={e} must be >= 1")
         modulus = list(modulus)
-        if len(modulus) != e + 1:  # bounds e before p ** e is formed
+        if len(modulus) != e + 1:
             raise BadModulusError(
                 f"modulus needs {e + 1} coefficients for degree {e}, got {len(modulus)}")
-        q = p ** e
-        if q > MAX_Q:  # before the trial division, which a huge p would stall
-            raise BadModulusError(f"q={q} exceeds supported range 2^16")
+        # Ahead of the trial division, which a huge p would stall; e > 16
+        # exceeds the range for any p >= 2 without forming a huge p ** e.
+        if p >= 2 and (e > 16 or p ** e > MAX_Q):
+            raise BadModulusError(f"p^e = {p}^{e} exceeds supported range 2^16")
         if not is_prime(p):
             raise NotPrimeError(f"p={p} is not prime")
+        q = p ** e
         if any(not 0 <= c < p for c in modulus):
             raise BadModulusError("modulus coefficients out of [0, p)")
         if modulus[-1] != 1:
@@ -207,11 +209,6 @@ class FiniteField:
     def coeffs(self, a: int) -> Tuple[int, ...]:
         """Polynomial-basis coefficients of a, low degree first, length e."""
         return tuple(_digits(self.check(a), self.p, self.e))
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) > self.e:
-            raise ValueError(f"too many coefficients for GF({self.p}^{self.e})")
-        return self._encode(c % self.p for c in coeffs)
 
     def check(self, a: int) -> int:
         if not 0 <= a < self.q:

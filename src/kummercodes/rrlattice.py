@@ -81,9 +81,6 @@ class Divisor:
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.s) and self.t >= 0
 
-    def leq(self, other: "Divisor") -> bool:
-        return all(a <= b for a, b in zip(self.s, other.s)) and self.t <= other.t
-
     def __str__(self) -> str:
         return " ".join(str(c) for c in self.s) + f" {self.t}"
 

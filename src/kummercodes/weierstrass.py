@@ -8,6 +8,7 @@ as a KummerCurve.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -24,6 +25,13 @@ class NonPositiveCoordinateError(ValueError):
 
 class EmptyRiemannRochSpaceError(ValueError):
     pass
+
+
+class BudgetExceededError(ValueError):
+    pass
+
+
+DEFAULT_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -122,10 +130,27 @@ def pure_gap(curve, places: PlaceTuple, coords: Sequence[int]) -> bool:
     return all(v > 0 for v in _member_conditions(curve, ss, t))
 
 
-def pure_gaps(curve, places: PlaceTuple, bound: int) -> List[Tuple[int, ...]]:
-    """All pure gaps in [1, bound]^arity, in itertools.product order."""
-    return [pt for pt in itertools.product(range(1, bound + 1), repeat=places.arity())
-            if pure_gap(curve, places, pt)]
+def pure_gaps(curve, places: PlaceTuple, bound: int,
+              budget: int = DEFAULT_BUDGET) -> List[Tuple[int, ...]]:
+    """All pure gaps in [1, bound]^arity, in itertools.product order.
+
+    Every coordinate of a pure gap is a one-point gap at its place
+    (Homma-Kim; Carvalho-Torres), hence at most 2g - 1, and the gaps at
+    P_2..P_r are those at P_1.  So only the product of the sorted
+    one-point gap lists up to min(bound, 2g - 1) is tested, which keeps
+    the order; a product over the budget is refused before any test.
+    """
+    places.validate(curve.r)
+    limit = min(bound, 2 * curve.g - 1)
+    if limit < 1:
+        return []
+    axes = [one_point_gaps(curve, "P1", limit)] * places.l
+    if places.include_infinity:
+        axes.append(one_point_gaps(curve, "Pinf", limit))
+    work = math.prod(map(len, axes))
+    if work > budget:
+        raise BudgetExceededError(f"{work} candidate tuples exceed budget {budget}")
+    return [pt for pt in itertools.product(*axes) if pure_gap(curve, places, pt)]
 
 
 def one_point_gaps(curve, which: str, limit: int) -> List[int]:
@@ -154,7 +179,8 @@ def box_bound_value(curve, box: GapBox) -> int:
     return deg - (2 * curve.g - 2) + sum(box.widths) + box.places.arity()
 
 
-def box_search(curve, places: PlaceTuple, search_bound: int) -> Optional[Tuple[GapBox, Divisor]]:
+def box_search(curve, places: PlaceTuple, search_bound: int,
+               budget: int = DEFAULT_BUDGET) -> Optional[Tuple[GapBox, Divisor]]:
     """Best pure-gap box with coordinates in [1, search_bound].
 
     Maximizes the induced designed-distance value; ties go to the
@@ -162,10 +188,7 @@ def box_search(curve, places: PlaceTuple, search_bound: int) -> Optional[Tuple[G
     (which favors the extreme gap over its mirror images), then the
     largest widths.
     """
-    places.validate(curve.r)
-    if curve.g == 0:
-        return None
-    gaps = set(pure_gaps(curve, places, search_bound))
+    gaps = set(pure_gaps(curve, places, search_bound, budget))
     if not gaps:
         return None
 

@@ -6,14 +6,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kummercodes.agcode import (BudgetExceededError, InconsistentDivisorError,
-                                PlaceInSupportError, brute_force_distance,
+                                LinearCode, PlaceInSupportError, brute_force_distance,
                                 build_cl, build_comega, designed_distance,
                                 duality_holds, evaluation_matrix, evaluation_places,
                                 in_support)
 from kummercodes.curve import KummerCurve, Place
-from kummercodes.gf import Matrix
+from kummercodes.gf import FiniteField, Matrix
 from kummercodes.rrlattice import Divisor, evaluate_monomial, omega_enumerate
 from kummercodes.verify import (curve_example_1, curve_example_2, curve_example_4,
                                 curve_hermitian_gf4)
@@ -129,11 +130,8 @@ def test_column_permutation_invariance():
     assert brute_force_distance(a) == brute_force_distance(b)
 
 
-def test_brute_force_matches_naive():
-    c = herm()
-    G = Divisor((0, 0), 4)
-    D = evaluation_places(c, G)
-    code = build_cl(c, G, D)
+def naive_distance(code):
+    """Minimum weight over all q^k - 1 nonzero messages, with no normalisation."""
     F = code.field
     best = None
     for msg in itertools.product(range(F.q), repeat=code.k):
@@ -145,7 +143,45 @@ def test_brute_force_matches_naive():
                 cw[idx] = F.add(cw[idx], F.mul(mi, v))
         w = sum(1 for v in cw if v)
         best = w if best is None else min(best, w)
-    assert brute_force_distance(code) == best
+    return best
+
+
+def test_brute_force_matches_naive():
+    c = herm()
+    G = Divisor((0, 0), 4)
+    D = evaluation_places(c, G)
+    code = build_cl(c, G, D)
+    assert brute_force_distance(code) == naive_distance(code)
+
+
+DISTANCE_FIELDS = [
+    FiniteField(2, 1, [0, 1]),
+    FiniteField(2, 2, [1, 1, 1]),
+    FiniteField(3, 1, [0, 1]),
+    FiniteField(3, 2, [1, 0, 1]),
+    FiniteField(5, 1, [0, 1]),
+    FiniteField(2, 4, [1, 1, 0, 0, 1]),
+]
+
+
+@st.composite
+def full_rank_codes(draw):
+    """A full-rank k x n generator, k >= 1 and q^k <= 4096, in RREF or not."""
+    F = draw(st.sampled_from(DISTANCE_FIELDS))
+    k = draw(st.integers(1, max(kk for kk in range(1, 7) if F.q ** kk <= 4096)))
+    n = draw(st.integers(k, 9))
+    entry = st.one_of(st.sampled_from([0, 1]), st.integers(0, F.q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    rank, red, _ = Matrix(F, rows, n).rref()
+    assume(rank == k)
+    gen = red if draw(st.booleans()) else Matrix(F, rows, n)
+    return LinearCode(Matrix(F, gen.rows[:k], n), n, k)
+
+
+@settings(max_examples=120, deadline=None)
+@given(full_rank_codes())
+def test_normalised_distance_matches_full_enumeration(code):
+    assert brute_force_distance(code) == naive_distance(code)
 
 
 def test_brute_force_edge_cases():

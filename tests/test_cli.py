@@ -12,6 +12,8 @@ import pytest
 
 from kummercodes.cli import main
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
+
 HERM_CFG = """
 [field]
 p = 2
@@ -173,6 +175,14 @@ def test_math_errors_exit_1(tmp_path, capsys):
     assert code == 1
     assert "exceeds supported range" in err
 
+    huge_e = tmp_path / "huge_e.ini"
+    huge_e.write_text("\n".join([
+        "[field]", "p = 2", "e = 20000", "modulus = " + ",".join(["1"] + ["0"] * 19999 + ["1"]),
+        "[curve]", "m = 3", "lambda = 1", "roots = 0,1", ""]))
+    code, _, err = run_cli(capsys, "curve-info", "--config", huge_e.as_posix())
+    assert code == 1
+    assert "p^e = 2^20000 exceeds supported range 2^16" in err
+
 
 def test_zero_flags_are_not_ignored(tmp_path, capsys):
     # An explicit 0 wins over the config value and the default.
@@ -181,9 +191,24 @@ def test_zero_flags_are_not_ignored(tmp_path, capsys):
         code, out, err = run_cli(capsys, cmd, "--config", cfg, "--bound", "0")
         assert code == 2 and out == ""
         assert "needs --bound" in err
-    code, out, err = run_cli(capsys, "check-distance", "--config", cfg, "--budget", "0")
-    assert code == 1 and out == ""
-    assert "exceed budget 0" in err
+    for cmd in ("check-distance", "pure-gaps", "box-search"):
+        code, out, err = run_cli(capsys, cmd, "--config", cfg, "--budget", "0")
+        assert code == 1 and out == ""
+        assert "exceed budget 0" in err
+
+
+def test_gap_searches_refuse_over_budget(tmp_path, capsys):
+    # gaps.ini tests 10^4 candidate tuples: one 10-gap axis per place.
+    cfg = str(WORKLOADS / "gaps.ini")
+    for cmd in ("pure-gaps", "box-search"):
+        code, out, err = run_cli(capsys, cmd, "--config", cfg, "--budget", "1")
+        assert code == 1 and out == ""
+        assert "10000 candidate tuples exceed budget 1" in err
+    text = (WORKLOADS / "gaps.ini").read_text() + "budget = 9999\n"
+    path = tmp_path / "gaps_budget.ini"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "box-search", "--config", str(path))
+    assert code == 1 and "exceed budget 9999" in err
 
 
 def test_verify_example_exit_codes(capsys):
@@ -239,8 +264,7 @@ f = 0,1,0,0,0,1
 divisor = 26,1,0,0,0,0
 """
 
-CONSTRUCT_CFG = (Path(__file__).resolve().parent.parent
-                 / "perfbench" / "workloads" / "construct.ini").read_text()
+CONSTRUCT_CFG = (WORKLOADS / "construct.ini").read_text()
 
 # SHA-256 of build-code stdout, pinned from the scalar field arithmetic
 # that preceded the log-domain matrix kernel.
@@ -270,5 +294,31 @@ def test_build_code_golden_hashes(tmp_path, capsys, name, text, kind, digest):
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)
     code, out, _ = run_cli(capsys, "build-code", "--config", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+EXAMPLE_2_PURE_GAPS_CFG = EXAMPLE_2_CFG.replace(
+    "divisor = 26,1,0,0,0,0", "places = P1,P2,Pinf\nbound = 25")
+
+# SHA-256 of stdout, pinned from the exhaustive searches that preceded
+# gap-axis pruning and scalar-normalised distance enumeration.  Bound 25
+# lies above 2g - 1 = 19 on example 2, so the clamp is exercised.
+GOLDEN_SEARCHES = [
+    ("check-distance", (WORKLOADS / "distance.ini").read_text(),
+     "2a57042a43991d2ca310938e6802d7283954e38c825a548c4bee89c45238b43b"),
+    ("box-search", (WORKLOADS / "gaps.ini").read_text(),
+     "115dda11d6f5ce2b1b2815a15700eec6e468d5f17f25ab4113094b553c8d7fc5"),
+    ("pure-gaps", EXAMPLE_2_PURE_GAPS_CFG,
+     "bb15f3dce2d4fb350579804f54c600354074888e0c72e45509fd9f70097362f2"),
+]
+
+
+@pytest.mark.parametrize("command,text,digest", GOLDEN_SEARCHES,
+                         ids=[command for command, _, _ in GOLDEN_SEARCHES])
+def test_search_golden_hashes(tmp_path, capsys, command, text, digest):
+    path = tmp_path / "job.ini"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, command, "--config", str(path))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -59,6 +59,15 @@ def test_place_counts():
     assert curve_hermitian_gf4().num_places() == 9
 
 
+def on_curve(c, place):
+    """Re-validate a place against the curve equation."""
+    if place.kind != "affine":
+        return place.kind == "infinity" or 1 <= place.mu <= c.r
+    fx = c.f_at(place.x)
+    F = c.field
+    return fx != 0 and F.pow(place.y, c.m) == F.pow(fx, c.lam)
+
+
 def test_place_ordering_and_revalidation():
     c = curve_hermitian_gf4()
     places = c.places()
@@ -67,7 +76,7 @@ def test_place_ordering_and_revalidation():
     affine = places[3:]
     assert affine == sorted(affine)
     for p in places:
-        assert c.on_curve(p)
+        assert on_curve(c, p)
 
 
 def test_affine_places_satisfy_equation():

@@ -93,6 +93,15 @@ def test_range_checked_before_primality():
         FiniteField(1000000000000000003, 1, [0, 1])
 
 
+def test_huge_extension_degree_rejected_without_forming_q():
+    # 2^20000 has over 4300 decimal digits, past Python's int-to-str limit,
+    # so the message must name p and e rather than q.
+    with pytest.raises(BadModulusError, match=r"p\^e = 2\^20000 exceeds supported range"):
+        FiniteField(2, 20000, [1] + [0] * 19999 + [1])
+    with pytest.raises(NotPrimeError):
+        FiniteField(1, 20, [1] + [0] * 19 + [1])
+
+
 def test_small_fields_exist():
     assert gf2().q == 2
     assert gf9().q == 9
@@ -105,10 +114,17 @@ def test_gf9_generator_square():
     assert F.mul(3, 3) == 2
 
 
+def from_coeffs(F, coeffs):
+    """The codec integer of polynomial-basis coefficients, low degree first."""
+    if len(coeffs) > F.e:
+        raise ValueError(f"too many coefficients for GF({F.p}^{F.e})")
+    return sum(c % F.p * F.p ** i for i, c in enumerate(coeffs))
+
+
 def test_codec_roundtrip():
     for F in (gf9(), gf64()):
         for a in F.elements():
-            assert F.from_coeffs(F.coeffs(a)) == a
+            assert from_coeffs(F, F.coeffs(a)) == a
         assert len(F.coeffs(0)) == F.e
     assert gf9().coeffs(3) == (0, 1)
 

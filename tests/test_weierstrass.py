@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 from kummercodes.rrlattice import Divisor, RamificationData, ceil_div, dimension
 from kummercodes.verify import (curve_example_1, curve_example_2,
                                 curve_example_4, curve_hermitian_gf4)
-from kummercodes.weierstrass import (BadArityError, EmptyRiemannRochSpaceError,
+from kummercodes.weierstrass import (BadArityError, BudgetExceededError,
+                                     EmptyRiemannRochSpaceError,
                                      GapBox, NonPositiveCoordinateError,
                                      PlaceTuple, box_search, floor_divisor,
                                      floor_via_gcd, one_point_gaps, pure_gap,
                                      pure_gaps, semigroup_member)
+from test_acceptance import PROFILES
 
 
 def test_place_tuple_validation():
@@ -176,6 +178,63 @@ def test_profile_gaps_and_members_match_ell_counts(case):
         assert semigroup_member(prof, pl, pt) == all(dr)
 
 
+PRUNING_CASES = ([(f"profile{m}_{r}", RamificationData(m, r)) for m, r in PROFILES]
+                 + [("example1", curve_example_1()), ("example2", curve_example_2()),
+                    ("example4", curve_example_4())])
+
+
+@pytest.mark.parametrize("curve", [c for _, c in PRUNING_CASES],
+                         ids=[name for name, _ in PRUNING_CASES])
+def test_pure_gaps_equal_exhaustive_scan(curve):
+    # The gap-axis search against a scan of the whole box, past the 2g - 1 clamp.
+    bound = 2 * curve.g + curve.m
+    for l in range(curve.r + 1):
+        for inf in (False, True):
+            if l + inf not in (2, 3):
+                continue
+            pl = PlaceTuple(l, inf)
+            full = [pt for pt in itertools.product(range(1, bound + 1), repeat=pl.arity())
+                    if pure_gap(curve, pl, pt)]
+            assert pure_gaps(curve, pl, bound) == full, (l, inf)
+
+
+def test_one_point_gaps_at_every_place_match_ell_counts():
+    # The P1 axis serves P_2..P_r in pure_gaps: check that the gaps at every
+    # P_mu, and at P_inf, are the alpha >= 1 with ell(alpha Q) = ell((alpha - 1) Q).
+    places = 0
+    for m in range(2, 13):
+        for r in range(1, 9):
+            if math.gcd(m, r) != 1:
+                continue
+            prof = RamificationData(m, r)
+            limit = 2 * prof.g + m
+            axes = {"P1": set(one_point_gaps(prof, "P1", limit)),
+                    "Pinf": set(one_point_gaps(prof, "Pinf", limit))}
+            for mu in range(r + 1):
+                Q = Divisor.make(r, {mu: 1}) if mu else Divisor.make(r, t=1)
+                G, ell = Divisor.make(r), []
+                for _ in range(limit + 1):
+                    ell.append(dimension(prof, G))
+                    G = G + Q
+                want = {alpha for alpha in range(1, limit + 1) if ell[alpha] == ell[alpha - 1]}
+                assert axes["P1" if mu else "Pinf"] == want, (m, r, mu)
+                places += 1
+    assert places == 290  # r + 1 places for each of the 55 coprime pairs
+
+
+def test_pure_gaps_clamp_and_budget():
+    c = curve_example_2()  # g = 10, so every axis has 10 gaps up to 2g - 1 = 19
+    pl = PlaceTuple(3, include_infinity=True)
+    with pytest.raises(BudgetExceededError, match="10000 candidate tuples exceed budget 9999"):
+        pure_gaps(c, pl, 100, budget=9999)
+    with pytest.raises(BudgetExceededError):
+        box_search(c, pl, 19, budget=9999)
+    assert pure_gaps(c, pl, 100, budget=10000) == pure_gaps(c, pl, 19)
+    assert pure_gaps(c, PlaceTuple(2), 0) == []
+    with pytest.raises(BadArityError):
+        pure_gaps(c, PlaceTuple(6), 0)
+
+
 def test_oracle_membership_and_pure_gap():
     rng = random.Random(31)
     c = curve_hermitian_gf4()
@@ -246,6 +305,11 @@ def test_floor_zero_and_empty():
         floor_divisor(c, Divisor.make(c.r, {1: -1}))
 
 
+def leq(D, E):
+    """Coefficient-wise D <= E."""
+    return all(a <= b for a, b in zip(D.s, E.s)) and D.t <= E.t
+
+
 def test_floor_properties_random():
     rng = random.Random(37)
     for c in (curve_example_2(), curve_hermitian_gf4()):
@@ -257,7 +321,7 @@ def test_floor_properties_random():
                 continue
             done += 1
             flo = floor_divisor(c, H)
-            assert flo.leq(H)
+            assert leq(flo, H)
             assert dimension(c, flo) == dimension(c, H)
             assert floor_divisor(c, flo) == flo
             assert flo == floor_via_gcd(c, H)
