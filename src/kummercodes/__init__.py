@@ -5,9 +5,8 @@ from .agcode import (LinearCode, brute_force_distance, build_cl, build_comega,
 from .curve import KummerCurve, Place, find_roots
 from .gf import FiniteField, Matrix
 from .rrlattice import (Divisor, LatticePoint, RamificationData, dimension,
-                        evaluate_monomial, increment_predicate, monomial_divisor,
-                        omega_enumerate)
-from .weierstrass import (GapBox, PlaceTuple, box_search, floor_divisor,
+                        evaluate_monomial, monomial_divisor, omega_enumerate)
+from .weierstrass import (GapBox, PlaceTuple, box_search, floor_divisor, increment_predicate,
                           one_point_gaps, pure_gap, pure_gaps, semigroup_member)
 
 __all__ = [

@@ -48,8 +48,8 @@ def evaluation_places(curve: KummerCurve, G: Divisor,
     pool = [p for p in curve.places() if not in_support(G, p)]
     if n is None:
         return pool
-    if n > len(pool):
-        raise ValueError(f"asked for n={n} places but only {len(pool)} available")
+    if not 0 <= n <= len(pool):
+        raise ValueError(f"asked for n={n} places; 0 to {len(pool)} are available")
     if seed is None:
         return pool[:n]
     chosen = random.Random(seed).sample(range(len(pool)), n)

@@ -349,9 +349,6 @@ class Matrix:
                 break
         return prow, Matrix(F, rows, self.ncols), pivots
 
-    def rank(self) -> int:
-        return self.rref()[0]
-
     def nullspace(self) -> "Matrix":
         """Basis of {v : M v^T = 0}, rows in reduced echelon order."""
         F = self.field

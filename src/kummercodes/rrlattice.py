@@ -59,9 +59,11 @@ class Divisor:
 
     @staticmethod
     def make(r: int, coeffs: dict | None = None, t: int = 0) -> "Divisor":
-        """Divisor from {place index (1-based): coefficient}; index 0 = P_inf."""
+        """Divisor from {mu: coefficient of P_mu} for mu in [1, r], plus t P_inf."""
         s = [0] * r
         for mu, c in (coeffs or {}).items():
+            if not 1 <= mu <= r:
+                raise IndexError(f"place index {mu} out of range [1, {r}]")
             s[mu - 1] = c
         return Divisor(tuple(s), t)
 
@@ -123,24 +125,6 @@ def omega_enumerate(curve: "KummerCurve", G: Divisor) -> List[LatticePoint]:
 def dimension(curve: "KummerCurve", G: Divisor) -> int:
     """ell(G) = number of basis lattice points."""
     return len(omega_enumerate(curve, G))
-
-
-def increment_predicate(curve: "KummerCurve", G: Divisor, at: str) -> bool:
-    """Whether raising the coefficient at `at` ("P1" or "Pinf") raised ell.
-
-    True iff ell(G) = ell(G - P) + 1 for the named place, evaluated by
-    closed-form ceiling inequalities rather than by counting.
-    """
-    m, r = curve.m, curve.r
-    s, t = G.s, G.t
-    if at == "P1":
-        lhs = m * sum(ceil_div(s[0] - s[mu], m) for mu in range(1, r))
-        return lhs <= t + r * s[0]
-    if at == "Pinf":
-        a, b = curve.a, curve.b
-        lhs = m * sum(ceil_div(-a * t - s[mu], m) for mu in range(1, r))
-        return lhs <= s[0] + (a + b * m) * t
-    raise ValueError(f"unknown place selector {at!r}")
 
 
 def monomial_divisor(curve: "KummerCurve", pt: LatticePoint) -> Divisor:

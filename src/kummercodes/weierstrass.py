@@ -89,7 +89,7 @@ def _member_conditions(curve, ss: List[int], t: Optional[int]) -> List[int]:
 
     ss lists the coordinates at P_1..P_l; t is the coordinate at P_inf or
     None.  Places beyond l carry coefficient 0 and are folded into the
-    (r - l) ceiling term.
+    (r - l) ceiling term.  Every membership, gap and increment test reads these.
     """
     m, r, a, b = curve.m, curve.r, curve.a, curve.b
     l = len(ss)
@@ -119,14 +119,11 @@ def semigroup_member(curve, places: PlaceTuple, coords: Sequence[int]) -> bool:
 
 
 def pure_gap(curve, places: PlaceTuple, coords: Sequence[int]) -> bool:
-    """Whether coords is a pure gap: every inequality strictly reversed."""
+    """Whether coords is a pure gap: every inequality strictly reversed (at one place, a gap)."""
     places.validate(curve.r)
     ss, t = _split_coords(places, coords)
     if any(c < 1 for c in coords):
         raise NonPositiveCoordinateError("pure gap coordinates must be >= 1")
-    if places.arity() == 1:
-        # For a single place a pure gap is just a gap.
-        return not semigroup_member(curve, places, coords)
     return all(v > 0 for v in _member_conditions(curve, ss, t))
 
 
@@ -154,65 +151,59 @@ def pure_gaps(curve, places: PlaceTuple, bound: int,
 
 
 def one_point_gaps(curve, which: str, limit: int) -> List[int]:
-    """Sorted gap numbers at P_1 or P_inf up to the value `limit`."""
+    """Sorted gap numbers (one-place pure gaps, all <= 2g - 1) at P_1 or P_inf up to `limit`."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    m, r = curve.m, curve.r
-    gaps = set()
-    jmax = m - 1 - m // r
-    if which == "P1":
-        for j in range(1, jmax + 1):
-            for k in range(0, r - 1 - (r * j) // m):
-                gaps.add(m * k + j)
-    elif which == "Pinf":
-        for j in range(1, jmax + 1):
-            for k in range(ceil_div(r * j, m), r):
-                gaps.add(m * k - r * j)
-    else:
+    places = {"P1": PlaceTuple(1), "Pinf": PlaceTuple(0, True)}.get(which)
+    if places is None:
         raise ValueError(f"unknown place selector {which!r}")
-    return sorted(x for x in gaps if 1 <= x <= limit)
+    return [s for s in range(1, min(limit, 2 * curve.g - 1) + 1)
+            if pure_gap(curve, places, (s,))]
+
+
+def increment_predicate(curve, G: Divisor, at: str) -> bool:
+    """Whether raising the coefficient at `at` ("P1" or "Pinf") raised ell.
+
+    True iff ell(G) = ell(G - P) + 1 for the named place: the membership
+    inequality of that place when all r finite places are selected.
+    """
+    if at not in ("P1", "Pinf"):
+        raise ValueError(f"unknown place selector {at!r}")
+    return _member_conditions(curve, list(G.s), G.t)[0 if at == "Pinf" else 1] <= 0
 
 
 def box_bound_value(curve, box: GapBox) -> int:
-    """The designed-distance value deg(G) - (2g - 2) + sum(widths) + arity."""
-    deg = sum(box.coefficients())
-    return deg - (2 * curve.g - 2) + sum(box.widths) + box.places.arity()
+    """The designed-distance value deg(G) - (2g - 2) + sum(widths) + arity.
+
+    deg(G) = sum(2*base + width - 1), so this is 2*sum(corner) - (2g - 2).
+    """
+    return 2 * sum(box.corner()) - (2 * curve.g - 2)
 
 
 def box_search(curve, places: PlaceTuple, search_bound: int,
                budget: int = DEFAULT_BUDGET) -> Optional[Tuple[GapBox, Divisor]]:
     """Best pure-gap box with coordinates in [1, search_bound].
 
-    Maximizes the induced designed-distance value; ties go to the
-    smallest induced degree, then the lexicographically largest base
-    (which favors the extreme gap over its mirror images), then the
-    largest widths.
+    Maximizes the designed-distance value 2*sum(corner) - (2g - 2), so only
+    boxes up to a pure gap of largest sum (a one-point box) are ranked; those
+    corners times the pure gaps are refused over the budget.  Ties go to the
+    smallest induced degree (least sum of base), then the lexicographically
+    largest base (the extreme gap over its mirror images), then largest widths.
     """
-    gaps = set(pure_gaps(curve, places, search_bound, budget))
+    gaps = pure_gaps(curve, places, search_bound, budget)
     if not gaps:
         return None
-
-    def box_ok(lo: Tuple[int, ...], hi: Tuple[int, ...]) -> bool:
-        return all(pt in gaps
-                   for pt in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
-
-    best = None
-    best_key = None
-    for hi in gaps:
-        for lo in gaps:
-            if not all(a <= b for a, b in zip(lo, hi)):
-                continue
-            if not box_ok(lo, hi):
-                continue
-            widths = tuple(b - a for a, b in zip(lo, hi))
-            box = GapBox(places, lo, widths)
-            key = (-box_bound_value(curve, box), sum(box.coefficients()),
-                   tuple(-c for c in lo), tuple(-w for w in widths))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = box
-    if best is None:
-        raise AssertionError("a nonempty gap set has at least a one-point box")
+    top = max(map(sum, gaps))
+    corners = [hi for hi in gaps if sum(hi) == top]
+    work = len(corners) * len(gaps)
+    if work > budget:
+        raise BudgetExceededError(f"{work} candidate boxes exceed budget {budget}")
+    gap_set = set(gaps)
+    boxes = (GapBox(places, lo, tuple(b - a for a, b in zip(lo, hi)))
+             for hi in corners for lo in gaps if all(a <= b for a, b in zip(lo, hi)))
+    best = min((box for box in boxes if all(pt in gap_set for pt in box.points())),
+               key=lambda box: (sum(box.base), tuple(-c for c in box.base),
+                                tuple(-w for w in box.widths)))
     return best, best.induced_divisor(curve.r)
 
 

@@ -183,6 +183,16 @@ def test_math_errors_exit_1(tmp_path, capsys):
     assert code == 1
     assert "p^e = 2^20000 exceeds supported range 2^16" in err
 
+    # A negative evaluation-set size is refused, not read as a slice end.
+    neg_n = write_cfg(tmp_path)
+    with open(neg_n, "a", encoding="utf-8") as fh:
+        fh.write("n = -1\n")
+    for extra in ((), ("--seed", "5")):
+        for cmd in ("build-code", "check-distance"):
+            code, out, err = run_cli(capsys, cmd, "--config", neg_n, *extra)
+            assert code == 1 and out == ""
+            assert "n=-1" in err
+
 
 def test_zero_flags_are_not_ignored(tmp_path, capsys):
     # An explicit 0 wins over the config value and the default.
@@ -224,6 +234,25 @@ def test_verify_example_exit_codes(capsys):
     assert "NOTE the published box overreaches" in out
     code, _, err = run_cli(capsys, "verify-example", "7")
     assert code == 2
+
+
+# SHA-256 of verify-example stdout and its exit status, pinned from the
+# pair-scan box search that preceded top-corner ranking.  Examples 1 and 2
+# run box_search; example 3 reports the refuted published box and exits 1.
+GOLDEN_VERIFY = [
+    (1, 0, "5e3af56d2528d3077e98f09a6dfc6449c57691d4cb97af220a7ff931e31e0490"),
+    (2, 0, "2869933a63c14dade88404a3b9b6772d671482cba0cdd58a7ca6490c0fea330b"),
+    (3, 1, "cc25788de05232a63f3a6bb5343f1a961c187b0b7d498db8b870904a6aff2e8c"),
+    (4, 0, "2e2c60f8602d7c55de3d87abc861080170e7a337c12168a347cfffb01bbf94fb"),
+]
+
+
+@pytest.mark.parametrize("example,status,digest", GOLDEN_VERIFY,
+                         ids=[f"example{n}" for n, _, _ in GOLDEN_VERIFY])
+def test_verify_example_golden_hashes(capsys, example, status, digest):
+    code, out, err = run_cli(capsys, "verify-example", str(example))
+    assert (code, err) == (status, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_console_script_installed():

@@ -9,10 +9,10 @@ import pytest
 from kummercodes.curve import Place
 from kummercodes.rrlattice import (Divisor, PoleAtPlaceError, RamificationData,
                                    ceil_div, dimension, evaluate_monomial,
-                                   increment_predicate, monomial_divisor,
-                                   omega_enumerate)
+                                   monomial_divisor, omega_enumerate)
 from kummercodes.verify import (curve_example_1, curve_example_2,
                                 curve_example_4, curve_hermitian_gf4)
+from kummercodes.weierstrass import increment_predicate
 
 
 def random_divisor(rng, r, lo=-6, hi=20):
@@ -86,6 +86,14 @@ def test_symmetry_in_s():
         perm = list(G.s)
         rng.shuffle(perm)
         assert dimension(prof, G) == dimension(prof, Divisor(tuple(perm), G.t))
+
+
+def test_divisor_make_indices():
+    # Place indices run over 1..r; P_inf has its own argument t.
+    assert Divisor.make(5, {1: 3, 5: 2}, 4) == Divisor((3, 0, 0, 0, 2), 4)
+    for mu in (0, -1, 6):
+        with pytest.raises(IndexError, match=r"place index -?\d+ out of range \[1, 5\]"):
+            Divisor.make(5, {mu: 3})
 
 
 def test_monotonicity():
@@ -182,4 +190,4 @@ def test_basis_evaluations_full_rank():
     D = [p for p in c.places() if p.kind != "infinity"]
     pts = omega_enumerate(c, G)
     M = Matrix(c.field, [[evaluate_monomial(c, pt, pl) for pl in D] for pt in pts])
-    assert M.rank() == len(pts) == dimension(c, G)
+    assert M.rref()[0] == len(pts) == dimension(c, G)

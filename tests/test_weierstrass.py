@@ -178,6 +178,32 @@ def test_profile_gaps_and_members_match_ell_counts(case):
         assert semigroup_member(prof, pl, pt) == all(dr)
 
 
+@st.composite
+def profile_places_limit(draw):
+    """A coprime profile with 2 <= m <= 12, 2 <= r <= 8, a 2- or 3-place
+    tuple with at least two finite places, and a bound in [1, 2g - 1]."""
+    m = draw(st.integers(2, 12))
+    r = draw(st.integers(2, 8).filter(lambda r: math.gcd(m, r) == 1))
+    l, inf = draw(st.sampled_from([(l, inf) for inf in (False, True)
+                                   for l in range(2, r + 1) if l + inf in (2, 3)]))
+    prof = RamificationData(m, r)
+    return prof, PlaceTuple(l, inf), draw(st.integers(1, 2 * prof.g - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(profile_places_limit())
+def test_pure_gap_symmetric_in_finite_coordinates(case):
+    # ell depends only on the multiset of the s_j, so permuting the finite
+    # coordinates keeps the verdict; pure_gaps relies on it when it uses the
+    # P1 gap axis for P_2..P_l.  Its candidates are closed under those
+    # permutations, so the pure gaps among them must be too.
+    prof, pl, limit = case
+    found = set(pure_gaps(prof, pl, limit))
+    for pt in found:
+        finite, rest = pt[:pl.l], pt[pl.l:]
+        assert all(perm + rest in found for perm in itertools.permutations(finite)), pt
+
+
 PRUNING_CASES = ([(f"profile{m}_{r}", RamificationData(m, r)) for m, r in PROFILES]
                  + [("example1", curve_example_1()), ("example2", curve_example_2()),
                     ("example4", curve_example_4())])
@@ -280,6 +306,54 @@ def test_box_search_example_curves():
     box, G = box_search(c1, PlaceTuple(1, include_infinity=True), 40)
     assert box.base == (26, 1) and box.widths == (0, 0)
     assert G == Divisor.make(c1.r, {1: 51}, 1)
+
+
+def pair_scan_box_search(curve, places, search_bound):
+    """The pair scan that preceded top-corner ranking: every box lo..hi
+    between two pure gaps whose points are all pure gaps, ranked by the
+    largest deg G - (2g - 2) + sum(widths) + arity, then the least deg G,
+    the largest base and the largest widths."""
+    gaps = set(pure_gaps(curve, places, search_bound))
+    best = best_key = None
+    for hi in gaps:
+        for lo in gaps:
+            if not all(a <= b for a, b in zip(lo, hi)):
+                continue
+            box = GapBox(places, lo, tuple(b - a for a, b in zip(lo, hi)))
+            deg = sum(box.coefficients())
+            value = deg - (2 * curve.g - 2) + sum(box.widths) + places.arity()
+            key = (-value, deg, tuple(-c for c in lo), tuple(-w for w in box.widths))
+            if ((best_key is None or key < best_key)
+                    and all(pt in gaps for pt in box.points())):
+                best, best_key = box, key
+    return None if best is None else (best, best.induced_divisor(curve.r))
+
+
+@pytest.mark.parametrize("curve", [c for _, c in PRUNING_CASES],
+                         ids=[name for name, _ in PRUNING_CASES])
+def test_box_search_equals_pair_scan(curve):
+    bound = 2 * curve.g - 1
+    for l in range(min(curve.r, 3) + 1):
+        for inf in (False, True):
+            if 1 <= l + inf <= 3:
+                pl = PlaceTuple(l, inf)
+                assert box_search(curve, pl, bound) == pair_scan_box_search(curve, pl, bound), pl
+
+
+def test_box_search_equals_pair_scan_on_a_large_profile():
+    # g = 25 and 1,419 pure gaps: the case that made the pair scan slow.
+    prof, pl = RamificationData(11, 6), PlaceTuple(2, include_infinity=True)
+    assert box_search(prof, pl, 49) == pair_scan_box_search(prof, pl, 49)
+
+
+def test_box_search_refuses_over_budget():
+    # g = 28: 28^3 = 21,952 candidate tuples give 2,296 pure gaps, 90 of them
+    # with the largest coordinate sum, so 90 * 2,296 candidate boxes.
+    prof, pl = RamificationData(9, 8), PlaceTuple(3)
+    assert len(pure_gaps(prof, pl, 55, budget=100_000)) == 2296
+    with pytest.raises(BudgetExceededError,
+                       match="^206640 candidate boxes exceed budget 100000$"):
+        box_search(prof, pl, 55, budget=100_000)
 
 
 def test_box_search_genus_zero():
