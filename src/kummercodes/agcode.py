@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from operator import mul
+from operator import mul, xor
 from typing import List, Optional, Sequence, Tuple
 
 from .curve import KummerCurve, Place
@@ -115,7 +115,8 @@ def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearC
     rank, red, _ = evaluation_matrix(curve, G, places).rref()
     gen = Matrix(curve.field, red.rows[:rank], n)
     code = LinearCode(gen, n, rank)
-    if G.degree < n:
+    # The empty code has no nonzero word, so no distance bound applies.
+    if rank and G.degree < n:
         code.add_bound("goppa_L", n - G.degree)
     return code
 
@@ -132,7 +133,7 @@ def build_comega(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> Lin
             raise AssertionError(
                 f"dimension law violated: k_omega={k}, expected {expected}")
     code = LinearCode(gen, n, k)
-    if G.degree > 2 * curve.g - 2:
+    if k and G.degree > 2 * curve.g - 2:
         code.add_bound("goppa_omega", G.degree - (2 * curve.g - 2))
     return code
 
@@ -176,8 +177,9 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
     (q^k - 1)/(q - 1) messages whose first nonzero digit is 1 are visited:
     for each leading row, the rows below it run in codec order as a base-q
     odometer whose ticks add a precomputed delta row (next scalar multiple
-    minus the current one), O(n) per message.  The budget still counts all
-    q^k - 1 codewords.  Returns None for the zero-dimensional code.
+    minus the current one), O(n) per message; for p = 2 a word is one int of
+    e-bit cells, a tick one XOR.  The budget still counts all q^k - 1
+    codewords.  Returns None for the zero-dimensional code.
     """
     F = code.field
     q = F.q
@@ -188,20 +190,38 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
     if total - 1 > budget:
         raise BudgetExceededError(f"{total - 1} codewords exceed budget {budget}")
     n = code.n
-    add = F.add
     rows = code.generator.rows
+    if F.p == 2:
+        def pack(row):
+            return sum(v << F.e * j for j, v in enumerate(row))
+
+        def weight(cw):
+            folded = cw
+            for shift in range(1, F.e):
+                folded |= cw >> shift
+            return (folded & low_bits).bit_count()
+
+        step, low_bits = xor, pack([1] * n)  # bit 0 of every coordinate
+    else:
+        def step(cw, delta_row):
+            return list(map(F.add, cw, delta_row))
+
+        def weight(cw):
+            return n - cw.count(0)
+
+        pack = list
     # delta[d][a]: row d scaled by decode((a+1) mod q) - decode(a).
     steps = [F.sub((a + 1) % q, a) for a in range(q)]
-    delta = [[[F.mul(step, v) for v in row] for step in steps] for row in rows]
+    delta = [[pack([F.mul(s, v) for v in row]) for s in steps] for row in rows]
     best = n + 1
     for lead in range(k):
-        cw = list(rows[lead])  # codec 1 is the field's one
+        cw = pack(rows[lead])  # codec 1 is the field's one
         digits = [0] * k
         for _ in range(q ** (k - 1 - lead)):
-            best = min(best, n - cw.count(0))
+            best = min(best, weight(cw))
             d = lead + 1
             while d < k:
-                cw = list(map(add, cw, delta[d][digits[d]]))
+                cw = step(cw, delta[d][digits[d]])
                 digits[d] += 1
                 if digits[d] < q:
                     break

@@ -11,8 +11,10 @@ divisor P_1 + ... + P_r - r*P_inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import reduce
+from itertools import repeat
+from operator import add
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .gf import FiniteField
 from .rrlattice import Divisor, RamificationData
@@ -34,8 +36,7 @@ class DoesNotSplitError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Place:
+class Place(NamedTuple):
     """A rational place: P_inf, a ramified P_mu, or an affine point.
 
     The sort order (infinity, then ramified by mu, then affine by the
@@ -124,24 +125,27 @@ class KummerCurve(RamificationData):
 
     def _enumerate_places(self) -> List[Place]:
         """y^m = c has d = gcd(m, q-1) roots, with logs (log c / d) * (m/d)^-1
-        mod (q-1)/d plus multiples of (q-1)/d, when d | log c, and none otherwise."""
+        mod (q-1)/d plus multiples of (q-1)/d, when d | log c, and none otherwise;
+        log f(x) = sum of log(x - alpha) over the roots, one pass per root."""
         F = self.field
         order = F.q - 1
         d = math.gcd(self.m, order)
         period = order // d
         inv_m = pow(self.m // d, -1, period)
+        xs = sorted(set(F.elements()).difference(self.roots))
+        log_f = [0] * len(xs)
+        for alpha in self.roots:
+            diffs = map(F.add, xs, repeat(F.neg(alpha)))
+            log_f = list(map(add, log_f, map(F._log.__getitem__, diffs)))
         out = [Place.infinity()]
         out.extend(Place.ramified(mu) for mu in range(1, self.r + 1))
-        for x0 in F.elements():
-            fx = self.f_at(x0)
-            if fx == 0:
-                continue
-            log_c = F.log(fx) * self.lam % order
+        new = tuple.__new__  # Place.affine without the per-call keyword handling
+        for x0, log_fx in zip(xs, log_f):
+            log_c = log_fx * self.lam % order
             if log_c % d:
                 continue
-            base = log_c // d * inv_m % period
-            ys = sorted(F.exp(base + k * period) for k in range(d))
-            out.extend(Place.affine(x0, y0) for y0 in ys)
+            ys = sorted(F._exp[log_c // d * inv_m % period:order:period])
+            out.extend([new(Place, (2, 0, x0, y0)) for y0 in ys])
         return out
 
     def principal_divisor(self, item: str, index: int = 0) -> Divisor:
@@ -178,8 +182,13 @@ def find_roots(field: FiniteField, f_coeffs: Sequence[int]) -> Tuple[int, ...]:
     if coeffs[-1] != 1:
         raise DoesNotSplitError("f must be monic")
     deg = len(coeffs) - 1
-    roots = sorted(x for x in field.elements() if field.poly_eval(coeffs, x) == 0)
+    log, exp, order = field._log, field._exp, field.q - 1
+    terms = [(i, log[c]) for i, c in enumerate(coeffs) if c]
+    # f(g^k) is the sum of c_i g^(i k) over the nonzero c_i; f(0) is c_0.
+    roots = [exp[k] for k in range(order)
+             if reduce(field.add, [exp[(lc + i * k) % order] for i, lc in terms]) == 0]
+    roots += [0] if coeffs[0] == 0 else []
     if len(roots) != deg:
         raise DoesNotSplitError(
             f"f has {len(roots)} distinct rational roots but degree {deg}")
-    return tuple(roots)
+    return tuple(sorted(roots))

@@ -154,9 +154,19 @@ class FiniteField:
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
         mod = list(self.modulus)
+        mod_int = self._encode(mod)
 
         def raw_mul(a: int, b: int) -> int:
-            return self._encode(_poly_mulmod(_digits(a, p, e), _digits(b, p, e), mod, p))
+            if p != 2:
+                return self._encode(_poly_mulmod(_digits(a, p, e), _digits(b, p, e), mod, p))
+            acc = 0  # carry-less shift-and-add, reduced by the modulus at degree e
+            while b:
+                if b & 1:
+                    acc ^= a
+                b, a = b >> 1, a << 1
+                if a & q:
+                    a ^= mod_int
+            return acc
 
         gen = self._find_generator(raw_mul)
         exp = [0] * (q - 1)
@@ -288,13 +298,6 @@ class FiniteField:
             add = self._add_digitwise
             for j, l in terms:
                 dst[j] = add(dst[j], exp[lc + l])
-
-    def poly_eval(self, coeffs: Sequence[int], x: int) -> int:
-        """Evaluate a polynomial (codec-integer coefficients, low first) at x."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c)
-        return acc
 
     def same_as(self, other: "FiniteField") -> bool:
         return (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)

@@ -8,7 +8,6 @@ as a KummerCurve.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -134,20 +133,28 @@ def pure_gaps(curve, places: PlaceTuple, bound: int,
     Every coordinate of a pure gap is a one-point gap at its place
     (Homma-Kim; Carvalho-Torres), hence at most 2g - 1, and the gaps at
     P_2..P_r are those at P_1.  So only the product of the sorted
-    one-point gap lists up to min(bound, 2g - 1) is tested, which keeps
-    the order; a product over the budget is refused before any test.
+    one-point gap lists up to min(bound, 2g - 1) is a candidate; a product
+    over the budget is refused before any test.  Pure gaps are symmetric in
+    the finite coordinates (ell depends only on their multiset), so only
+    nondecreasing finite parts are tested, and the hits' permutations are
+    sorted into product order.
     """
     places.validate(curve.r)
     limit = min(bound, 2 * curve.g - 1)
     if limit < 1:
         return []
-    axes = [one_point_gaps(curve, "P1", limit)] * places.l
-    if places.include_infinity:
-        axes.append(one_point_gaps(curve, "Pinf", limit))
-    work = math.prod(map(len, axes))
+    finite_axis = one_point_gaps(curve, "P1", limit)
+    tails = ([(t,) for t in one_point_gaps(curve, "Pinf", limit)]
+             if places.include_infinity else [()])
+    work = len(finite_axis) ** places.l * len(tails)
     if work > budget:
         raise BudgetExceededError(f"{work} candidate tuples exceed budget {budget}")
-    return [pt for pt in itertools.product(*axes) if pure_gap(curve, places, pt)]
+    hits = set()
+    for ss in itertools.combinations_with_replacement(finite_axis, places.l):
+        for tail in tails:
+            if pure_gap(curve, places, ss + tail):
+                hits.update(perm + tail for perm in itertools.permutations(ss))
+    return sorted(hits)
 
 
 def one_point_gaps(curve, which: str, limit: int) -> List[int]:

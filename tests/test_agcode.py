@@ -161,15 +161,17 @@ DISTANCE_FIELDS = [
     FiniteField(3, 2, [1, 0, 1]),
     FiniteField(5, 1, [0, 1]),
     FiniteField(2, 4, [1, 1, 0, 0, 1]),
+    FiniteField(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
 ]
 
 
 @st.composite
 def full_rank_codes(draw):
-    """A full-rank k x n generator, k >= 1 and q^k <= 4096, in RREF or not."""
+    """A full-rank k x n generator, k >= 1 and q^k <= 4096, in RREF or not.
+    Up to 70 coordinates, so a packed characteristic-2 word passes 64 bits."""
     F = draw(st.sampled_from(DISTANCE_FIELDS))
     k = draw(st.integers(1, max(kk for kk in range(1, 7) if F.q ** kk <= 4096)))
-    n = draw(st.integers(k, 9))
+    n = draw(st.integers(k, 70))
     entry = st.one_of(st.sampled_from([0, 1]), st.integers(0, F.q - 1))
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
     rank, red, _ = Matrix(F, rows, n).rref()

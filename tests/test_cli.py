@@ -118,6 +118,19 @@ def test_build_code_export(tmp_path, capsys):
     assert "bound goppa_omega 3" in out
 
 
+def test_empty_code_has_no_designed_bound(tmp_path, capsys):
+    # With n = 0 both codes are [0, 0]: deg G > 2g - 2 must not attach
+    # goppa_omega to a code with no nonzero codeword.
+    for kind in ("l", "omega"):
+        cfg = write_cfg(tmp_path)
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write(f"n = 0\ncode = {kind}\n")
+        code, out, err = run_cli(capsys, "build-code", "--config", cfg)
+        assert code == 0
+        assert out == "0 0 4\n"
+        assert err == "selection drop-highest n=0\n"
+
+
 def test_check_distance(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     code, out, _ = run_cli(capsys, "check-distance", "--config", cfg)
@@ -340,6 +353,12 @@ GOLDEN_SEARCHES = [
      "115dda11d6f5ce2b1b2815a15700eec6e468d5f17f25ab4113094b553c8d7fc5"),
     ("pure-gaps", EXAMPLE_2_PURE_GAPS_CFG,
      "bb15f3dce2d4fb350579804f54c600354074888e0c72e45509fd9f70097362f2"),
+    # Pinned from the frozen-dataclass places and the polynomial-route
+    # GF(1024) tables, before the tuple places and carry-less set-up.
+    ("places", (WORKLOADS / "places.ini").read_text(),
+     "84aaa9ea88ad03926e2de43f64cb8b0fd88acc2b084d95b0300c574899b9930f"),
+    ("curve-info", (WORKLOADS / "places.ini").read_text(),
+     "114f6c866d7a8e0c3bd0db22ef29ce62c7449f8343b7cadf05ad4731541b71a2"),
 ]
 
 

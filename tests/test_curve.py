@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from kummercodes.curve import (CharacteristicDividesMError, DoesNotSplitError,
@@ -11,6 +13,7 @@ from kummercodes.gf import FiniteField
 from kummercodes.rrlattice import Divisor
 from kummercodes.verify import (curve_example_1, curve_example_2,
                                 curve_example_4, curve_hermitian_gf4)
+from test_gf import poly_eval
 
 
 def test_genus_values():
@@ -150,3 +153,60 @@ def test_find_roots_sorted():
     F = FiniteField(5, 1, [0, 1])
     # x^2 - 1 = (x-1)(x+1)
     assert find_roots(F, [4, 0, 1]) == (1, 4)
+
+
+def split_poly(F, roots):
+    """Coefficients, low first, of prod (x - alpha) over roots."""
+    coeffs = [1]
+    for alpha in roots:
+        shifted = [0] + coeffs  # x * f
+        coeffs = [F.sub(hi, F.mul(alpha, lo)) for hi, lo in zip(shifted, coeffs + [0])]
+    return coeffs
+
+
+def test_find_roots_matches_horner_scan():
+    # The log-domain evaluation over the nonzero coefficients against a
+    # Horner scan of every element, on sparse and dense f, split or not.
+    rng = random.Random(7)
+    gf5 = FiniteField(5, 1, [0, 1])
+    gf25 = FiniteField(5, 2, [2, 0, 1])
+    gf16 = FiniteField(2, 4, [1, 1, 0, 0, 1])
+    gf1024 = FiniteField(2, 10, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])
+    cases = [
+        (gf25, [0, 1, 0, 0, 0, 1]),                 # x^5 + x, example 2
+        (gf25, [4] + [0] * 23 + [1]),               # x^24 - 1: every nonzero x
+        (gf16, [0, 1] + [0] * 14 + [1]),            # x^16 + x: the whole field
+        (gf1024, [0, 1] + [0] * 30 + [1]),          # x^32 + x: the subfield GF(32)
+        (gf5, [2, 0, 1]),                           # irreducible
+        (gf16, [0, 0, 1]),                          # repeated root
+    ]
+    for F in (gf5, gf25, gf16, gf1024):
+        for size in (1, 2, 5, 9):
+            roots = rng.sample(range(F.q), min(size, F.q))
+            cases.append((F, split_poly(F, roots)))                     # dense, split
+            cases.append((F, [F.mul(2, c) for c in split_poly(F, roots)]))  # not monic
+            cases.append((F, [rng.randrange(F.q) for _ in range(size)] + [1]))  # sparse or not
+    for F, coeffs in cases:
+        want = [x for x in F.elements() if poly_eval(F, coeffs, x) == 0]
+        deg = len(coeffs) - 1
+        if coeffs[-1] == 1 and len(want) == deg:
+            assert find_roots(F, coeffs) == tuple(want), (F, coeffs)
+        else:
+            with pytest.raises(DoesNotSplitError):
+                find_roots(F, coeffs)
+
+
+def test_place_order_equality_hash_and_str():
+    inf, p1, p2 = Place.infinity(), Place.ramified(1), Place.ramified(2)
+    a, b, c = Place.affine(0, 5), Place.affine(1, 0), Place.affine(1, 2)
+    assert sorted([c, p2, b, inf, a, p1]) == [inf, p1, p2, a, b, c]
+    assert Place.affine(1, 2) == c and c != Place.affine(2, 1) and p1 != inf
+    assert len({Place.affine(1, 2), c, b}) == 2
+    # A place hashes as the tuple of its fields.
+    assert hash(c) == hash((2, 0, 1, 2))
+    assert [str(p) for p in (inf, p2, c)] == ["Pinf", "P2", "(1,2)"]
+    assert [p.kind for p in (inf, p1, c)] == ["infinity", "ramified", "affine"]
+    assert repr(c) == "Place(kind_rank=2, mu=0, x=1, y=2)"
+    places = curve_hermitian_gf4().places()
+    assert all(type(p) is Place for p in places)
+    assert places[3:] == [Place.affine(p.x, p.y) for p in places[3:]]

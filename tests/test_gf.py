@@ -167,11 +167,86 @@ def test_pow_negative_exponent():
         F.inv(0)
 
 
+def poly_eval(F, coeffs, x):
+    """Horner evaluation of a polynomial (codec-integer coefficients, low first) at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
 def test_poly_eval():
     F = gf9()
     # x^2 + 1 at x: the modulus root, so 0
-    assert F.poly_eval([1, 0, 1], 3) == 0
-    assert F.poly_eval([7], 5) == 7
+    assert poly_eval(F, [1, 0, 1], 3) == 0
+    assert poly_eval(F, [7], 5) == 7
+
+
+def polynomial_route_tables(p, e, modulus):
+    """Generator, exp and log of GF(p^e) from schoolbook products of
+    coefficient lists reduced by the monic modulus: the first c with
+    multiplicative order q - 1, then its powers."""
+    q = p ** e
+
+    def mul(a, b):
+        x = [a // p ** i % p for i in range(e)]
+        y = [b // p ** i % p for i in range(e)]
+        prod = [0] * (2 * e - 1)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                prod[i + j] += xi * yj
+        for deg in range(2 * e - 2, e - 1, -1):
+            # x^deg = x^(deg - e) * x^e and x^e = -(modulus below degree e)
+            c = prod[deg]
+            for i in range(e):
+                prod[deg - e + i] -= c * modulus[i]
+        return sum(c % p * p ** i for i, c in enumerate(prod[:e]))
+
+    def power(a, n):
+        acc = 1
+        for _ in range(n):
+            acc = mul(acc, a)
+        return acc
+
+    factors = [f for f in range(2, q) if (q - 1) % f == 0
+               and all(f % d for d in range(2, f))]
+    gen = next(c for c in range(1, q)
+               if all(power(c, (q - 1) // f) != 1 for f in factors))
+    exp, log = [], [0] * q
+    v = 1
+    for i in range(q - 1):
+        exp.append(v)
+        log[v] = i
+        v = mul(v, gen)
+    return gen, exp, log
+
+
+# The characteristic-2 moduli of the benchmark workloads: GF(16), GF(256)
+# and GF(1024).
+WORKLOAD_MODULI_P2 = [
+    [1, 1, 0, 0, 1],
+    [1, 0, 1, 1, 1, 0, 0, 0, 1],
+    [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1],
+]
+
+
+def test_carry_less_tables_match_polynomial_route():
+    # Every monic modulus of degree <= 8 over GF(2) that the field accepts
+    # (there are 2 + 1 + 2 + 3 + 6 + 9 + 18 + 30 irreducible ones), then the
+    # workload moduli: shift/XOR products must give the same tables.
+    fields = []
+    for e in range(1, 9):
+        for low in range(2 ** e):
+            try:
+                fields.append(FiniteField(2, e, [low >> i & 1 for i in range(e)] + [1]))
+            except NotIrreducibleError:
+                pass
+    assert len(fields) == 71
+    fields += [FiniteField(2, len(mod) - 1, mod) for mod in WORKLOAD_MODULI_P2]
+    for F in fields:
+        gen, exp, log = polynomial_route_tables(2, F.e, F.modulus)
+        assert (F.generator, F._exp[:F.q - 1], F._log) == (gen, exp, log), F.modulus
+        assert F._exp[F.q - 1:] == exp
 
 
 def test_matrix_identity_and_zero():

@@ -195,13 +195,18 @@ def profile_places_limit(draw):
 def test_pure_gap_symmetric_in_finite_coordinates(case):
     # ell depends only on the multiset of the s_j, so permuting the finite
     # coordinates keeps the verdict; pure_gaps relies on it when it uses the
-    # P1 gap axis for P_2..P_l.  Its candidates are closed under those
-    # permutations, so the pure gaps among them must be too.
+    # P1 gap axis for P_2..P_l and tests only nondecreasing finite parts.
+    # Every candidate is tested here, so the pure gaps found must be closed
+    # under those permutations and equal what pure_gaps returns.
     prof, pl, limit = case
-    found = set(pure_gaps(prof, pl, limit))
+    axes = [one_point_gaps(prof, "P1", limit)] * pl.l
+    if pl.include_infinity:
+        axes.append(one_point_gaps(prof, "Pinf", limit))
+    found = {pt for pt in itertools.product(*axes) if pure_gap(prof, pl, pt)}
     for pt in found:
         finite, rest = pt[:pl.l], pt[pl.l:]
         assert all(perm + rest in found for perm in itertools.permutations(finite)), pt
+    assert pure_gaps(prof, pl, limit) == sorted(found)
 
 
 PRUNING_CASES = ([(f"profile{m}_{r}", RamificationData(m, r)) for m, r in PROFILES]
@@ -222,6 +227,17 @@ def test_pure_gaps_equal_exhaustive_scan(curve):
             full = [pt for pt in itertools.product(range(1, bound + 1), repeat=pl.arity())
                     if pure_gap(curve, pl, pt)]
             assert pure_gaps(curve, pl, bound) == full, (l, inf)
+
+
+@pytest.mark.parametrize("pl", [PlaceTuple(3, True), PlaceTuple(4)], ids=["P1P2P3Pinf", "P1P2P3P4"])
+def test_pure_gaps_equal_exhaustive_scan_at_arity_4(pl):
+    # Four places, three or four of them finite, so the nondecreasing scan
+    # expands hits with up to 4! orderings; the box passes 2g - 1 by one.
+    curve = curve_example_2()
+    bound = 2 * curve.g
+    full = [pt for pt in itertools.product(range(1, bound + 1), repeat=4)
+            if pure_gap(curve, pl, pt)]
+    assert pure_gaps(curve, pl, bound) == full
 
 
 def test_one_point_gaps_at_every_place_match_ell_counts():
