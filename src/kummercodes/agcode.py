@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .curve import KummerCurve, Place
 from .gf import Matrix
-from .rrlattice import Divisor, evaluate_monomial, omega_enumerate
+from .rrlattice import Divisor, monomial_divisor, omega_enumerate
 from .weierstrass import (DEFAULT_BUDGET, BudgetExceededError, GapBox, box_bound_value,
                           floor_divisor, pure_gap)
 
@@ -29,12 +29,17 @@ class InconsistentDivisorError(ValueError):
     pass
 
 
-def in_support(G: Divisor, place: Place) -> bool:
+def coefficient_at(G: Divisor, place: Place) -> int:
+    """Coefficient of the place in G; 0 at every affine place."""
     if place.kind == "ramified":
-        return G.s[place.mu - 1] != 0
+        return G.s[place.mu - 1]
     if place.kind == "infinity":
-        return G.t != 0
-    return False
+        return G.t
+    return 0
+
+
+def in_support(G: Divisor, place: Place) -> bool:
+    return coefficient_at(G, place) != 0
 
 
 def evaluation_places(curve: KummerCurve, G: Divisor,
@@ -87,37 +92,55 @@ def _check_evaluation_set(G: Divisor, places: Sequence[Place]) -> None:
             raise PlaceInSupportError(f"place {p} lies in supp(G)")
 
 
-def evaluation_matrix(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> Matrix:
-    """Basis monomials of L(G) at places, one row each: g^<(i, j), L> at an affine
-    place, with L the logs of z, x - alpha_2, ..., x - alpha_r there (y and every
-    x - alpha_mu are nonzero), and evaluate_monomial at the other places."""
+def _place_logs(curve: KummerCurve, place: Place) -> List[int]:
+    """Log vector L of a rational place over the exponents (i, j_2..j_r): a basis
+    monomial with no zero there takes the value g^<(i, j), L>.  At P_mu, z^m = f(x)
+    makes it z^{i + m j_mu} prod_{nu != mu} (x - alpha_nu)^{j_nu - j_mu}, j_1 = 0,
+    with i + m j_mu = 0; at P_inf its value is 1."""
     F = curve.field
-    logs = []
-    for pl in places:
-        L = None
-        if pl.kind == "affine":
-            L = [F.log(F.sub(pl.x, alpha)) for alpha in curve.roots]
-            L[0] = curve.A * F.log(pl.y) + curve.B * sum(L)  # z = y^A f(x)^B
-        logs.append(L)
+    if place.kind == "affine":
+        L = [F.log(F.sub(place.x, alpha)) for alpha in curve.roots]
+        L[0] = curve.A * F.log(place.y) + curve.B * sum(L)  # z = y^A f(x)^B
+        return L
+    if place.kind == "infinity":
+        return [0] * curve.r
+    alpha_mu = curve.roots[place.mu - 1]
+    L = [F.log(F.sub(alpha_mu, alpha)) if alpha != alpha_mu else 0 for alpha in curve.roots]
+    L[place.mu - 1] = -sum(L)  # the exponent -j_mu of every factor
+    L[0] = 0  # i has weight 0; at P_1 this also drops the slot of j_1 = 0
+    return L
+
+
+def evaluation_matrix(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> Matrix:
+    """Basis monomials of L(G) at places, one row each: 0 where the monomial's
+    divisor is positive at the place, g^<(i, j), L> with L = _place_logs otherwise.
+    No basis monomial has a pole off supp(G), so the places must avoid it."""
+    _check_evaluation_set(G, places)
+    F = curve.field
+    logs = [_place_logs(curve, pl) for pl in places]
+    # Only P_mu and P_inf can carry a coefficient of a monomial divisor.
+    distinguished = [(col, pl) for col, pl in enumerate(places) if pl.kind != "affine"]
     rows = []
     for pt in omega_enumerate(curve, G):
         vec = (pt.i,) + pt.j
-        rows.append([F.exp(sum(map(mul, vec, L))) if L is not None
-                     else evaluate_monomial(curve, pt, pl)
-                     for L, pl in zip(logs, places)])
+        row = [F.exp(sum(map(mul, vec, L))) for L in logs]
+        div = monomial_divisor(curve, pt)
+        for col, pl in distinguished:
+            if coefficient_at(div, pl) > 0:
+                row[col] = 0
+        rows.append(row)
     return Matrix(F, rows, len(places))
 
 
 def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearCode:
     """The evaluation code C_L(D, G) with a canonical RREF generator."""
-    _check_evaluation_set(G, places)
     n = len(places)
     rank, red, _ = evaluation_matrix(curve, G, places).rref()
     gen = Matrix(curve.field, red.rows[:rank], n)
     code = LinearCode(gen, n, rank)
     # The empty code has no nonzero word, so no distance bound applies.
     if rank and G.degree < n:
-        code.add_bound("goppa_L", n - G.degree)
+        code.add_bound("goppa_L", designed_distance(curve, G, "goppa_L", n=n))
     return code
 
 
@@ -133,8 +156,9 @@ def build_comega(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> Lin
             raise AssertionError(
                 f"dimension law violated: k_omega={k}, expected {expected}")
     code = LinearCode(gen, n, k)
-    if k and G.degree > 2 * curve.g - 2:
-        code.add_bound("goppa_omega", G.degree - (2 * curve.g - 2))
+    bound = designed_distance(curve, G, "goppa_omega")
+    if k and bound > 0:
+        code.add_bound("goppa_omega", bound)
     return code
 
 

@@ -44,7 +44,10 @@ def _ints(text: str) -> List[int]:
 
 def load_config(path: str) -> ConfigParser:
     cp = ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     return cp
@@ -124,11 +127,14 @@ def parse_places(curve: KummerCurve, text: Optional[str]) -> PlaceTuple:
 
 
 def _emit(out: Optional[str], text: str) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def cmd_curve_info(curve: KummerCurve, args, cp) -> int:
@@ -281,19 +287,18 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(argv)
-
-    if args.command == "verify-example":
-        if args.example not in (1, 2, 3, 4):
-            print("verify-example needs a number in 1-4", file=sys.stderr)
-            return 2
-        ok, lines = verify.verify_example(args.example)
-        _emit(args.out, "\n".join(lines) + "\n")
-        return 0 if ok else 1
-
-    if not args.config:
+    verify_job = args.command == "verify-example"
+    if verify_job and args.example not in (1, 2, 3, 4):
+        print("verify-example needs a number in 1-4", file=sys.stderr)
+        return 2
+    if not verify_job and not args.config:
         print("this command needs --config", file=sys.stderr)
         return 2
     try:
+        if verify_job:
+            ok, lines = verify.verify_example(args.example)
+            _emit(args.out, "\n".join(lines) + "\n")
+            return 0 if ok else 1
         cp = load_config(args.config)
         return COMMANDS[args.command](build_curve(cp), args, cp)
     except (ConfigError, KeyError, configparser.Error) as exc:

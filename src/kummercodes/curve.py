@@ -104,14 +104,6 @@ class KummerCurve(RamificationData):
         if self.A * lam + self.B * m != 1:
             raise AssertionError("failed Bezout identity A*lambda + B*m = 1")
 
-    def f_at(self, x0: int) -> int:
-        """f(x0) = prod (x0 - alpha_i)."""
-        F = self.field
-        val = 1
-        for alpha in self.roots:
-            val = F.mul(val, F.sub(x0, alpha))
-        return val
-
     def num_places(self) -> int:
         return len(self.places())
 

@@ -385,8 +385,9 @@ class Matrix:
         return Matrix(F, out, other.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(map(list, zip(*self.rows))) if self.rows else [],
-                      self.nrows)
+        # A k x 0 matrix transposes to no rows; 0 x n to n empty rows.
+        cols = list(map(list, zip(*self.rows))) if self.rows else [[]] * self.ncols
+        return Matrix(self.field, cols, self.nrows)
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)

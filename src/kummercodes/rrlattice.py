@@ -4,26 +4,16 @@ For a divisor supported on the distinguished places P_1..P_r, P_inf of
 the curve y^m = f(x)^lambda, the space L(G) has a monomial basis indexed
 by integer tuples (i, j_2..j_r): the exponents of z and of the linear
 factors x - alpha_mu.  Enumerating those tuples gives the dimension, the
-basis, the floor of the divisor and the evaluation maps used to build
-codes, all with exact integer arithmetic.
+basis and the divisor of each basis monomial, with exact integer
+arithmetic on the (m, r) profile alone; the field-level evaluation of the
+monomials at rational places lives in agcode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .curve import KummerCurve, Place
-
-
-class PoleAtPlaceError(ValueError):
-    pass
-
-
-class UnsupportedPlaceError(ValueError):
-    pass
+from typing import List, Tuple
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -95,7 +85,7 @@ class LatticePoint:
     j: Tuple[int, ...]
 
 
-def omega_enumerate(curve: "KummerCurve", G: Divisor) -> List[LatticePoint]:
+def omega_enumerate(curve: RamificationData, G: Divisor) -> List[LatticePoint]:
     """All lattice points of the basis index set for L(G), sorted by i.
 
     For each i >= -s_1 the remaining exponents are forced by
@@ -122,74 +112,13 @@ def omega_enumerate(curve: "KummerCurve", G: Divisor) -> List[LatticePoint]:
     return points
 
 
-def dimension(curve: "KummerCurve", G: Divisor) -> int:
+def dimension(curve: RamificationData, G: Divisor) -> int:
     """ell(G) = number of basis lattice points."""
     return len(omega_enumerate(curve, G))
 
 
-def monomial_divisor(curve: "KummerCurve", pt: LatticePoint) -> Divisor:
+def monomial_divisor(curve: RamificationData, pt: LatticePoint) -> Divisor:
     """Principal divisor of the basis monomial indexed by pt (degree 0)."""
     m, r = curve.m, curve.r
     s = [pt.i] + [pt.i + m * j for j in pt.j]
     return Divisor(tuple(s), -(r * pt.i + m * sum(pt.j)))
-
-
-def evaluate_monomial(curve: "KummerCurve", pt: LatticePoint, place: "Place") -> int:
-    """Value of the basis monomial at a rational place (codec integer).
-
-    Requires the monomial to have no pole there.  At the ramified places
-    and at infinity the value comes from the substitution
-    x - alpha_mu = z^m * prod_{nu != mu} (x - alpha_nu)^{-1}, which
-    rewrites the monomial so its local valuation is explicit.
-    """
-    F = curve.field
-    m = curve.m
-    roots = curve.roots
-    i, js = pt.i, pt.j
-
-    if place.kind == "affine":
-        z0 = F.mul(F.pow(place.y, curve.A), F.pow(curve.f_at(place.x), curve.B))
-        val = F.pow(z0, i)
-        for j, alpha in zip(js, roots[1:]):
-            if j:
-                val = F.mul(val, F.pow(F.sub(place.x, alpha), j))
-        return val
-
-    if place.kind == "ramified":
-        mu = place.mu
-        if mu == 1:
-            w = i
-            if w < 0:
-                raise PoleAtPlaceError(f"monomial has a pole at P_{mu}")
-            if w > 0:
-                return 0
-            val = 1
-            for j, alpha in zip(js, roots[1:]):
-                if j:
-                    val = F.mul(val, F.pow(F.sub(roots[0], alpha), j))
-            return val
-        w = i + m * js[mu - 2]
-        if w < 0:
-            raise PoleAtPlaceError(f"monomial has a pole at P_{mu}")
-        if w > 0:
-            return 0
-        jmu = js[mu - 2]
-        alpha_mu = roots[mu - 1]
-        val = F.pow(F.sub(alpha_mu, roots[0]), -jmu)
-        for nu in range(2, curve.r + 1):
-            if nu == mu:
-                continue
-            exp = js[nu - 2] - jmu
-            if exp:
-                val = F.mul(val, F.pow(F.sub(alpha_mu, roots[nu - 1]), exp))
-        return val
-
-    if place.kind == "infinity":
-        # The monomial is t^-w times a unit that is 1 at P_inf, for a
-        # local parameter t there, so its value is 1 or 0 once w <= 0.
-        w = curve.r * i + m * sum(js)  # pole order at P_inf
-        if w > 0:
-            raise PoleAtPlaceError("monomial has a pole at P_inf")
-        return 1 if w == 0 else 0
-
-    raise UnsupportedPlaceError(f"cannot evaluate at place kind {place.kind!r}")

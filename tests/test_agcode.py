@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,10 +16,11 @@ from kummercodes.agcode import (BudgetExceededError, InconsistentDivisorError,
                                 in_support)
 from kummercodes.curve import KummerCurve, Place
 from kummercodes.gf import FiniteField, Matrix
-from kummercodes.rrlattice import Divisor, evaluate_monomial, omega_enumerate
+from kummercodes.rrlattice import Divisor, dimension, omega_enumerate
 from kummercodes.verify import (curve_example_1, curve_example_2, curve_example_4,
                                 curve_hermitian_gf4)
 from kummercodes.weierstrass import BadArityError, GapBox, PlaceTuple, floor_divisor
+from test_curve import f_at
 
 
 def herm():
@@ -70,27 +72,123 @@ def test_build_cl_hermitian():
     assert brute_force_distance(code) == 5
 
 
+class PoleAtPlaceError(ValueError):
+    pass
+
+
+class UnsupportedPlaceError(ValueError):
+    pass
+
+
+def evaluate_monomial(curve, pt, place):
+    """Value of the basis monomial at a rational place (codec integer).
+
+    Requires the monomial to have no pole there.  At the ramified places
+    and at infinity the value comes from the substitution
+    x - alpha_mu = z^m * prod_{nu != mu} (x - alpha_nu)^{-1}, which
+    rewrites the monomial so its local valuation is explicit.
+    """
+    F = curve.field
+    m = curve.m
+    roots = curve.roots
+    i, js = pt.i, pt.j
+
+    if place.kind == "affine":
+        z0 = F.mul(F.pow(place.y, curve.A), F.pow(f_at(curve, place.x), curve.B))
+        val = F.pow(z0, i)
+        for j, alpha in zip(js, roots[1:]):
+            if j:
+                val = F.mul(val, F.pow(F.sub(place.x, alpha), j))
+        return val
+
+    if place.kind == "ramified":
+        mu = place.mu
+        if mu == 1:
+            w = i
+            if w < 0:
+                raise PoleAtPlaceError(f"monomial has a pole at P_{mu}")
+            if w > 0:
+                return 0
+            val = 1
+            for j, alpha in zip(js, roots[1:]):
+                if j:
+                    val = F.mul(val, F.pow(F.sub(roots[0], alpha), j))
+            return val
+        w = i + m * js[mu - 2]
+        if w < 0:
+            raise PoleAtPlaceError(f"monomial has a pole at P_{mu}")
+        if w > 0:
+            return 0
+        jmu = js[mu - 2]
+        alpha_mu = roots[mu - 1]
+        val = F.pow(F.sub(alpha_mu, roots[0]), -jmu)
+        for nu in range(2, curve.r + 1):
+            if nu == mu:
+                continue
+            exp = js[nu - 2] - jmu
+            if exp:
+                val = F.mul(val, F.pow(F.sub(alpha_mu, roots[nu - 1]), exp))
+        return val
+
+    if place.kind == "infinity":
+        # The monomial is t^-w times a unit that is 1 at P_inf, for a
+        # local parameter t there, so its value is 1 or 0 once w <= 0.
+        w = curve.r * i + m * sum(js)  # pole order at P_inf
+        if w > 0:
+            raise PoleAtPlaceError("monomial has a pole at P_inf")
+        return 1 if w == 0 else 0
+
+    raise UnsupportedPlaceError(f"cannot evaluate at place kind {place.kind!r}")
+
+
+def evaluation_curves():
+    """The example curves, and curves with lambda = 2 and 3.
+
+    Every example curve has lambda = 1 and B = 0, while these have B = -1,
+    -1 and -2.  Every example f also has f' = 1, so prod_{nu != mu}
+    (alpha_mu - alpha_nu) = f'(alpha_mu) = 1 and the exponent -j_mu of
+    those factors never shows at P_mu; the other roots are chosen freely.
+    """
+    ex2, ex4 = curve_example_2(), curve_example_4()
+    return [curve_example_1(), ex2, ex4, herm(),
+            KummerCurve(ex4.field, 9, 2, (1, 2, 3, 5)),
+            KummerCurve(ex2.field, 8, 3, (0, 1, 2, 3, 7)),
+            KummerCurve(ex4.field, 7, 3, (0, 4, 9, 17))]
+
+
 def test_evaluation_matrix_matches_evaluate_monomial():
     ex4 = curve_example_4()
     cases = [
         (curve_example_1(), Divisor.make(9, {1: 51}, 1)),
         (curve_example_2(), Divisor.make(5, {1: 26, 2: 1})),
         (ex4, Divisor.make(4, {1: 28, 2: 1}, 8)),
-        # lambda = 2 gives B = -1; every example curve has lambda = 1 and B = 0
         (KummerCurve(ex4.field, 9, 2, ex4.roots), Divisor.make(4, {1: 9, 3: 2}, 5)),
     ]
+    rng = random.Random(8)
+    for c in evaluation_curves():
+        for _ in range(12):
+            # Zero coefficients keep their places in the evaluation set.
+            coeff = lambda: rng.choice([0, rng.randrange(-c.m, 3 * c.m)])
+            cases.append((c, Divisor(tuple(coeff() for _ in range(c.r)), coeff())))
+    nontrivial = 0  # values at P_mu, mu >= 2, other than 0 and 1
     for c, G in cases:
-        D = evaluation_places(c, G)
-        assert {p.kind for p in D} >= {"ramified", "affine"}
+        pool = evaluation_places(c, G)
+        D = pool[:c.r + 1 + 40]  # every P_mu and P_inf off supp(G), 40 affine places
         expected = [[evaluate_monomial(c, pt, pl) for pl in D] for pt in omega_enumerate(c, G)]
         assert evaluation_matrix(c, G, D).rows == expected
+        ramified = [col for col, pl in enumerate(D) if pl.kind == "ramified" and pl.mu >= 2]
+        nontrivial += sum(row[col] > 1 for row in expected for col in ramified)
+    assert nontrivial >= 100
 
 
 def test_build_cl_rejects_support():
     c = herm()
     G = Divisor((1, 0), 3)
-    with pytest.raises(PlaceInSupportError):
-        build_cl(c, G, [Place.ramified(1)])
+    for place in (Place.ramified(1), Place.infinity()):
+        with pytest.raises(PlaceInSupportError):
+            build_cl(c, G, [place])
+        with pytest.raises(PlaceInSupportError):
+            evaluation_matrix(c, G, [Place.ramified(2), place])
 
 
 def test_repetition_code():
@@ -253,3 +351,50 @@ def test_export_text_format():
     assert len(lines) == 1 + code.k
     parsed = [[int(v) for v in row.split()] for row in lines[1:]]
     assert Matrix(c.field, parsed) == code.generator
+
+
+PROPERTY_FIELDS = [
+    FiniteField(2, 1, [0, 1]),
+    FiniteField(3, 1, [0, 1]),
+    FiniteField(2, 2, [1, 1, 1]),
+    FiniteField(5, 1, [0, 1]),
+    FiniteField(7, 1, [0, 1]),
+    FiniteField(2, 3, [1, 1, 0, 1]),
+    FiniteField(3, 2, [1, 0, 1]),
+    FiniteField(2, 4, [1, 1, 0, 0, 1]),
+    FiniteField(5, 2, [2, 0, 1]),
+    FiniteField(3, 3, [1, 2, 0, 1]),
+    FiniteField(2, 5, [1, 0, 1, 0, 0, 1]),
+    FiniteField(7, 2, [1, 0, 1]),
+    FiniteField(2, 6, [1, 1, 0, 0, 0, 0, 1]),
+]
+
+
+@st.composite
+def curve_codes(draw):
+    """A valid curve over GF(q), q <= 64, a divisor G, and an evaluation set
+    D off supp(G) with deg G < n = |D| <= 60."""
+    F = draw(st.sampled_from(PROPERTY_FIELDS))
+    m = draw(st.sampled_from([m for m in range(2, 10) if m % F.p]))
+    roots = draw(st.lists(st.integers(0, F.q - 1), min_size=1, max_size=min(F.q, 5),
+                          unique=True))
+    lam = draw(st.integers(1, 4))
+    assume(math.gcd(m, len(roots) * lam) == 1)
+    c = KummerCurve(F, m, lam, roots)
+    coeff = st.one_of(st.just(0), st.integers(-m, 3 * m))
+    G = Divisor(tuple(draw(st.lists(coeff, min_size=c.r, max_size=c.r))), draw(coeff))
+    top = min(len(evaluation_places(c, G)), 60)
+    assume(G.degree < top)
+    n = draw(st.integers(max(G.degree + 1, 0), top))
+    D = evaluation_places(c, G, n=n, seed=draw(st.none() | st.integers(0, 99)))
+    return c, G, D
+
+
+@settings(max_examples=150, deadline=None)
+@given(curve_codes())
+def test_random_curve_code_properties(case):
+    c, G, D = case
+    assert evaluation_matrix(c, G, D).rref()[0] == dimension(c, G)
+    cl, co = build_cl(c, G, D), build_comega(c, G, D)
+    assert cl.k + co.k == len(D)
+    assert duality_holds(cl, co)

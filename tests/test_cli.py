@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kummercodes.cli import main
+from kummercodes.cli import COMMANDS, main
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
@@ -164,11 +164,30 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert code == 2
     assert "config error" in err
 
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(HERM_CFG.format(divisor="0,0,3", places="P1", coords="1",
+                                       bound="6").encode("utf-8") + b"; caf\xe9\n")
+    code, out, err = run_cli(capsys, "dim", "--config", latin1.as_posix())
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "UTF-8" in err and err.count("\n") == 1
+
     bad_bound = tmp_path / "bad_bound.ini"
     bad_bound.write_text(HERM_CFG.format(divisor="0,0,3", places="P1", coords="1", bound="x"))
     code, _, err = run_cli(capsys, "pure-gaps", "--config", bad_bound.as_posix())
     assert code == 2
     assert "config error" in err
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    # --out into a missing directory, or onto a directory, exits 2 with one line.
+    cfg = write_cfg(tmp_path)
+    jobs = [(cmd, "--config", cfg) for cmd in sorted(COMMANDS)] + [("verify-example", "4")]
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):
+        for job in jobs:
+            code, out, err = run_cli(capsys, *job, "--out", str(target))
+            assert code == 2 and out == ""
+            assert err.startswith(f"config error: cannot write {target}: ")
+            assert err.count("\n") == 1
 
 
 def test_math_errors_exit_1(tmp_path, capsys):
@@ -308,6 +327,23 @@ divisor = 26,1,0,0,0,0
 
 CONSTRUCT_CFG = (WORKLOADS / "construct.ini").read_text()
 
+# lambda = 2 gives B = -1 (every example curve has lambda = 1 and B = 0);
+# the divisor leaves P_inf, P_2 and P_4 in the evaluation set.
+LAMBDA_2_CFG = """
+[field]
+p = 2
+e = 6
+modulus = 1,1,0,0,0,0,1
+
+[curve]
+m = 9
+lambda = 2
+f = 0,1,1,0,1
+
+[job]
+divisor = 9,0,2,0,0
+"""
+
 # SHA-256 of build-code stdout, pinned from the scalar field arithmetic
 # that preceded the log-domain matrix kernel.
 GOLDEN_BUILD_CODE = [
@@ -323,6 +359,12 @@ GOLDEN_BUILD_CODE = [
      "23a0f24081ca7bcea2d4ccde9416d977abe026d107f785ff4297cab1e240ed67"),
     ("construct", CONSTRUCT_CFG, "omega",
      "df88ee0db51f49bca8f0742f669e0eb8f4b9401c83a1483d9b83226cb769e296"),
+    # Pinned from the scalar evaluator at P_mu and P_inf that preceded
+    # the per-place log vectors.
+    ("lambda2", LAMBDA_2_CFG, "l",
+     "abf39ae243849dfdd3f7ca6d1c8c69ae0b6158a0258e058060a8378817d20a06"),
+    ("lambda2", LAMBDA_2_CFG, "omega",
+     "c8ab87d2505aa5eb7f1bae4df59b8b5424a8876c64f3a88ae2f0600a6875c598"),
 ]
 
 

@@ -337,3 +337,15 @@ def test_mul_matrix_matches_scalar_oracle(case, ncols, rng):
     got = Matrix(F, rows).mul_matrix(Matrix(F, other)).rows
     cols = list(zip(*other))
     assert got == [[oracle_dot(F, row, col) for col in cols] for row in rows]
+
+
+def test_transpose_keeps_empty_shapes():
+    # The generator of a zero-dimensional code is 0 x n; duality_holds
+    # multiplies by its n x 0 transpose.
+    F = FiniteField(2, 1, [0, 1])
+    for rows, ncols in (([], 3), ([[], []], None), ([[1, 0]], None), ([], 0)):
+        M = Matrix(F, rows, ncols)
+        T = M.transpose()
+        assert (T.nrows, T.ncols) == (M.ncols, M.nrows)
+        assert T.transpose() == M
+    assert Matrix(F, [[1, 1, 0]]).mul_matrix(Matrix(F, [], 3).transpose()).rows == [[]]

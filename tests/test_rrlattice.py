@@ -1,4 +1,4 @@
-"""Lattice enumeration, dimensions and monomial evaluation."""
+"""Lattice enumeration, dimensions and the evaluation of basis monomials."""
 
 from __future__ import annotations
 
@@ -6,13 +6,14 @@ import random
 
 import pytest
 
-from kummercodes.curve import Place
-from kummercodes.rrlattice import (Divisor, PoleAtPlaceError, RamificationData,
-                                   ceil_div, dimension, evaluate_monomial,
+from kummercodes.agcode import PlaceInSupportError, evaluation_matrix
+from kummercodes.curve import KummerCurve, Place
+from kummercodes.rrlattice import (Divisor, RamificationData, ceil_div, dimension,
                                    monomial_divisor, omega_enumerate)
 from kummercodes.verify import (curve_example_1, curve_example_2,
                                 curve_example_4, curve_hermitian_gf4)
 from kummercodes.weierstrass import increment_predicate
+from test_curve import f_at
 
 
 def random_divisor(rng, r, lo=-6, hi=20):
@@ -143,51 +144,56 @@ def test_monomial_divisors():
     assert monomial_divisor(c, z_pt[0]) == Divisor(tuple([1] * c.r), -c.r)
 
 
+def row_of(c, G, i):
+    """Index of the evaluation-matrix row of the basis monomial with z-exponent i."""
+    return [pt.i for pt in omega_enumerate(c, G)].index(i)
+
+
 def test_evaluate_constant():
-    c = curve_hermitian_gf4()
-    one = omega_enumerate(c, Divisor.make(c.r))[0]
-    for p in c.places():
-        assert evaluate_monomial(c, one, p) == 1
+    # L(0) holds the constants, and no rational place lies in supp(0)
+    for c in (curve_hermitian_gf4(), curve_example_4()):
+        G = Divisor.make(c.r)
+        assert evaluation_matrix(c, G, c.places()).rows == [[1] * c.num_places()]
 
 
 def test_evaluate_z_power_is_f():
-    # z^m = f(x) at every affine place
-    c = curve_hermitian_gf4()
-    F = c.field
-    z_pt = [pt for pt in omega_enumerate(c, Divisor.make(c.r, t=c.r)) if pt.i == 1][0]
-    for p in c.places():
-        if p.kind == "affine":
-            z0 = evaluate_monomial(c, z_pt, p)
-            assert F.pow(z0, c.m) == c.f_at(p.x)
+    # z^m = f(x) at every affine place; lambda = 2 makes z = y^A f(x)^B with B = -1
+    ex4 = curve_example_4()
+    for c in (curve_hermitian_gf4(), KummerCurve(ex4.field, 9, 2, ex4.roots)):
+        F = c.field
+        G = Divisor.make(c.r, t=c.r)
+        affine = [p for p in c.places() if p.kind == "affine"]
+        z_row = evaluation_matrix(c, G, affine).rows[row_of(c, G, 1)]
+        assert [F.pow(z0, c.m) for z0 in z_row] == [f_at(c, p.x) for p in affine]
 
 
 def test_evaluate_at_ramified_and_infinity():
     c = curve_hermitian_gf4()
-    z_pt = [pt for pt in omega_enumerate(c, Divisor.make(c.r, t=c.r)) if pt.i == 1][0]
-    # z vanishes at every ramified place and has a pole at infinity
-    assert evaluate_monomial(c, z_pt, Place.ramified(1)) == 0
-    assert evaluate_monomial(c, z_pt, Place.ramified(2)) == 0
-    with pytest.raises(PoleAtPlaceError):
-        evaluate_monomial(c, z_pt, Place.infinity())
+    G = Divisor.make(c.r, t=c.r)
+    # z vanishes at every ramified place
+    M = evaluation_matrix(c, G, [Place.ramified(1), Place.ramified(2)])
+    assert M.rows[row_of(c, G, 1)] == [0, 0]
+    # and has a pole at infinity, which lies in supp(G) and is refused
+    with pytest.raises(PlaceInSupportError):
+        evaluation_matrix(c, G, [Place.ramified(1), Place.infinity()])
 
 
 def test_evaluate_pole_detection():
     c = curve_hermitian_gf4()
-    # 1/z has i = -1: pole at P1 and P2, value 0 at infinity
-    inv_z = [pt for pt in omega_enumerate(c, Divisor((1, 1), 0)) if pt.i == -1][0]
-    with pytest.raises(PoleAtPlaceError):
-        evaluate_monomial(c, inv_z, Place.ramified(1))
-    assert evaluate_monomial(c, inv_z, Place.infinity()) == 0
+    # 1/z spans L(P1 + P2) with the constants: its poles at P1 and P2 lie in
+    # supp(G) and are refused, and it is 0 at infinity
+    G = Divisor((1, 1), 0)
+    for place in (Place.ramified(1), Place.ramified(2)):
+        with pytest.raises(PlaceInSupportError):
+            evaluation_matrix(c, G, [Place.infinity(), place])
+    assert evaluation_matrix(c, G, [Place.infinity()]).rows[row_of(c, G, -1)] == [0]
 
 
 def test_basis_evaluations_full_rank():
     # the basis of L(G) evaluated at the 8 places off supp(G) is a
     # linearly independent family whenever deg(G) < n
-    from kummercodes.gf import Matrix
-
     c = curve_hermitian_gf4()
     G = Divisor.make(c.r, t=3)
     D = [p for p in c.places() if p.kind != "infinity"]
-    pts = omega_enumerate(c, G)
-    M = Matrix(c.field, [[evaluate_monomial(c, pt, pl) for pl in D] for pt in pts])
-    assert M.rref()[0] == len(pts) == dimension(c, G)
+    M = evaluation_matrix(c, G, D)
+    assert M.rref()[0] == M.nrows == dimension(c, G)
