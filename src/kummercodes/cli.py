@@ -294,9 +294,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not verify_job and not args.config:
         print("this command needs --config", file=sys.stderr)
         return 2
+    if verify_job:  # outside the try: it reads no config, so its errors are internal
+        ok, lines = verify.verify_example(args.example)
     try:
         if verify_job:
-            ok, lines = verify.verify_example(args.example)
             _emit(args.out, "\n".join(lines) + "\n")
             return 0 if ok else 1
         cp = load_config(args.config)

@@ -158,22 +158,27 @@ def evaluation_curves():
 
 def test_evaluation_matrix_matches_evaluate_monomial():
     ex4 = curve_example_4()
-    cases = [
+    fixed = [
         (curve_example_1(), Divisor.make(9, {1: 51}, 1)),
         (curve_example_2(), Divisor.make(5, {1: 26, 2: 1})),
         (ex4, Divisor.make(4, {1: 28, 2: 1}, 8)),
         (KummerCurve(ex4.field, 9, 2, ex4.roots), Divisor.make(4, {1: 9, 3: 2}, 5)),
     ]
+    cases = []
+    for c, G in fixed:
+        D = evaluation_places(c, G)
+        assert {p.kind for p in D} >= {"ramified", "affine"}
+        cases.append((c, G, D))
     rng = random.Random(8)
     for c in evaluation_curves():
         for _ in range(12):
             # Zero coefficients keep their places in the evaluation set.
             coeff = lambda: rng.choice([0, rng.randrange(-c.m, 3 * c.m)])
-            cases.append((c, Divisor(tuple(coeff() for _ in range(c.r)), coeff())))
+            G = Divisor(tuple(coeff() for _ in range(c.r)), coeff())
+            # every P_mu and P_inf off supp(G), then 40 affine places
+            cases.append((c, G, evaluation_places(c, G)[:c.r + 1 + 40]))
     nontrivial = 0  # values at P_mu, mu >= 2, other than 0 and 1
-    for c, G in cases:
-        pool = evaluation_places(c, G)
-        D = pool[:c.r + 1 + 40]  # every P_mu and P_inf off supp(G), 40 affine places
+    for c, G, D in cases:
         expected = [[evaluate_monomial(c, pt, pl) for pl in D] for pt in omega_enumerate(c, G)]
         assert evaluation_matrix(c, G, D).rows == expected
         ramified = [col for col, pl in enumerate(D) if pl.kind == "ramified" and pl.mu >= 2]
