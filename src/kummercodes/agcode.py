@@ -1,7 +1,7 @@
 """Construction of the evaluation code C_L and its dual C_Omega.
 
 C_L evaluates the monomial basis of L(G) at the chosen rational places;
-C_Omega is realized as the linear-algebra dual (null space) of C_L.
+C_Omega = C_L^perp is the null space of that evaluation matrix.
 Designed minimum-distance lower bounds are attached from the Goppa
 estimates, pure-gap boxes and floor pairs, and a brute-force weight
 enumerator verifies them where the codebook is small enough.
@@ -16,9 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .curve import KummerCurve, Place
 from .gf import Matrix
-from .rrlattice import Divisor, monomial_divisor, omega_enumerate
-from .weierstrass import (DEFAULT_BUDGET, BudgetExceededError, GapBox, box_bound_value,
-                          floor_divisor, pure_gap)
+from .rrlattice import (DEFAULT_BUDGET, BudgetExceededError, Divisor, monomial_divisor,
+                        omega_enumerate)
+from .weierstrass import GapBox, box_bound_value, floor_divisor, pure_gap
 
 
 class PlaceInSupportError(ValueError):
@@ -66,16 +66,19 @@ class LinearCode:
     """[n, k] code over GF(q) given by a full-rank generator in RREF."""
 
     generator: Matrix
-    n: int
-    k: int
     bounds: List[Tuple[str, int]] = dc_field(default_factory=list)
 
     @property
     def field(self):
         return self.generator.field
 
-    def add_bound(self, name: str, value: int) -> None:
-        self.bounds.append((name, value))
+    @property
+    def n(self) -> int:
+        return self.generator.ncols
+
+    @property
+    def k(self) -> int:
+        return self.generator.nrows
 
     def export_text(self) -> str:
         """Wire format: header `n k q`, then k rows of n codec integers."""
@@ -136,29 +139,26 @@ def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearC
     """The evaluation code C_L(D, G) with a canonical RREF generator."""
     n = len(places)
     rank, red, _ = evaluation_matrix(curve, G, places).rref()
-    gen = Matrix(curve.field, red.rows[:rank], n)
-    code = LinearCode(gen, n, rank)
+    code = LinearCode(Matrix(curve.field, red.rows[:rank], n))
     # The empty code has no nonzero word, so no distance bound applies.
     if rank and G.degree < n:
-        code.add_bound("goppa_L", designed_distance(curve, G, "goppa_L", n=n))
+        code.bounds.append(("goppa_L", designed_distance(curve, G, "goppa_L", n=n)))
     return code
 
 
 def build_comega(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearCode:
-    """C_Omega as the dual of C_L; checks the dimension law when it applies."""
-    cl = build_cl(curve, G, places)
-    gen = cl.generator.nullspace()
-    n = cl.n
-    k = n - cl.k
+    """C_Omega(D, G) = C_L(D, G)^perp, the null space of the evaluation matrix;
+    checks the dimension law when it applies."""
+    code = LinearCode(evaluation_matrix(curve, G, places).nullspace())
+    n, k = code.n, code.k
     if 2 * curve.g - 2 < G.degree < n:
         expected = n + curve.g - 1 - G.degree
         if k != expected:
             raise AssertionError(
                 f"dimension law violated: k_omega={k}, expected {expected}")
-    code = LinearCode(gen, n, k)
     bound = designed_distance(curve, G, "goppa_omega")
     if k and bound > 0:
-        code.add_bound("goppa_omega", bound)
+        code.bounds.append(("goppa_omega", bound))
     return code
 
 
@@ -253,7 +253,3 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
                 d += 1
     return best
 
-
-def duality_holds(cl: LinearCode, comega: LinearCode) -> bool:
-    """G_L * G_Omega^T = 0 over the common field."""
-    return cl.generator.mul_matrix(comega.generator.transpose()).is_zero()

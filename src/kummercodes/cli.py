@@ -226,6 +226,8 @@ def _build_code(curve, args, cp):
     n_text = job_value(cp, "n")
     n = _int(n_text) if n_text else None
     seed = _job_int(args, cp, "seed", None)
+    if seed is not None and n is None:
+        raise ConfigError("seed selects n places and needs n= in [job]")
     D = evaluation_places(curve, G, n=n, seed=seed)
     kind = (job_value(cp, "code") or "omega").lower()
     if kind == "l":

@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p^e) and dense linear algebra over it.
+"""Exact arithmetic in GF(p^e), and row reduction and null spaces over it.
 
 Field elements are represented as plain integers in [0, q): the base-p
 digits of the integer (least significant first) are the coefficients of
@@ -10,9 +10,9 @@ construction.
 Multiplication, inversion, negation and powers use discrete log tables
 built once per field from a primitive element; the exp table is doubled,
 so a sum of two logs indexes it directly.  Addition is XOR for p = 2, a
-q x q table for odd q <= 256 and digitwise otherwise.  Row reduction,
-null space and products scale and add whole rows through these tables,
-with no method call per entry.  The supported range is q <= 2^16.
+q x q table for odd q <= 256 and digitwise otherwise.  Row reduction
+and the null space scale and add whole rows through these tables, with
+no method call per entry.  The supported range is q <= 2^16.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class NotIrreducibleError(ValueError):
 
 
 class BadModulusError(ValueError):
-    pass
-
-
-class FieldMismatchError(ValueError):
     pass
 
 
@@ -182,12 +178,15 @@ class FiniteField:
         # log(-1): -1 = g^((q-1)/2) for odd q, and -1 = 1 in characteristic 2.
         self._log_minus_one = (q - 1) // 2 if p != 2 else 0
 
+        self._add_table = None
         if p != 2 and q <= 1 << 8:
-            self._add_table = [
-                [self._add_digitwise(a, b) for b in range(q)] for a in range(q)
-            ]
-        else:
-            self._add_table = None
+            # Digitwise sums, one base-p digit per pass: a = a0 + p*a', b = b0 + p*b'.
+            digit = [[(a + b) % p for b in range(p)] for a in range(p)]
+            table = [[0]]
+            for _ in range(e):
+                table = [[lo + p * hi for hi in hi_row for lo in lo_row]
+                         for hi_row in table for lo_row in digit]
+            self._add_table = table
 
     def _find_generator(self, raw_mul) -> int:
         q = self.q
@@ -299,9 +298,6 @@ class FiniteField:
             for j, l in terms:
                 dst[j] = add(dst[j], exp[lc + l])
 
-    def same_as(self, other: "FiniteField") -> bool:
-        return (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
-
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
@@ -355,7 +351,7 @@ class Matrix:
     def nullspace(self) -> "Matrix":
         """Basis of {v : M v^T = 0}, rows in reduced echelon order."""
         F = self.field
-        rank, red, pivots = self.rref()
+        _, red, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
@@ -366,35 +362,6 @@ class Matrix:
                 v[pc] = F.neg(red.rows[i][fc])
             basis.append(v)
         return Matrix(F, basis, self.ncols)
-
-    def mul_matrix(self, other: "Matrix") -> "Matrix":
-        if not self.field.same_as(other.field):
-            raise FieldMismatchError("matrices over different fields")
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        F = self.field
-        log = F._log
-        other_terms = [[(j, log[v]) for j, v in enumerate(row) if v] for row in other.rows]
-        out = []
-        for row in self.rows:
-            acc = [0] * other.ncols
-            for a, terms in zip(row, other_terms):
-                if a:
-                    F._axpy(acc, log[a], terms)
-            out.append(acc)
-        return Matrix(F, out, other.ncols)
-
-    def transpose(self) -> "Matrix":
-        # A k x 0 matrix transposes to no rows; 0 x n to n empty rows.
-        cols = list(map(list, zip(*self.rows))) if self.rows else [[]] * self.ncols
-        return Matrix(self.field, cols, self.nrows)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.field.same_as(other.field)
-                and self.rows == other.rows and self.ncols == other.ncols)
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"

@@ -16,6 +16,13 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 
+class BudgetExceededError(ValueError):
+    pass
+
+
+DEFAULT_BUDGET = 1 << 24
+
+
 def ceil_div(a: int, b: int) -> int:
     """ceil(a/b) for integers, b > 0."""
     return -((-a) // b)
@@ -92,12 +99,16 @@ def omega_enumerate(curve: RamificationData, G: Divisor) -> List[LatticePoint]:
     j_mu = ceil((-i - s_mu)/m); the point survives iff the pole order at
     infinity, r*i + m*sum(j), is at most t.  That pole order gains
     exactly m over any m consecutive values of i, so the scan stops once
-    m consecutive candidates fail.
+    m consecutive candidates fail, after at most max(deg G, 0) + m + 1
+    of them; it is refused when that exceeds DEFAULT_BUDGET.
     """
     m, r = curve.m, curve.r
     s, t = G.s, G.t
     if len(s) != r:
         raise ValueError(f"divisor has {len(s)} finite coefficients, curve has r={r}")
+    work = max(G.degree, 0) + m + 1
+    if work > DEFAULT_BUDGET:
+        raise BudgetExceededError(f"{work} lattice candidates exceed budget {DEFAULT_BUDGET}")
     points = []
     i = -s[0]
     misses = 0

@@ -11,7 +11,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .rrlattice import Divisor, ceil_div, monomial_divisor, omega_enumerate
+from .rrlattice import (DEFAULT_BUDGET, BudgetExceededError, Divisor, ceil_div,
+                        monomial_divisor, omega_enumerate)
 
 
 class BadArityError(ValueError):
@@ -24,13 +25,6 @@ class NonPositiveCoordinateError(ValueError):
 
 class EmptyRiemannRochSpaceError(ValueError):
     pass
-
-
-class BudgetExceededError(ValueError):
-    pass
-
-
-DEFAULT_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,27 @@ from hypothesis import assume, given, settings, strategies as st
 from kummercodes.agcode import (BudgetExceededError, InconsistentDivisorError,
                                 LinearCode, PlaceInSupportError, brute_force_distance,
                                 build_cl, build_comega, designed_distance,
-                                duality_holds, evaluation_matrix, evaluation_places,
-                                in_support)
+                                evaluation_matrix, evaluation_places, in_support)
 from kummercodes.curve import KummerCurve, Place
 from kummercodes.gf import FiniteField, Matrix
 from kummercodes.rrlattice import Divisor, dimension, omega_enumerate
 from kummercodes.verify import (curve_example_1, curve_example_2, curve_example_4,
                                 curve_hermitian_gf4)
-from kummercodes.weierstrass import BadArityError, GapBox, PlaceTuple, floor_divisor
+from kummercodes.weierstrass import (BadArityError, GapBox, PlaceTuple, floor_divisor,
+                                     floor_via_gcd)
 from test_curve import f_at
+from test_gf import oracle_dot
 
 
 def herm():
     return curve_hermitian_gf4()
+
+
+def orthogonal(cl, co):
+    """Every row of one generator is orthogonal to every row of the other,
+    by scalar dot products independent of the matrix kernel."""
+    return all(oracle_dot(cl.field, u, v) == 0
+               for u in cl.generator.rows for v in co.generator.rows)
 
 
 def test_in_support():
@@ -213,7 +221,7 @@ def test_comega_duality_and_dimensions():
     cl = build_cl(c, G, D)
     co = build_comega(c, G, D)
     assert cl.k + co.k == cl.n
-    assert duality_holds(cl, co)
+    assert orthogonal(cl, co)
     # dimension law: k_omega = n + g - 1 - deg(G)
     assert co.k == cl.n + c.g - 1 - G.degree
     assert ("goppa_omega", G.degree - (2 * c.g - 2)) in co.bounds
@@ -280,7 +288,7 @@ def full_rank_codes(draw):
     rank, red, _ = Matrix(F, rows, n).rref()
     assume(rank == k)
     gen = red if draw(st.booleans()) else Matrix(F, rows, n)
-    return LinearCode(Matrix(F, gen.rows[:k], n), n, k)
+    return LinearCode(Matrix(F, gen.rows[:k], n))
 
 
 @settings(max_examples=120, deadline=None)
@@ -355,7 +363,7 @@ def test_export_text_format():
     assert lines[0] == f"{code.n} {code.k} 4"
     assert len(lines) == 1 + code.k
     parsed = [[int(v) for v in row.split()] for row in lines[1:]]
-    assert Matrix(c.field, parsed) == code.generator
+    assert parsed == code.generator.rows
 
 
 PROPERTY_FIELDS = [
@@ -402,4 +410,10 @@ def test_random_curve_code_properties(case):
     assert evaluation_matrix(c, G, D).rref()[0] == dimension(c, G)
     cl, co = build_cl(c, G, D), build_comega(c, G, D)
     assert cl.k + co.k == len(D)
-    assert duality_holds(cl, co)
+    assert orthogonal(cl, co)
+    if dimension(c, G) > 0:
+        assert floor_divisor(c, G) == floor_via_gcd(c, G)
+    for code in (cl, co):
+        if code.k and c.field.q ** code.k <= 4096:
+            d = brute_force_distance(code)
+            assert all(d >= value for _, value in code.bounds)

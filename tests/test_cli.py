@@ -177,6 +177,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert code == 2
     assert "config error" in err
 
+    # A seed picks n places, so without n= it is refused, not ignored.
+    seed_only = write_cfg(tmp_path, divisor="0,0,5")
+    with open(seed_only, "a", encoding="utf-8") as fh:
+        fh.write("seed = 3\n")
+    for cmd, extra in (("build-code", ()), ("check-distance", ()),
+                       ("build-code", ("--seed", "3"))):
+        code, out, err = run_cli(capsys, cmd, "--config", seed_only, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:") and "n=" in err and err.count("\n") == 1
+
 
 def test_unwritable_out_is_a_config_error(tmp_path, capsys):
     # --out into a missing directory, or onto a directory, exits 2 with one line.
@@ -251,6 +261,15 @@ def test_gap_searches_refuse_over_budget(tmp_path, capsys):
     path.write_text(text)
     code, _, err = run_cli(capsys, "box-search", "--config", str(path))
     assert code == 1 and "exceed budget 9999" in err
+
+
+def test_lattice_scan_refuses_over_budget(tmp_path, capsys):
+    # deg G = 10^9 would mean about 10^9 lattice candidates: refused before the scan.
+    cfg = write_cfg(tmp_path, divisor="0,0,1000000000")
+    for cmd in ("dim", "rr-basis", "floor"):
+        code, out, err = run_cli(capsys, cmd, "--config", cfg)
+        assert (code, out) == (1, "")
+        assert err == "error: 1000000004 lattice candidates exceed budget 16777216\n"
 
 
 def test_verify_example_exit_codes(capsys):
@@ -365,6 +384,10 @@ GOLDEN_BUILD_CODE = [
      "abf39ae243849dfdd3f7ca6d1c8c69ae0b6158a0258e058060a8378817d20a06"),
     ("lambda2", LAMBDA_2_CFG, "omega",
      "c8ab87d2505aa5eb7f1bae4df59b8b5424a8876c64f3a88ae2f0600a6875c598"),
+    # ell(G) = 0: the evaluation matrix has no rows and C_Omega is the
+    # whole space, an 8 x 8 identity.  Pinned from the C_L-then-dual route.
+    ("ell0", HERM_CFG.format(divisor="0,0,-1", places="P1", coords="1", bound="6"), "omega",
+     "7b59fe93f6e5614623d784734fba5024decf57ddbdf1519a810d0ef606146903"),
 ]
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from kummercodes.agcode import PlaceInSupportError, evaluation_matrix
 from kummercodes.curve import KummerCurve, Place
-from kummercodes.rrlattice import (Divisor, RamificationData, ceil_div, dimension,
+from kummercodes.rrlattice import (DEFAULT_BUDGET, BudgetExceededError, Divisor,
+                                   RamificationData, ceil_div, dimension,
                                    monomial_divisor, omega_enumerate)
 from kummercodes.verify import (curve_example_1, curve_example_2,
                                 curve_example_4, curve_hermitian_gf4)
@@ -39,6 +40,19 @@ def test_negative_degree_is_empty():
     c = curve_hermitian_gf4()
     assert dimension(c, Divisor((-1, 0), 0)) == 0
     assert dimension(c, Divisor((0, 0), -1)) == 0
+
+
+def test_scan_refused_over_budget():
+    # The scan visits at most max(deg G, 0) + m + 1 candidates; one over the
+    # budget is refused before any is tried.
+    prof = RamificationData(3, 2)
+    over = Divisor((0, 0), DEFAULT_BUDGET - 3)
+    with pytest.raises(BudgetExceededError,
+                       match=f"^{DEFAULT_BUDGET + 1} lattice candidates exceed budget "):
+        omega_enumerate(prof, over)
+    assert omega_enumerate(prof, Divisor((0, 0), -10 ** 12)) == []
+    # minus the divisor of z^i (x - alpha_2)^j with i = -3 * 10^11, j = 10^11: principal
+    assert dimension(prof, Divisor((3 * 10 ** 11, 0), -3 * 10 ** 11)) == 1
 
 
 def test_example1_45pinf():
