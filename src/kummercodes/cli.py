@@ -74,6 +74,8 @@ def build_curve(cp: ConfigParser) -> KummerCurve:
         lam = _int(sec["lambda"])
     except KeyError as exc:
         raise ConfigError(f"[curve] missing key {exc}") from exc
+    if "roots" in sec and "f" in sec:
+        raise ConfigError("[curve] takes roots= or f=, not both")
     if "roots" in sec:
         roots: Sequence[int] = _ints(sec["roots"])
     elif "f" in sec:
@@ -167,7 +169,7 @@ def cmd_rr_basis(curve: KummerCurve, args, cp) -> int:
     for pt in omega_enumerate(curve, G):
         left = " ".join(str(v) for v in (pt.i,) + pt.j)
         rows.append(f"{left} | {-monomial_divisor(curve, pt)}")
-    _emit(args.out, "\n".join(rows) + "\n")
+    _emit(args.out, "\n".join(rows) + ("\n" if rows else ""))
     return 0
 
 

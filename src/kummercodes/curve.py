@@ -124,7 +124,7 @@ class KummerCurve(RamificationData):
         d = math.gcd(self.m, order)
         period = order // d
         inv_m = pow(self.m // d, -1, period)
-        xs = sorted(set(F.elements()).difference(self.roots))
+        xs = sorted(set(range(F.q)).difference(self.roots))
         log_f = [0] * len(xs)
         for alpha in self.roots:
             diffs = map(F.add, xs, repeat(F.neg(alpha)))

@@ -7,16 +7,18 @@ irreducible modulus.  This integer form is the "codec integer" used in
 every file format, so encode/decode are near-trivial and round-trip by
 construction.
 
-Multiplication, inversion, negation and powers use discrete log tables
-built once per field from a primitive element; the exp table is doubled,
-so a sum of two logs indexes it directly.  Addition is XOR for p = 2, a
-q x q table for odd q <= 256 and digitwise otherwise.  Row reduction
-and the null space scale and add whole rows through these tables, with
-no method call per entry.  The supported range is q <= 2^16.
+Multiplication and negation use discrete log tables built once per field.
+The generator is the first element, in codec order, whose powers reach
+every nonzero element; the walk over its powers is the exp table, doubled
+so that a sum of two logs indexes it directly.  Addition is XOR for
+p = 2, a q x q table for odd q <= 256 and digitwise otherwise.  Row
+reduction and the null space scale and add whole rows through these
+tables, with no method call per entry.  The supported range is q <= 2^16.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -36,22 +38,7 @@ MAX_Q = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == [n]
-
-
-def prime_factors(n: int) -> List[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # -- polynomial helpers over GF(p), coefficients low-degree first --------
@@ -77,25 +64,19 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int)
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_divmod(prod, mod, p)[1]
+    return _poly_mod(prod, mod, p)
 
 
-def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[List[int], List[int]]:
-    rem = list(a)
-    _poly_trim(rem)
-    div = _poly_trim(list(b))
-    if not div:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(div[-1], p - 2, p)
-    quot = [0] * max(0, len(rem) - len(div) + 1)
-    while len(rem) >= len(div):
-        shift = len(rem) - len(div)
-        c = rem[-1] * inv_lead % p
-        quot[shift] = c
-        for i, di in enumerate(div):
+def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> List[int]:
+    """The remainder of a on division by the monic polynomial mod."""
+    rem = _poly_trim(list(a))
+    while len(rem) >= len(mod):
+        shift = len(rem) - len(mod)
+        c = rem[-1]
+        for i, di in enumerate(mod):
             rem[shift + i] = (rem[shift + i] - c * di) % p
         _poly_trim(rem)
-    return quot, rem
+    return rem
 
 
 def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
@@ -106,7 +87,7 @@ def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
     for deg in range(1, e // 2 + 1):
         for code in range(p ** deg):
             trial = _digits(code, p, deg) + [1]
-            if not _poly_divmod(mod, trial, p)[1]:
+            if not _poly_mod(mod, trial, p):
                 return False
     return True
 
@@ -164,14 +145,19 @@ class FiniteField:
                     a ^= mod_int
             return acc
 
-        gen = self._find_generator(raw_mul)
-        exp = [0] * (q - 1)
+        # c is primitive exactly when its powers first return to 1 after
+        # q - 1 steps; the first such c is the generator, and its walk the
+        # exp table.  c = 1 passes only for q = 2.
+        for gen in range(1, q):
+            exp, v = [1], gen
+            while v != 1:
+                exp.append(v)
+                v = raw_mul(v, gen)
+            if len(exp) == q - 1:
+                break
         log = [0] * q
-        v = 1
-        for i in range(q - 1):
-            exp[i] = v
+        for i, v in enumerate(exp):
             log[v] = i
-            v = raw_mul(v, gen)
         self.generator = gen
         self._exp = exp + exp
         self._log = log
@@ -188,25 +174,6 @@ class FiniteField:
                          for hi_row in table for lo_row in digit]
             self._add_table = table
 
-    def _find_generator(self, raw_mul) -> int:
-        q = self.q
-        factors = prime_factors(q - 1)
-
-        def raw_pow(a: int, n: int) -> int:
-            acc, base = 1, a
-            while n:
-                if n & 1:
-                    acc = raw_mul(acc, base)
-                base = raw_mul(base, base)
-                n >>= 1
-            return acc
-
-        # c = 1 passes only for q = 2, where q - 1 has no prime factors.
-        for c in range(1, q):
-            if all(raw_pow(c, (q - 1) // f) != 1 for f in factors):
-                return c
-        raise AssertionError("no primitive element found")  # pragma: no cover
-
     # -- codec ----------------------------------------------------------
 
     def _encode(self, coeffs: Iterable[int]) -> int:
@@ -215,17 +182,10 @@ class FiniteField:
             a = a * self.p + c
         return a
 
-    def coeffs(self, a: int) -> Tuple[int, ...]:
-        """Polynomial-basis coefficients of a, low degree first, length e."""
-        return tuple(_digits(self.check(a), self.p, self.e))
-
     def check(self, a: int) -> int:
         if not 0 <= a < self.q:
             raise ValueError(f"{a} is not an element code of GF({self.q})")
         return a
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -257,21 +217,6 @@ class FiniteField:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._exp[self.q - 1 - self._log[a]]
-
-    def pow(self, a: int, n: int) -> int:
-        """a^n for any integer n; negative n uses the inverse."""
-        if a == 0:
-            if n > 0:
-                return 0
-            if n == 0:
-                return 1
-            raise ZeroDivisionError("0 to a negative power")
-        return self._exp[self._log[a] * n % (self.q - 1)]
 
     def log(self, a: int) -> int:
         """The discrete log of a nonzero a to the base self.generator, in [0, q-1)."""

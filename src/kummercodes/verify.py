@@ -19,7 +19,6 @@ from .weierstrass import (GapBox, PlaceTuple, box_bound_value, box_search,
 
 # Pinned moduli (low-degree-first base-p digits); all verified irreducible
 # at field construction time.
-GF4 = (2, 2, (1, 1, 1))            # x^2 + x + 1
 GF25 = (5, 2, (2, 0, 1))           # x^2 + 2
 GF81 = (3, 4, (2, 1, 0, 0, 1))     # x^4 + x + 2
 GF64 = (2, 6, (1, 1, 0, 0, 0, 0, 1))  # x^6 + x + 1
@@ -44,13 +43,6 @@ def curve_example_4() -> KummerCurve:
     F = FiniteField(*GF64)
     roots = find_roots(F, [0, 1, 1, 0, 1])
     return KummerCurve(F, 9, 1, roots)
-
-
-def curve_hermitian_gf4() -> KummerCurve:
-    """y^3 = x^2 + x over GF(4): the smallest Hermitian curve, g=1."""
-    F = FiniteField(*GF4)
-    roots = find_roots(F, [0, 1, 1])
-    return KummerCurve(F, 3, 1, roots)
 
 
 class Report:

@@ -23,12 +23,12 @@ from kummercodes.agcode import (brute_force_distance, build_cl, build_comega,
 from kummercodes.cli import main
 from kummercodes.rrlattice import (Divisor, RamificationData, dimension,
                                    omega_enumerate)
-from kummercodes.verify import (curve_example_1, curve_example_2,
-                                curve_example_4, curve_hermitian_gf4)
+from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
 from kummercodes.weierstrass import (GapBox, PlaceTuple, box_bound_value,
                                      floor_divisor, floor_via_gcd, pure_gap,
                                      semigroup_member)
 from test_agcode import orthogonal
+from test_curve import curve_hermitian_gf4
 
 PROFILES = [(3, 2), (5, 9), (6, 5), (9, 4)]
 

@@ -16,12 +16,11 @@ from kummercodes.agcode import (BudgetExceededError, InconsistentDivisorError,
 from kummercodes.curve import KummerCurve, Place
 from kummercodes.gf import FiniteField, Matrix
 from kummercodes.rrlattice import Divisor, dimension, omega_enumerate
-from kummercodes.verify import (curve_example_1, curve_example_2, curve_example_4,
-                                curve_hermitian_gf4)
+from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
 from kummercodes.weierstrass import (BadArityError, GapBox, PlaceTuple, floor_divisor,
                                      floor_via_gcd)
-from test_curve import f_at
-from test_gf import oracle_dot
+from test_curve import curve_hermitian_gf4, f_at
+from test_gf import oracle_dot, power
 
 
 def herm():
@@ -102,11 +101,11 @@ def evaluate_monomial(curve, pt, place):
     i, js = pt.i, pt.j
 
     if place.kind == "affine":
-        z0 = F.mul(F.pow(place.y, curve.A), F.pow(f_at(curve, place.x), curve.B))
-        val = F.pow(z0, i)
+        z0 = F.mul(power(F, place.y, curve.A), power(F, f_at(curve, place.x), curve.B))
+        val = power(F, z0, i)
         for j, alpha in zip(js, roots[1:]):
             if j:
-                val = F.mul(val, F.pow(F.sub(place.x, alpha), j))
+                val = F.mul(val, power(F, F.sub(place.x, alpha), j))
         return val
 
     if place.kind == "ramified":
@@ -120,7 +119,7 @@ def evaluate_monomial(curve, pt, place):
             val = 1
             for j, alpha in zip(js, roots[1:]):
                 if j:
-                    val = F.mul(val, F.pow(F.sub(roots[0], alpha), j))
+                    val = F.mul(val, power(F, F.sub(roots[0], alpha), j))
             return val
         w = i + m * js[mu - 2]
         if w < 0:
@@ -129,13 +128,13 @@ def evaluate_monomial(curve, pt, place):
             return 0
         jmu = js[mu - 2]
         alpha_mu = roots[mu - 1]
-        val = F.pow(F.sub(alpha_mu, roots[0]), -jmu)
+        val = power(F, F.sub(alpha_mu, roots[0]), -jmu)
         for nu in range(2, curve.r + 1):
             if nu == mu:
                 continue
             exp = js[nu - 2] - jmu
             if exp:
-                val = F.mul(val, F.pow(F.sub(alpha_mu, roots[nu - 1]), exp))
+                val = F.mul(val, power(F, F.sub(alpha_mu, roots[nu - 1]), exp))
         return val
 
     if place.kind == "infinity":
@@ -242,16 +241,20 @@ def test_column_permutation_invariance():
 
 
 def naive_distance(code):
-    """Minimum weight over all q^k - 1 nonzero messages, with no normalisation."""
+    """Minimum weight over all q^k - 1 nonzero messages, with no normalisation.
+    Each row's q scalar multiples are formed once; a codeword is the F.add
+    sum of the chosen multiples."""
     F = code.field
+    multiples = [[[F.mul(c, v) for v in row] for c in range(F.q)]
+                 for row in code.generator.rows]
     best = None
     for msg in itertools.product(range(F.q), repeat=code.k):
         if not any(msg):
             continue
         cw = [0] * code.n
-        for mi, row in zip(msg, code.generator.rows):
-            for idx, v in enumerate(row):
-                cw[idx] = F.add(cw[idx], F.mul(mi, v))
+        for mi, row_multiples in zip(msg, multiples):
+            if mi:
+                cw = list(map(F.add, cw, row_multiples[mi]))
         w = sum(1 for v in cw if v)
         best = w if best is None else min(best, w)
     return best

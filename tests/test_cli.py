@@ -86,6 +86,10 @@ def test_rr_basis_format(tmp_path, capsys):
         assert orders[0] == -i
         assert orders[-1] == 2 * i + 3 * sum(int(v) for v in js)
 
+    # ell(-P_inf) = 0: no rows, so no output at all, as pure-gaps with no hits
+    code, out, _ = run_cli(capsys, "rr-basis", "--config", write_cfg(tmp_path, divisor="0,0,-1"))
+    assert (code, out) == (0, "")
+
 
 def test_semigroup_and_pure_gaps(tmp_path, capsys):
     cfg = write_cfg(tmp_path, places="P1", coords="1")
@@ -176,6 +180,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "pure-gaps", "--config", bad_bound.as_posix())
     assert code == 2
     assert "config error" in err
+
+    # roots= and f= both define the curve, so together they are refused.
+    both = tmp_path / "both.ini"
+    both.write_text(HERM_CFG.replace("f = 0,1,1", "f = 0,1,1\nroots = 0").format(
+        divisor="0,0,3", places="P1", coords="1", bound="6"))
+    code, out, err = run_cli(capsys, "curve-info", "--config", both.as_posix())
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "roots=" in err and "f=" in err
 
     # A seed picks n places, so without n= it is refused, not ignored.
     seed_only = write_cfg(tmp_path, divisor="0,0,5")

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummercodes.rrlattice import Divisor, RamificationData, ceil_div, dimension
-from kummercodes.verify import (curve_example_1, curve_example_2,
-                                curve_example_4, curve_hermitian_gf4)
+from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
 from kummercodes.weierstrass import (BadArityError, BudgetExceededError,
                                      EmptyRiemannRochSpaceError,
                                      GapBox, NonPositiveCoordinateError,
@@ -19,6 +18,7 @@ from kummercodes.weierstrass import (BadArityError, BudgetExceededError,
                                      floor_via_gcd, one_point_gaps, pure_gap,
                                      pure_gaps, semigroup_member)
 from test_acceptance import PROFILES
+from test_curve import curve_hermitian_gf4
 
 
 def test_place_tuple_validation():
