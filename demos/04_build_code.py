@@ -27,7 +27,8 @@ G4 = Divisor((0, 0), 3)
 D4 = evaluation_places(herm, G4)
 cl = build_cl(herm, G4, D4)
 co = build_comega(herm, G4, D4)
+# build_cl and build_comega attach their Goppa bounds to code.bounds.
 print(f"  C_L      [{cl.n}, {cl.k}] exact d = {brute_force_distance(cl)}"
-      f"  (Goppa bound {cl.n - G4.degree})")
+      f"  (Goppa bound {dict(cl.bounds)['goppa_L']})")
 print(f"  C_Omega  [{co.n}, {co.k}] exact d = {brute_force_distance(co)}"
-      f"  (Goppa bound {G4.degree - (2 * herm.g - 2)})")
+      f"  (Goppa bound {dict(co.bounds)['goppa_omega']})")

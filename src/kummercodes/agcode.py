@@ -211,8 +211,8 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
     if k == 0:
         return None
     total = q ** k
-    if total - 1 > budget:
-        raise BudgetExceededError(f"{total - 1} codewords exceed budget {budget}")
+    if total - 1 > budget:  # q^k can pass the int-to-str digit limit, so print it as a power
+        raise BudgetExceededError(f"{q}^{k} - 1 codewords exceed budget {budget}")
     n = code.n
     rows = code.generator.rows
     if F.p == 2:

@@ -274,13 +274,17 @@ COMMANDS = {
 }
 
 
+def _example_range() -> str:
+    return f"{min(verify.EXAMPLES)}-{max(verify.EXAMPLES)}"
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kummer-codes",
         description="Multi-point algebraic-geometric codes over Kummer extensions")
     ap.add_argument("command", choices=sorted(COMMANDS) + ["verify-example"])
     ap.add_argument("example", nargs="?", type=int,
-                    help="example number for verify-example (1-4)")
+                    help=f"example number for verify-example ({_example_range()})")
     ap.add_argument("--config", help="path to the job config file")
     ap.add_argument("--out", help="write primary output to this file")
     ap.add_argument("--budget", type=int, help="work budget for exhaustive searches")
@@ -292,8 +296,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     verify_job = args.command == "verify-example"
-    if verify_job and args.example not in (1, 2, 3, 4):
-        print("verify-example needs a number in 1-4", file=sys.stderr)
+    if verify_job and args.example not in verify.EXAMPLES:
+        print(f"verify-example needs a number in {_example_range()}", file=sys.stderr)
         return 2
     if not verify_job and not args.config:
         print("this command needs --config", file=sys.stderr)

@@ -1,206 +1,165 @@
-"""Canned reproduction checks for the four reference code constructions.
+"""Reproduction checks for the four reference code constructions.
 
-Each verify_example_N returns a Report of PASS/FAIL lines;
-verify_example(N) gives (all_passed, lines) and the CLI prints the lines
-verbatim.  Everything here is deterministic, so two runs emit
-byte-identical output.
+EXAMPLES holds each construction and every value claimed for it;
+verify_example(N) checks row N's claims in a fixed order and gives
+(all_passed, PASS/FAIL lines), which are deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from math import gcd
+from typing import Dict, List, Optional, Tuple
 
-from .agcode import LinearCode, build_comega, designed_distance, evaluation_places
+from .agcode import build_comega, designed_distance, evaluation_places
 from .curve import GcdViolationError, KummerCurve, find_roots
 from .gf import FiniteField
 from .rrlattice import Divisor, RamificationData, monomial_divisor, omega_enumerate
-from .weierstrass import (GapBox, PlaceTuple, box_bound_value, box_search,
-                          floor_divisor, pure_gap)
+from .weierstrass import GapBox, PlaceTuple, box_bound_value, box_search, floor_divisor, pure_gap
 
-# Pinned moduli (low-degree-first base-p digits); all verified irreducible
-# at field construction time.
+# Pinned moduli, low-degree-first base-p digits; FiniteField checks irreducibility.
 GF25 = (5, 2, (2, 0, 1))           # x^2 + 2
 GF81 = (3, 4, (2, 1, 0, 0, 1))     # x^4 + x + 2
 GF64 = (2, 6, (1, 1, 0, 0, 0, 0, 1))  # x^6 + x + 1
 
-
-def curve_example_1() -> KummerCurve:
-    """y^5 = x^9 + x over GF(81): quotient of the Hermitian curve, g=16."""
-    F = FiniteField(*GF81)
-    roots = find_roots(F, [0, 1] + [0] * 7 + [1])
-    return KummerCurve(F, 5, 1, roots)
+Coords = Tuple[int, ...]
+DivisorSpec = Tuple[Dict[int, int], int]  # Divisor.make's finite coefficients, then t
 
 
-def curve_example_2() -> KummerCurve:
-    """y^6 = x^5 + x over GF(25): the Hermitian curve for q=5, g=10."""
-    F = FiniteField(*GF25)
-    roots = find_roots(F, [0, 1, 0, 0, 0, 1])
-    return KummerCurve(F, 6, 1, roots)
+@dataclass(frozen=True)
+class Example:
+    """A curve y^m = f(x)^lam over GF(p^e) and its claims (None: not claimed).
+    A `profile` (m, r) marks a curve that violates gcd(m, r*lam) = 1: it must
+    be rejected, and the other claims are read on the bare profile."""
+
+    gf: Tuple[int, int, Coords]         # p, e, modulus
+    f: Coords                           # coefficients of f(x), low degree first
+    m: int
+    lam: int
+    genus: int
+    distance: int                       # designed distance of C_Omega
+    code: Tuple[int, int]               # [n, k] of C_Omega; for a profile, the dimension law
+    places: Optional[int] = None        # number of rational places
+    f_text: Optional[str] = None        # f(x) as the NOTE on a rejected curve prints it
+    profile: Optional[Tuple[int, int]] = None
+    verdicts: Optional[Dict[Coords, bool]] = None  # pure gap or not, at box.places
+    box: Optional[GapBox] = None        # the best box that box_search finds
+    published_box: Optional[GapBox] = None  # a box claimed to hold only pure gaps
+    refutation: Optional[str] = None    # NOTE printed when published_box fails
+    G: Optional[DivisorSpec] = None     # the divisor the box induces
+    H: Optional[DivisorSpec] = None     # G = H + floor(H)
+    basis: Optional[Tuple[Coords, ...]] = None  # pole orders (s_1..s_r, t) of L(H)'s basis
+    floor: Optional[DivisorSpec] = None
+
+    def curve(self) -> KummerCurve:
+        """The curve itself; GcdViolationError when it is rejected."""
+        F = FiniteField(*self.gf)
+        return KummerCurve(F, self.m, self.lam, find_roots(F, self.f))
 
 
-def curve_example_4() -> KummerCurve:
-    """y^9 = x^4 + x^2 + x over GF(64): maximal curve with g=12."""
-    F = FiniteField(*GF64)
-    roots = find_roots(F, [0, 1, 1, 0, 1])
-    return KummerCurve(F, 9, 1, roots)
+EXAMPLES: Dict[int, Example] = {
+    1: Example(GF81, (0, 1, 0, 0, 0, 0, 0, 0, 0, 1), m=5, lam=1, genus=16, places=370,
+               verdicts={(26, 1): True, (27, 1): False},
+               box=GapBox(PlaceTuple(1, include_infinity=True), (26, 1), (0, 0)),
+               G=({1: 51}, 1), distance=24, code=(368, 331)),
+    2: Example(GF25, (0, 1, 0, 0, 0, 1), m=6, lam=1, genus=10, places=126,
+               verdicts={(13, 1): True, (14, 1): True},
+               box=GapBox(PlaceTuple(2), (13, 1), (1, 0)),
+               G=({1: 26, 2: 1}, 0), distance=12, code=(124, 106)),
+    3: Example(GF25, (0, 4, 0, 0, 0, 1), m=6, lam=4, f_text="x^5-x", profile=(6, 5), genus=10,
+               published_box=GapBox(PlaceTuple(2, include_infinity=True), (8, 1, 1), (1, 0, 2)),
+               refutation="the published box overreaches: the corner (9,1,3) satisfies both "
+                          "defining inequalities with equality, and the dimension count "
+                          "confirms it is not a pure gap",
+               G=({1: 16, 2: 1}, 3), distance=8, code=(123, 112)),
+    4: Example(GF64, (0, 1, 1, 0, 1), m=9, lam=1, genus=12, places=257,
+               H=({1: 14, 2: 1}, 4),
+               basis=((14, -4, -4, -4, -2), (13, -5, -5, -5, 2), (9, 0, 0, 0, -9),
+                      (8, -1, -1, -1, -5), (7, -2, -2, -2, -1), (6, -3, -3, -3, 3),
+                      (0, 0, 0, 0, 0), (-1, -1, -1, -1, 4)),
+               floor=({1: 14}, 4), distance=16, code=(254, 228)),
+}
+
+curve_example_1 = EXAMPLES[1].curve  # y^5 = x^9 + x over GF(81): quotient of the Hermitian curve
+curve_example_2 = EXAMPLES[2].curve  # y^6 = x^5 + x over GF(25): the Hermitian curve for q = 5
+curve_example_4 = EXAMPLES[4].curve  # y^9 = x^4 + x^2 + x over GF(64): a maximal curve
 
 
-class Report:
-    """PASS/FAIL lines in order, and whether every check passed."""
-
-    def __init__(self):
-        self.lines: List[str] = []
-        self.ok = True
-
-    def check(self, label: str, ok: bool, detail: str = "") -> None:
-        suffix = f": {detail}" if detail else ""
-        self.lines.append(f"{'PASS' if ok else 'FAIL'} {label}{suffix}")
-        self.ok = self.ok and ok
-
-
-def _point(coords: Tuple[int, ...]) -> str:
+def _point(coords: Coords) -> str:
     return "(" + ",".join(map(str, coords)) + ")"
 
 
-def _curve_claims(rep: Report, curve: KummerCurve, genus: int, n_places: int) -> None:
-    rep.check("genus", curve.g == genus, f"g={curve.g}")
-    n = curve.num_places()
-    rep.check("rational places", n == n_places, f"N={n}")
-
-
-def _box_claims(rep: Report, curve: KummerCurve, places: PlaceTuple,
-                verdicts: Dict[Tuple[int, ...], bool], base: Tuple[int, ...],
-                widths: Tuple[int, ...], G: Divisor) -> Tuple[GapBox, Divisor]:
-    """Pure-gap verdicts at a few points, then the box search and its G.
-
-    The label names the claimed pure gaps; the detail lists the verdicts,
-    each beside its point when some point is claimed not to be one.
-    """
-    got = {c: pure_gap(curve, places, c) for c in verdicts}
-    gaps = [_point(c) for c, v in verdicts.items() if v]
-    detail = (" ".join(f"{_point(c)}->{v}" for c, v in got.items())
-              if not all(verdicts.values()) else f"{list(got.values())}")
-    rep.check(f"pure gap{'s' * (len(gaps) > 1)} {','.join(gaps)}", got == verdicts, detail)
-    box, found = box_search(curve, places, 40)
-    rep.check("box search", (box.base, box.widths) == (base, widths),
-              f"base={box.base} widths={box.widths}")
-    rep.check("divisor G", found == G, f"G={found}")
-    return box, found
-
-
-def _code_claims(rep: Report, curve: KummerCurve, G: Divisor, method: str,
-                 distance: int, nk: Tuple[int, int], **bound_args) -> LinearCode:
-    """The designed distance of C_Omega by `method`, then its [n, k] on all
-    rational places outside supp(G)."""
-    bound = designed_distance(curve, G, method, **bound_args)
-    rep.check("designed distance", bound == distance, f"d_omega>={bound}")
-    code = build_comega(curve, G, evaluation_places(curve, G))
-    rep.check("code parameters", (code.n, code.k) == nk, f"[{code.n},{code.k}]")
-    return code
-
-
-def verify_example_1() -> Report:
-    rep, curve = Report(), curve_example_1()
-    _curve_claims(rep, curve, 16, 370)
-    box, G = _box_claims(rep, curve, PlaceTuple(1, include_infinity=True),
-                         {(26, 1): True, (27, 1): False}, (26, 1), (0, 0),
-                         Divisor.make(curve.r, {1: 51}, 1))
-    code = _code_claims(rep, curve, G, "pure_gap_box", 24, (368, 331), box=box)
-    rep.lines.append(f"INFO evaluation set: all {code.n} places outside supp(G)")
-    return rep
-
-
-def verify_example_2() -> Report:
-    rep, curve = Report(), curve_example_2()
-    _curve_claims(rep, curve, 10, 126)
-    box, G = _box_claims(rep, curve, PlaceTuple(2), {(13, 1): True, (14, 1): True},
-                         (13, 1), (1, 0), Divisor.make(curve.r, {1: 26, 2: 1}))
-    code = _code_claims(rep, curve, G, "pure_gap_box", 12, (124, 106), box=box)
-    rep.lines.append(f"INFO evaluation set: all {code.n} places outside supp(G), "
-                     "including the place at infinity")
-    return rep
-
-
-def verify_example_3() -> Report:
-    rep = Report()
-    rep.lines.append("NOTE the curve y^6=(x^5-x)^4 over GF(25) violates gcd(m, r*lambda)=1 "
-                     "(gcd(6,20)=2); only the (m,r)=(6,5) formula claims are checked and "
-                     "code construction is skipped")
-    F = FiniteField(*GF25)
-    roots = find_roots(F, [0, 4, 0, 0, 0, 1])  # x^5 - x
-    try:
-        KummerCurve(F, 6, 4, roots)
-        rejected = False
-    except GcdViolationError:
-        rejected = True
-    rep.check("curve rejected", rejected, "GcdViolation raised")
-
-    profile = RamificationData(6, 5)
-    rep.check("genus", profile.g == 10, f"g={profile.g}")
-
-    places = PlaceTuple(2, include_infinity=True)
-    box_pts = [(i, 1, k) for i in (8, 9) for k in (1, 2, 3)]
-    bad = sorted(c for c in box_pts if not pure_gap(profile, places, c))
-    rep.check("pure gap box {8..9}x{1}x{1..3}", not bad,
-              f"{len(box_pts) - len(bad)}/{len(box_pts)} tuples are pure gaps"
-              + (f"; failing: {bad}" if bad else ""))
-    if bad:
-        rep.lines.append("NOTE the published box overreaches: the corner (9,1,3) "
-                         "satisfies both defining inequalities with equality, and the "
-                         "dimension count confirms it is not a pure gap")
-
-    # Bound and dimension arithmetic for the published parameters, taken
-    # as formula checks on the claimed box shape.
-    box = GapBox(places, (8, 1, 1), (1, 0, 2))
-    G = box.induced_divisor(profile.r)
-    rep.check("divisor G", G == Divisor.make(profile.r, {1: 16, 2: 1}, 3), f"G={G}")
-    bound = box_bound_value(profile, box)
-    rep.check("designed distance", bound == 8, f"d_omega>={bound}")
-
-    n = 123
-    k_omega = n + profile.g - 1 - G.degree
-    rep.check("dimension formula", k_omega == 112, f"n={n} k_omega={k_omega}")
-    return rep
-
-
-def verify_example_4() -> Report:
-    rep, curve = Report(), curve_example_4()
-    _curve_claims(rep, curve, 12, 257)
-
-    H = Divisor.make(curve.r, {1: 14, 2: 1}, 4)
-    pts = omega_enumerate(curve, H)
-    rep.check("ell(H)", len(pts) == 8, f"ell={len(pts)}")
-
-    # Pole orders (s_1..s_r, t) of the basis monomials of L(H).
-    orders = {-monomial_divisor(curve, p) for p in pts}
-    expected = {Divisor(c[:-1], c[-1]) for c in (
-        (14, -4, -4, -4, -2),
-        (13, -5, -5, -5, 2),
-        (9, 0, 0, 0, -9),
-        (8, -1, -1, -1, -5),
-        (7, -2, -2, -2, -1),
-        (6, -3, -3, -3, 3),
-        (0, 0, 0, 0, 0),
-        (-1, -1, -1, -1, 4),
-    )}
-    rep.check("basis listing", orders == expected, f"{len(orders & expected)}/8 tuples match")
-
-    flo = floor_divisor(curve, H)
-    rep.check("floor", flo == Divisor.make(curve.r, {1: 14}, 4), f"floor={flo}")
-    _code_claims(rep, curve, H + flo, "floor_pair", 16, (254, 228), H=H)
-    return rep
-
-
-VERIFIERS = {
-    1: verify_example_1,
-    2: verify_example_2,
-    3: verify_example_3,
-    4: verify_example_4,
-}
-
-
 def verify_example(number: int) -> Tuple[bool, List[str]]:
-    if number not in VERIFIERS:
-        raise ValueError(f"no example {number}; choose from 1-4")
-    rep = VERIFIERS[number]()
-    return rep.ok, rep.lines
+    """Check the claims present in EXAMPLES[number], always in the same order."""
+    if number not in EXAMPLES:
+        raise ValueError(f"no example {number}; choose from {min(EXAMPLES)}-{max(EXAMPLES)}")
+    ex, lines = EXAMPLES[number], []
+
+    def check(label: str, ok: bool, detail: str) -> None:
+        lines.append(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
+
+    if ex.profile:
+        m, r = ex.profile
+        lines.append(f"NOTE the curve y^{m}=({ex.f_text})^{ex.lam} over GF({ex.gf[0] ** ex.gf[1]}) "
+                     f"violates gcd(m, r*lambda)=1 (gcd({m},{r * ex.lam})={gcd(m, r * ex.lam)}); "
+                     f"only the (m,r)=({m},{r}) formula claims are checked and code "
+                     "construction is skipped")
+        rejected = False
+        try:
+            ex.curve()
+        except GcdViolationError:
+            rejected = True
+        check("curve rejected", rejected, "GcdViolation raised")
+        curve = RamificationData(m, r)
+    else:
+        curve = ex.curve()
+    check("genus", curve.g == ex.genus, f"g={curve.g}")
+    if ex.places:
+        check("rational places", curve.num_places() == ex.places, f"N={curve.num_places()}")
+    if ex.verdicts:
+        got = {c: pure_gap(curve, ex.box.places, c) for c in ex.verdicts}
+        gaps = [_point(c) for c, v in ex.verdicts.items() if v]
+        detail = (" ".join(f"{_point(c)}->{v}" for c, v in got.items())
+                  if not all(ex.verdicts.values()) else f"{list(got.values())}")
+        check(f"pure gap{'s' * (len(gaps) > 1)} {','.join(gaps)}", got == ex.verdicts, detail)
+    if ex.published_box:
+        box = ex.published_box
+        pts = list(box.points())
+        bad = sorted(c for c in pts if not pure_gap(curve, box.places, c))
+        label = "x".join(f"{{{b}..{b + w}}}" if w else f"{{{b}}}"
+                         for b, w in zip(box.base, box.widths))
+        check(f"pure gap box {label}", not bad, f"{len(pts) - len(bad)}/{len(pts)} tuples are "
+              "pure gaps" + (f"; failing: {bad}" if bad else ""))
+        if bad:
+            lines.append(f"NOTE {ex.refutation}")
+        G = box.induced_divisor(curve.r)
+        bound = box_bound_value(curve, box)  # unvalidated: the box may hold non-gaps
+    if ex.box:
+        box, G = box_search(curve, ex.box.places, 40)
+        check("box search", box == ex.box, f"base={box.base} widths={box.widths}")
+        bound = designed_distance(curve, G, "pure_gap_box", box=box)
+    if ex.H:
+        H = Divisor.make(curve.r, *ex.H)
+        pts = omega_enumerate(curve, H)
+        check("ell(H)", len(pts) == len(ex.basis), f"ell={len(pts)}")
+        orders = {-monomial_divisor(curve, p) for p in pts}
+        expected = {Divisor(c[:-1], c[-1]) for c in ex.basis}
+        check("basis listing", orders == expected,
+              f"{len(orders & expected)}/{len(expected)} tuples match")
+        flo = floor_divisor(curve, H)
+        check("floor", flo == Divisor.make(curve.r, *ex.floor), f"floor={flo}")
+        G = H + flo
+        bound = designed_distance(curve, G, "floor_pair", H=H)
+    if ex.G:
+        check("divisor G", G == Divisor.make(curve.r, *ex.G), f"G={G}")
+    check("designed distance", bound == ex.distance, f"d_omega>={bound}")
+    if ex.profile:
+        n, k = ex.code[0], ex.code[0] + curve.g - 1 - G.degree
+        check("dimension formula", k == ex.code[1], f"n={n} k_omega={k}")
+    else:
+        code = build_comega(curve, G, evaluation_places(curve, G))
+        check("code parameters", (code.n, code.k) == ex.code, f"[{code.n},{code.k}]")
+        if ex.box:  # a box example names its evaluation set
+            lines.append(f"INFO evaluation set: all {code.n} places outside supp(G)"
+                         + (", including the place at infinity" if G.t == 0 else ""))
+    return not any(line.startswith("FAIL") for line in lines), lines

@@ -82,7 +82,7 @@ def _member_conditions(curve, ss: List[int], t: Optional[int]) -> List[int]:
 
     ss lists the coordinates at P_1..P_l; t is the coordinate at P_inf or
     None.  Places beyond l carry coefficient 0 and are folded into the
-    (r - l) ceiling term.  Every membership, gap and increment test reads these.
+    (r - l) ceiling term.  Every membership and gap test reads these.
     """
     m, r, a, b = curve.m, curve.r, curve.a, curve.b
     l = len(ss)
@@ -131,7 +131,8 @@ def pure_gaps(curve, places: PlaceTuple, bound: int,
     over the budget is refused before any test.  Pure gaps are symmetric in
     the finite coordinates (ell depends only on their multiset), so only
     nondecreasing finite parts are tested, and the hits' permutations are
-    sorted into product order.
+    sorted into product order.  The one-point scans are budgeted by
+    one_point_gaps.
     """
     places.validate(curve.r)
     limit = min(bound, 2 * curve.g - 1)
@@ -152,25 +153,21 @@ def pure_gaps(curve, places: PlaceTuple, bound: int,
 
 
 def one_point_gaps(curve, which: str, limit: int) -> List[int]:
-    """Sorted gap numbers (one-place pure gaps, all <= 2g - 1) at P_1 or P_inf up to `limit`."""
+    """Sorted gap numbers (one-place pure gaps, all <= 2g - 1) at P_1 or P_inf up to `limit`.
+
+    Each of the min(limit, 2g - 1) candidates is one test, so a scan over
+    DEFAULT_BUDGET is refused before it starts.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     places = {"P1": PlaceTuple(1), "Pinf": PlaceTuple(0, True)}.get(which)
     if places is None:
         raise ValueError(f"unknown place selector {which!r}")
-    return [s for s in range(1, min(limit, 2 * curve.g - 1) + 1)
-            if pure_gap(curve, places, (s,))]
-
-
-def increment_predicate(curve, G: Divisor, at: str) -> bool:
-    """Whether raising the coefficient at `at` ("P1" or "Pinf") raised ell.
-
-    True iff ell(G) = ell(G - P) + 1 for the named place: the membership
-    inequality of that place when all r finite places are selected.
-    """
-    if at not in ("P1", "Pinf"):
-        raise ValueError(f"unknown place selector {at!r}")
-    return _member_conditions(curve, list(G.s), G.t)[0 if at == "Pinf" else 1] <= 0
+    work = min(limit, 2 * curve.g - 1)
+    if work > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"{work} one-point gap candidates exceed budget {DEFAULT_BUDGET}")
+    return [s for s in range(1, work + 1) if pure_gap(curve, places, (s,))]
 
 
 def box_bound_value(curve, box: GapBox) -> int:

@@ -282,12 +282,15 @@ DISTANCE_FIELDS = [
 @st.composite
 def full_rank_codes(draw):
     """A full-rank k x n generator, k >= 1 and q^k <= 4096, in RREF or not.
-    Up to 70 coordinates, so a packed characteristic-2 word passes 64 bits."""
+    Up to 70 coordinates, so a packed characteristic-2 word passes 64 bits.
+    The entries come from one drawn seed, each 0 or 1 half the time and any
+    field element otherwise: drawing them one by one cost more than the oracle."""
     F = draw(st.sampled_from(DISTANCE_FIELDS))
     k = draw(st.integers(1, max(kk for kk in range(1, 7) if F.q ** kk <= 4096)))
     n = draw(st.integers(k, 70))
-    entry = st.one_of(st.sampled_from([0, 1]), st.integers(0, F.q - 1))
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = [[rng.randrange(2) if rng.random() < 0.5 else rng.randrange(F.q) for _ in range(n)]
+            for _ in range(k)]
     rank, red, _ = Matrix(F, rows, n).rref()
     assume(rank == k)
     gen = red if draw(st.booleans()) else Matrix(F, rows, n)
@@ -311,6 +314,17 @@ def test_brute_force_edge_cases():
     zero = build_comega(c, Divisor((0, 0), 0), D[:1])
     assert zero.k == 0
     assert brute_force_distance(zero) is None
+
+
+def test_brute_force_refuses_a_huge_code_by_its_power():
+    # 256^1929 - 1 has 4646 digits, past Python's int-to-str limit, so the
+    # refusal names the power: the [2000, 1929] C_Omega of the GF(256)
+    # Hermitian curve once failed to print its count.
+    F = DISTANCE_FIELDS[-1]
+    huge = LinearCode(Matrix(F, [[1]] * 1929))
+    with pytest.raises(BudgetExceededError,
+                       match=r"^256\^1929 - 1 codewords exceed budget 16777216$"):
+        brute_force_distance(huge)
 
 
 def test_singleton_bound():

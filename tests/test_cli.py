@@ -6,6 +6,7 @@ import configparser
 import hashlib
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,22 @@ def test_gap_searches_refuse_over_budget(tmp_path, capsys):
     path.write_text(text)
     code, _, err = run_cli(capsys, "box-search", "--config", str(path))
     assert code == 1 and "exceed budget 9999" in err
+
+
+def test_gap_axis_scan_refuses_over_budget(tmp_path, capsys):
+    # m = 10^9 + 7 puts 2g - 1 near 4 * 10^9, so bound = 10^8 asks for 10^8
+    # one-point tests per axis: refused before the scan, in well under a second.
+    path = tmp_path / "huge_m.ini"
+    path.write_text("\n".join([
+        "[field]", "p = 5", "e = 2", "modulus = 2,0,1",
+        "[curve]", "m = 1000000007", "lambda = 1", "f = 0,1,0,0,0,1",
+        "[job]", "places = P1,P2", "bound = 100000000", "budget = 1000", ""]))
+    for cmd in ("pure-gaps", "box-search"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, cmd, "--config", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: 100000000 one-point gap candidates exceed budget 16777216\n"
 
 
 def test_lattice_scan_refuses_over_budget(tmp_path, capsys):

@@ -12,9 +12,15 @@ from kummercodes.rrlattice import (DEFAULT_BUDGET, BudgetExceededError, Divisor,
                                    RamificationData, ceil_div, dimension,
                                    monomial_divisor, omega_enumerate)
 from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
-from kummercodes.weierstrass import increment_predicate
+from kummercodes.weierstrass import _member_conditions
 from test_curve import curve_hermitian_gf4, f_at
 from test_gf import power
+
+
+def increment_predicate(curve, G, at):
+    """Whether ell(G) = ell(G - P) + 1 for P = P_1 or P_inf: the membership
+    inequality of that place when all r finite places are selected."""
+    return _member_conditions(curve, list(G.s), G.t)[0 if at == "Pinf" else 1] <= 0
 
 
 def random_divisor(rng, r, lo=-6, hi=20):
