@@ -10,12 +10,12 @@ enumerator verifies them where the codebook is small enough.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
-from operator import mul, xor
+from functools import partial
+from operator import add, mul, sub, xor
 from typing import List, Optional, Sequence, Tuple
 
 from .curve import KummerCurve, Place
-from .gf import Matrix
+from .gf import Matrix, pack
 from .rrlattice import (DEFAULT_BUDGET, BudgetExceededError, Divisor, monomial_divisor,
                         omega_enumerate)
 from .weierstrass import GapBox, box_bound_value, floor_divisor, pure_gap
@@ -61,12 +61,11 @@ def evaluation_places(curve: KummerCurve, G: Divisor,
     return [pool[i] for i in sorted(chosen)]
 
 
-@dataclass
 class LinearCode:
     """[n, k] code over GF(q) given by a full-rank generator in RREF."""
 
-    generator: Matrix
-    bounds: List[Tuple[str, int]] = dc_field(default_factory=list)
+    def __init__(self, generator: Matrix, bounds: Sequence[Tuple[str, int]] = ()):
+        self.generator, self.bounds = generator, list(bounds)
 
     @property
     def field(self):
@@ -82,8 +81,9 @@ class LinearCode:
 
     def export_text(self) -> str:
         """Wire format: header `n k q`, then k rows of n codec integers."""
+        text = [str(v) for v in range(self.field.q)]
         lines = [f"{self.n} {self.k} {self.field.q}"]
-        lines.extend(" ".join(str(v) for v in row) for row in self.generator.rows)
+        lines.extend(" ".join(map(text.__getitem__, row)) for row in self.generator.rows)
         return "\n".join(lines) + "\n"
 
 
@@ -120,13 +120,26 @@ def evaluation_matrix(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -
     No basis monomial has a pole off supp(G), so the places must avoid it."""
     _check_evaluation_set(G, places)
     F = curve.field
+    order, exp = F.q - 1, F._exp
     logs = [_place_logs(curve, pl) for pl in places]
     # Only P_mu and P_inf can carry a coefficient of a monomial divisor.
     distinguished = [(col, pl) for col, pl in enumerate(places) if pl.kind != "affine"]
+    # acc holds <(i, j), L> at every place for the last lattice point.  The next
+    # point adds d_i * L[0] plus the change of <j, L>, formed once for each
+    # change of j (few occur: a unit step in i moves each j_mu by 0 or -1).
+    i_logs, j_steps = [L[0] for L in logs], {}
+    last_i, last_j, acc = 0, (0,) * (curve.r - 1), [0] * len(places)
     rows = []
     for pt in omega_enumerate(curve, G):
-        vec = (pt.i,) + pt.j
-        row = [F.exp(sum(map(mul, vec, L))) for L in logs]
+        if pt.i != last_i:
+            acc = list(map(add, acc, map((pt.i - last_i).__mul__, i_logs)))
+        if pt.j != last_j:
+            dj = tuple(map(sub, pt.j, last_j))
+            if dj not in j_steps:
+                j_steps[dj] = [sum(map(mul, dj, L[1:])) for L in logs]
+            acc = list(map(add, acc, j_steps[dj]))
+        last_i, last_j = pt.i, pt.j
+        row = [exp[x % order] for x in acc]
         div = monomial_divisor(curve, pt)
         for col, pl in distinguished:
             if coefficient_at(div, pl) > 0:
@@ -201,8 +214,8 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
     (q^k - 1)/(q - 1) messages whose first nonzero digit is 1 are visited:
     for each leading row, the rows below it run in codec order as a base-q
     odometer whose ticks add a precomputed delta row (next scalar multiple
-    minus the current one), O(n) per message; for p = 2 a word is one int of
-    e-bit cells, a tick one XOR.  The budget still counts all q^k - 1
+    minus the current one), O(n) per message; for p = 2 a word is one packed
+    int (gf.pack), a tick one XOR.  The budget still counts all q^k - 1
     codewords.  Returns None for the zero-dimensional code.
     """
     F = code.field
@@ -216,16 +229,13 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
     n = code.n
     rows = code.generator.rows
     if F.p == 2:
-        def pack(row):
-            return sum(v << F.e * j for j, v in enumerate(row))
-
-        def weight(cw):
+        def weight(cw):  # bits e..7 (or e..15) of every cell are zero
             folded = cw
             for shift in range(1, F.e):
                 folded |= cw >> shift
             return (folded & low_bits).bit_count()
 
-        step, low_bits = xor, pack([1] * n)  # bit 0 of every coordinate
+        step, encode, low_bits = xor, partial(pack, F), pack(F, [1] * n)  # bit 0 of each cell
     else:
         def step(cw, delta_row):
             return list(map(F.add, cw, delta_row))
@@ -233,13 +243,13 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
         def weight(cw):
             return n - cw.count(0)
 
-        pack = list
+        encode = list
     # delta[d][a]: row d scaled by decode((a+1) mod q) - decode(a).
     steps = [F.sub((a + 1) % q, a) for a in range(q)]
-    delta = [[pack([F.mul(s, v) for v in row]) for s in steps] for row in rows]
+    delta = [[encode([F.mul(s, v) for v in row]) for s in steps] for row in rows]
     best = n + 1
     for lead in range(k):
-        cw = pack(rows[lead])  # codec 1 is the field's one
+        cw = encode(rows[lead])  # codec 1 is the field's one
         digits = [0] * k
         for _ in range(q ** (k - 1 - lead)):
             best = min(best, weight(cw))

@@ -156,9 +156,11 @@ def cmd_curve_info(curve: KummerCurve, args, cp) -> int:
 
 
 def cmd_places(curve: KummerCurve, args, cp) -> int:
+    text = [str(v) for v in range(curve.field.q)]
     rows = ["kind,mu,x,y"]
-    for p in curve.places():
-        rows.append(f"{p.kind},{p.mu},{p.x},{p.y}")
+    for p in curve.places():  # nearly all affine, whose rows need no kind lookup
+        rows.append(f"affine,0,{text[p.x]},{text[p.y]}" if p.kind_rank == 2
+                    else f"{p.kind},{p.mu},{p.x},{p.y}")
     _emit(args.out, "\n".join(rows) + "\n")
     return 0
 

@@ -11,14 +11,20 @@ Multiplication and negation use discrete log tables built once per field.
 The generator is the first element, in codec order, whose powers reach
 every nonzero element; the walk over its powers is the exp table, doubled
 so that a sum of two logs indexes it directly.  Addition is XOR for
-p = 2, a q x q table for odd q <= 256 and digitwise otherwise.  Row
-reduction and the null space scale and add whole rows through these
-tables, with no method call per entry.  The supported range is q <= 2^16.
+p = 2, a q x q table for odd q <= 256 and digitwise otherwise.
+
+For p = 2, row reduction packs a row into one int of byte-aligned cells
+(8 bits for q <= 256, 16 above); a shift and a reduction of each cell's
+bit e - 1 multiply the whole row by x, so c times a row is one XOR of an
+x^k multiple per set bit of c.  For odd p, rows are scaled and added
+through the log and addition tables.  The supported range is q <= 2^16.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -163,6 +169,7 @@ class FiniteField:
         self._log = log
         # log(-1): -1 = g^((q-1)/2) for odd q, and -1 = 1 in characteristic 2.
         self._log_minus_one = (q - 1) // 2 if p != 2 else 0
+        self._cells = "B" if q <= 1 << 8 else "H"  # array typecode of a packed GF(2^e) entry
 
         self._add_table = None
         if p != 2 and q <= 1 << 8:
@@ -224,17 +231,10 @@ class FiniteField:
             raise ZeroDivisionError("log of 0")
         return self._log[a]
 
-    def exp(self, n: int) -> int:
-        """generator^n for any integer n."""
-        return self._exp[n % (self.q - 1)]
-
     def _axpy(self, dst: List[int], lc: int, terms: Sequence[Tuple[int, int]]) -> None:
-        """dst[j] += g^(lc + l) for every (j, l) in terms; lc and l in [0, q-1)."""
+        """dst[j] += g^(lc + l) for every (j, l) in terms; lc and l in [0, q-1); odd p."""
         exp = self._exp
-        if self.p == 2:
-            for j, l in terms:
-                dst[j] ^= exp[lc + l]
-        elif self._add_table is not None:
+        if self._add_table is not None:
             table = self._add_table
             for j, l in terms:
                 dst[j] = table[dst[j]][exp[lc + l]]
@@ -245,6 +245,32 @@ class FiniteField:
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
+
+
+def pack(F: FiniteField, row: Sequence[int]) -> int:
+    """A row over GF(2^e) as one int: entry j in the byte-aligned cell j."""
+    cells = array(F._cells, row)
+    if sys.byteorder == "big":
+        cells.byteswap()
+    return int.from_bytes(cells, "little")
+
+
+def unpack(F: FiniteField, packed: int, n: int) -> List[int]:
+    """The n entries of a packed row over GF(2^e)."""
+    cells = array(F._cells)
+    cells.frombytes(packed.to_bytes(n * cells.itemsize, "little"))
+    if sys.byteorder == "big":
+        cells.byteswap()
+    return cells.tolist()
+
+
+def _scaled(multiples: Sequence[int], c: int) -> int:
+    """c times the packed row whose x^k multiples are given: one XOR per set bit."""
+    acc = 0
+    for k, v in enumerate(multiples):
+        if c >> k & 1:
+            acc ^= v
+    return acc
 
 
 class Matrix:
@@ -268,6 +294,8 @@ class Matrix:
         so the result, and hence every derived basis, is deterministic.
         Returns (rank, rref matrix, pivot column list).
         """
+        if self.field.p == 2:
+            return self._rref_packed()
         F = self.field
         exp, log, order = F._exp, F._log, F.q - 1
         rows = [list(r) for r in self.rows]
@@ -293,20 +321,58 @@ class Matrix:
                 break
         return prow, Matrix(F, rows, self.ncols), pivots
 
+    def _rref_packed(self) -> Tuple[int, "Matrix", List[int]]:
+        """rref over GF(2^e) on packed rows (see the module docstring)."""
+        F, n, e = self.field, self.ncols, self.field.e
+        width, mask = 8 * array(F._cells).itemsize, F.q - 1
+        high = pack(F, [1] * n) << e - 1  # bit e - 1 of every cell
+        low_modulus = F._encode(F.modulus[:-1])  # x^e in the basis 1, x, .., x^(e-1)
+
+        def x_multiples(v: int) -> List[int]:  # v, x v, .., x^(e-1) v
+            out = [v]
+            for _ in range(e - 1):
+                hi = v & high
+                v = ((v ^ hi) << 1) ^ ((hi >> e - 1) * low_modulus)
+                out.append(v)
+            return out
+
+        rows = [pack(F, r) for r in self.rows]
+        pivots: List[int] = []
+        while len(pivots) < len(rows):
+            prow = len(pivots)
+            # Rows from prow on are zero left of the next pivot column, so
+            # that column is the lowest nonzero cell among them.
+            lead = [((v & -v).bit_length() - 1) // width if v else n for v in rows[prow:]]
+            col = min(lead)
+            if col == n:
+                break
+            sel = prow + lead.index(col)
+            rows[prow], rows[sel] = rows[sel], rows[prow]
+            shift = width * col
+            inv = F._exp[mask - F._log[rows[prow] >> shift & mask]]
+            multiples = x_multiples(_scaled(x_multiples(rows[prow]), inv))
+            rows[prow] = multiples[0]
+            for r, v in enumerate(rows):
+                c = v >> shift & mask
+                if c and r != prow:
+                    rows[r] = v ^ _scaled(multiples, c)  # row -= c * pivot
+            pivots.append(col)
+        return len(pivots), Matrix(F, [unpack(F, v, n) for v in rows], n), pivots
+
     def nullspace(self) -> "Matrix":
         """Basis of {v : M v^T = 0}, rows in reduced echelon order."""
-        F = self.field
+        F, n = self.field, self.ncols
         _, red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [0] * self.ncols
-            v[fc] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = F.neg(red.rows[i][fc])
-            basis.append(v)
-        return Matrix(F, basis, self.ncols)
+        neg = range(F.q) if F.p == 2 else [F.neg(a) for a in range(F.q)]
+        pivot_set, basis = set(pivots), []
+        for fc, column in enumerate(zip(*red.rows) if red.rows else [()] * n):
+            if fc not in pivot_set:
+                v = [0] * n
+                v[fc] = 1
+                for pc, a in zip(pivots, column):
+                    v[pc] = neg[a]
+                basis.append(v)
+        return Matrix(F, basis, n)
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"

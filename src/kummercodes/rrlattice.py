@@ -12,8 +12,7 @@ monomials at rational places lives in agcode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 
 class BudgetExceededError(ValueError):
@@ -47,8 +46,7 @@ class RamificationData:
         self.b = (1 - self.a * r) // m
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(NamedTuple):
     """Integer divisor s_1 P_1 + ... + s_r P_r + t P_inf."""
 
     s: Tuple[int, ...]
@@ -84,8 +82,7 @@ class Divisor:
         return " ".join(str(c) for c in self.s) + f" {self.t}"
 
 
-@dataclass(frozen=True)
-class LatticePoint:
+class LatticePoint(NamedTuple):
     """Exponent tuple of the monomial z^i prod (x-alpha_mu)^{j_mu}."""
 
     i: int

@@ -7,9 +7,8 @@ verify_example(N) checks row N's claims in a fixed order and gives
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .agcode import build_comega, designed_distance, evaluation_places
 from .curve import GcdViolationError, KummerCurve, find_roots
@@ -26,8 +25,7 @@ Coords = Tuple[int, ...]
 DivisorSpec = Tuple[Dict[int, int], int]  # Divisor.make's finite coefficients, then t
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(NamedTuple):
     """A curve y^m = f(x)^lam over GF(p^e) and its claims (None: not claimed).
     A `profile` (m, r) marks a curve that violates gcd(m, r*lam) = 1: it must
     be rejected, and the other claims are read on the bare profile."""

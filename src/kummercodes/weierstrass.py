@@ -8,8 +8,7 @@ as a KummerCurve.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rrlattice import (DEFAULT_BUDGET, BudgetExceededError, Divisor, ceil_div,
                         monomial_divisor, omega_enumerate)
@@ -27,8 +26,7 @@ class EmptyRiemannRochSpaceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PlaceTuple:
+class PlaceTuple(NamedTuple):
     """Selection P_1..P_l, optionally followed by P_inf."""
 
     l: int
@@ -44,8 +42,7 @@ class PlaceTuple:
             raise BadArityError("at least one place must be selected")
 
 
-@dataclass(frozen=True)
-class GapBox:
+class GapBox(NamedTuple):
     """Axis-aligned box of pure gaps: coordinates base_i .. base_i + width_i."""
 
     places: PlaceTuple

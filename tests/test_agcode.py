@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import ne
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -178,19 +179,24 @@ def test_evaluation_matrix_matches_evaluate_monomial():
         cases.append((c, G, D))
     rng = random.Random(8)
     for c in evaluation_curves():
-        for _ in range(12):
-            # Zero coefficients keep their places in the evaluation set.
+        for trial in range(12):
+            # Zero coefficients keep their places in the evaluation set.  Equal
+            # s_mu (odd trials) make consecutive lattice points move every j_mu.
             coeff = lambda: rng.choice([0, rng.randrange(-c.m, 3 * c.m)])
-            G = Divisor(tuple(coeff() for _ in range(c.r)), coeff())
+            s = [coeff()] * c.r if trial % 2 else [coeff() for _ in range(c.r)]
+            G = Divisor(tuple(s), coeff())
             # every P_mu and P_inf off supp(G), then 40 affine places
             cases.append((c, G, evaluation_places(c, G)[:c.r + 1 + 40]))
     nontrivial = 0  # values at P_mu, mu >= 2, other than 0 and 1
+    several = 0  # consecutive lattice points that move two or more j_mu
     for c, G, D in cases:
-        expected = [[evaluate_monomial(c, pt, pl) for pl in D] for pt in omega_enumerate(c, G)]
+        pts = omega_enumerate(c, G)
+        expected = [[evaluate_monomial(c, pt, pl) for pl in D] for pt in pts]
         assert evaluation_matrix(c, G, D).rows == expected
         ramified = [col for col, pl in enumerate(D) if pl.kind == "ramified" and pl.mu >= 2]
         nontrivial += sum(row[col] > 1 for row in expected for col in ramified)
-    assert nontrivial >= 100
+        several += sum(sum(map(ne, a.j, b.j)) >= 2 for a, b in zip(pts, pts[1:]))
+    assert nontrivial >= 100 and several >= 100
 
 
 def test_build_cl_rejects_support():
@@ -381,6 +387,16 @@ def test_export_text_format():
     assert len(lines) == 1 + code.k
     parsed = [[int(v) for v in row.split()] for row in lines[1:]]
     assert parsed == code.generator.rows
+
+
+def test_linear_codes_do_not_share_bounds():
+    F = FiniteField(2, 1, [0, 1])
+    given_bounds = [("goppa_L", 2)]
+    a, b = LinearCode(Matrix(F, [[1, 1]])), LinearCode(Matrix(F, [[1, 1]]), given_bounds)
+    a.bounds.append(("goppa_L", 1))
+    given_bounds.append(("goppa_omega", 9))
+    assert a.bounds == [("goppa_L", 1)] and b.bounds == [("goppa_L", 2)]
+    assert LinearCode(Matrix(F, [[1, 0]])).bounds == []
 
 
 PROPERTY_FIELDS = [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummercodes.gf import (BadModulusError, FiniteField, Matrix, NotIrreducibleError,
-                            NotPrimeError)
+                            NotPrimeError, pack, unpack)
 
 
 def gf2():
@@ -23,11 +23,15 @@ def gf64():
     return FiniteField(2, 6, [1, 1, 0, 0, 0, 0, 1])
 
 
-# One field per addition path of the matrix kernel: XOR (p = 2), the
-# q x q table (odd p, q <= 256) and digitwise addition (odd p, q > 256).
+# Fields for every path of the matrix kernel: packed rows for p = 2, with
+# 8-bit cells up to GF(256) and 16-bit cells for GF(2^10); for odd p the
+# q x q addition table (q <= 256) and digitwise addition (q > 256).
 KERNEL_FIELDS = [
     FiniteField(2, 1, [0, 1]),
+    FiniteField(2, 2, [1, 1, 1]),
+    FiniteField(2, 4, [1, 1, 0, 0, 1]),
     FiniteField(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
+    FiniteField(2, 10, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]),
     FiniteField(3, 4, [2, 1, 0, 0, 1]),
     FiniteField(5, 2, [2, 0, 1]),
     FiniteField(3, 6, [1, 0, 0, 0, 1, 1, 1]),
@@ -375,3 +379,30 @@ def test_kernel_matches_scalar_oracle(case):
     assert ns.rows == oracle_nullspace(F, rows, M.ncols)
     assert all(oracle_dot(F, m_row, v) == 0 for m_row in rows for v in ns.rows)
 
+
+
+def test_kernel_matches_scalar_oracle_on_wide_rows():
+    """70 to 90 columns, so a packed row spans several 64-bit words, with
+    pivots that start deep in the row and a dependent row."""
+    rng = random.Random(12)
+    for F in KERNEL_FIELDS:
+        for _ in range(3):
+            ncols, lead = rng.randint(70, 90), rng.randrange(60)
+            rows = [[0] * lead + [rng.choice([0, 0, 1, rng.randrange(F.q)])
+                                  for _ in range(ncols - lead)]
+                    for _ in range(rng.randint(2, 6))]
+            c = rng.randrange(1, F.q)
+            rows.append([F.add(a, F.mul(c, b)) for a, b in zip(rows[0], rows[1])])
+            M = Matrix(F, rows)
+            rank, red, pivots = M.rref()
+            assert (rank, red.rows, pivots) == oracle_rref(F, rows)
+            assert M.nullspace().rows == oracle_nullspace(F, rows, ncols)
+
+
+def test_pack_puts_entry_j_in_byte_aligned_cell_j():
+    for F, width in ((KERNEL_FIELDS[2], 8), (KERNEL_FIELDS[3], 8), (KERNEL_FIELDS[4], 16)):
+        row = [F.q - 1, 0, 1, F.q // 2]
+        packed = pack(F, row)
+        assert packed == sum(v << width * j for j, v in enumerate(row))
+        assert unpack(F, packed, len(row)) == row
+        assert unpack(F, 0, 3) == [0, 0, 0]

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,12 @@ def test_weierstrass_imports_no_field_level_module():
 
 def test_rrlattice_imports_nothing_from_the_package():
     assert package_imports((PACKAGE / "rrlattice.py").read_text(encoding="utf-8")) == set()
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    """The value classes are NamedTuples, so a fresh interpreter (without
+    site, whose .pth files vary by install) imports neither module."""
+    code = "import sys, kummercodes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert proc.stdout.strip() == "[]"

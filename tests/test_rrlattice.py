@@ -9,7 +9,7 @@ import pytest
 from kummercodes.agcode import PlaceInSupportError, evaluation_matrix
 from kummercodes.curve import KummerCurve, Place
 from kummercodes.rrlattice import (DEFAULT_BUDGET, BudgetExceededError, Divisor,
-                                   RamificationData, ceil_div, dimension,
+                                   LatticePoint, RamificationData, ceil_div, dimension,
                                    monomial_divisor, omega_enumerate)
 from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
 from kummercodes.weierstrass import _member_conditions
@@ -217,3 +217,17 @@ def test_basis_evaluations_full_rank():
     D = [p for p in c.places() if p.kind != "infinity"]
     M = evaluation_matrix(c, G, D)
     assert M.rref()[0] == M.nrows == dimension(c, G)
+
+
+def test_divisor_and_lattice_point_keep_repr_hash_and_field_order():
+    G, pt = Divisor((1, 2), 3), LatticePoint(-1, (0, 2))
+    assert repr(G) == "Divisor(s=(1, 2), t=3)" and repr(pt) == "LatticePoint(i=-1, j=(0, 2))"
+    assert Divisor._fields == ("s", "t") and LatticePoint._fields == ("i", "j")
+    assert hash(G) == hash(((1, 2), 3)) and hash(pt) == hash((-1, (0, 2)))
+    # As NamedTuples they also compare equal to plain tuples of their fields.
+    assert G == ((1, 2), 3) and pt == (-1, (0, 2))
+    # The arithmetic is the divisor's, not tuple concatenation or repetition.
+    assert G + G == Divisor((2, 4), 6) and G - G == Divisor((0, 0), 0)
+    assert -G == Divisor((-1, -2), -3) and str(G) == "1 2 3" and G.degree == 6
+    with pytest.raises(AttributeError):
+        G.t = 4

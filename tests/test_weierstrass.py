@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummercodes.rrlattice import Divisor, RamificationData, ceil_div, dimension
-from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
+from kummercodes.verify import (EXAMPLES, Example, curve_example_1, curve_example_2,
+                               curve_example_4)
 from kummercodes.weierstrass import (BadArityError, BudgetExceededError,
                                      EmptyRiemannRochSpaceError,
                                      GapBox, NonPositiveCoordinateError,
@@ -428,3 +429,17 @@ def test_floor_fixed_iff_member():
         G = tuple_divisor(c.r, pl, coords)
         fixed = floor_divisor(c, G) == G
         assert fixed == semigroup_member(c, pl, coords)
+
+
+def test_place_tuple_gap_box_and_example_keep_repr_hash_and_field_order():
+    box = GapBox(PlaceTuple(2), (13, 1), (1, 0))
+    assert repr(box) == ("GapBox(places=PlaceTuple(l=2, include_infinity=False), "
+                         "base=(13, 1), widths=(1, 0))")
+    assert hash(box) == hash(((2, False), (13, 1), (1, 0)))
+    assert box == ((2, False), (13, 1), (1, 0))  # equal to plain tuples, as NamedTuples
+    assert PlaceTuple(1) == PlaceTuple(1, include_infinity=False) != PlaceTuple(1, True)
+    assert Example._fields == (
+        "gf", "f", "m", "lam", "genus", "distance", "code", "places", "f_text", "profile",
+        "verdicts", "box", "published_box", "refutation", "G", "H", "basis", "floor")
+    assert repr(EXAMPLES[2]).startswith(
+        "Example(gf=(5, 2, (2, 0, 1)), f=(0, 1, 0, 0, 0, 1), m=6, lam=1, genus=10, ")
