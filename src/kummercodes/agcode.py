@@ -82,9 +82,8 @@ class LinearCode:
     def export_text(self) -> str:
         """Wire format: header `n k q`, then k rows of n codec integers."""
         text = [str(v) for v in range(self.field.q)]
-        lines = [f"{self.n} {self.k} {self.field.q}"]
-        lines.extend(" ".join(map(text.__getitem__, row)) for row in self.generator.rows)
-        return "\n".join(lines) + "\n"
+        rows = (" ".join(map(text.__getitem__, row)) for row in self.generator.rows)
+        return "\n".join([f"{self.n} {self.k} {self.field.q}", *rows, ""])
 
 
 def _check_evaluation_set(G: Divisor, places: Sequence[Place]) -> None:

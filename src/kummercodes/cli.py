@@ -150,8 +150,9 @@ def cmd_curve_info(curve: KummerCurve, args, cp) -> int:
         f"B {curve.B}",
         f"a {curve.a}",
         f"b {curve.b}",
+        "",
     ]
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines))
     return 0
 
 
@@ -161,7 +162,8 @@ def cmd_places(curve: KummerCurve, args, cp) -> int:
     for p in curve.places():  # nearly all affine, whose rows need no kind lookup
         rows.append(f"affine,0,{text[p.x]},{text[p.y]}" if p.kind_rank == 2
                     else f"{p.kind},{p.mu},{p.x},{p.y}")
-    _emit(args.out, "\n".join(rows) + "\n")
+    rows.append("")
+    _emit(args.out, "\n".join(rows))
     return 0
 
 
@@ -171,7 +173,7 @@ def cmd_rr_basis(curve: KummerCurve, args, cp) -> int:
     for pt in omega_enumerate(curve, G):
         left = " ".join(str(v) for v in (pt.i,) + pt.j)
         rows.append(f"{left} | {-monomial_divisor(curve, pt)}")
-    _emit(args.out, "\n".join(rows) + ("\n" if rows else ""))
+    _emit(args.out, "\n".join([*rows, ""]))  # "" for an empty basis
     return 0
 
 
@@ -196,7 +198,7 @@ def cmd_pure_gaps(curve: KummerCurve, args, cp) -> int:
         raise ConfigError("pure-gaps needs --bound or bound= in [job]")
     budget = _job_int(args, cp, "budget", DEFAULT_BUDGET)
     rows = [",".join(str(v) for v in pt) for pt in pure_gaps(curve, places, bound, budget)]
-    _emit(args.out, "\n".join(rows) + ("\n" if rows else ""))
+    _emit(args.out, "\n".join([*rows, ""]))
     return 0
 
 
@@ -308,7 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ok, lines = verify.verify_example(args.example)
     try:
         if verify_job:
-            _emit(args.out, "\n".join(lines) + "\n")
+            _emit(args.out, "\n".join([*lines, ""]))
             return 0 if ok else 1
         cp = load_config(args.config)
         return COMMANDS[args.command](build_curve(cp), args, cp)

@@ -7,17 +7,20 @@ irreducible modulus.  This integer form is the "codec integer" used in
 every file format, so encode/decode are near-trivial and round-trip by
 construction.
 
-Multiplication and negation use discrete log tables built once per field.
-The generator is the first element, in codec order, whose powers reach
-every nonzero element; the walk over its powers is the exp table, doubled
-so that a sum of two logs indexes it directly.  Addition is XOR for
-p = 2, a q x q table for odd q <= 256 and digitwise otherwise.
+FiniteField holds scalar arithmetic only.  Multiplication and negation
+use discrete log tables built once per field.  The generator is the
+first element, in codec order, whose powers reach every nonzero
+element; the walk over its powers is the exp table, doubled so that a
+sum of two logs indexes it directly.  Addition is XOR for p = 2, a
+q x q table for odd q <= 256 and digitwise otherwise.
 
-For p = 2, row reduction packs a row into one int of byte-aligned cells
+A Matrix owns the row lists it is handed; row operations live in its
+methods.  For p = 2, rref packs a row into one int of byte-aligned cells
 (8 bits for q <= 256, 16 above); a shift and a reduction of each cell's
 bit e - 1 multiply the whole row by x, so c times a row is one XOR of an
-x^k multiple per set bit of c.  For odd p, rows are scaled and added
-through the log and addition tables.  The supported range is q <= 2^16.
+x^k multiple per set bit of c.  For odd p, rref updates a working copy
+of the rows in place, adding g^(log c + log a) to each entry through the
+exp table and the field's adder.  The supported range is q <= 2^16.
 """
 
 from __future__ import annotations
@@ -231,18 +234,6 @@ class FiniteField:
             raise ZeroDivisionError("log of 0")
         return self._log[a]
 
-    def _axpy(self, dst: List[int], lc: int, terms: Sequence[Tuple[int, int]]) -> None:
-        """dst[j] += g^(lc + l) for every (j, l) in terms; lc and l in [0, q-1); odd p."""
-        exp = self._exp
-        if self._add_table is not None:
-            table = self._add_table
-            for j, l in terms:
-                dst[j] = table[dst[j]][exp[lc + l]]
-        else:
-            add = self._add_digitwise
-            for j, l in terms:
-                dst[j] = add(dst[j], exp[lc + l])
-
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
@@ -274,18 +265,18 @@ def _scaled(multiples: Sequence[int], c: int) -> int:
 
 
 class Matrix:
-    """Dense row-major matrix of codec integers over one FiniteField."""
+    """Dense row-major matrix of codec integers over one FiniteField.
 
-    def __init__(self, field: FiniteField, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        if self.rows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
-                raise ValueError("ragged rows")
-        else:
-            self.ncols = 0 if ncols is None else ncols
-        self.nrows = len(self.rows)
+    The Matrix owns the row lists it is handed and copies none of them,
+    so a caller that changes them later changes the Matrix.  rref and
+    nullspace never change self.rows.
+    """
+
+    def __init__(self, field: FiniteField, rows: List[List[int]], ncols: int | None = None):
+        self.field, self.rows, self.nrows = field, rows, len(rows)
+        self.ncols = len(rows[0]) if rows else ncols or 0
+        if any(len(r) != self.ncols for r in rows):
+            raise ValueError("ragged rows")
 
     def rref(self) -> Tuple[int, "Matrix", List[int]]:
         """Reduced row echelon form.
@@ -298,7 +289,8 @@ class Matrix:
             return self._rref_packed()
         F = self.field
         exp, log, order = F._exp, F._log, F.q - 1
-        rows = [list(r) for r in self.rows]
+        table, add = F._add_table, F._add_digitwise  # the table when q <= 256
+        rows = [list(r) for r in self.rows]  # a working copy: self.rows stays as it is
         nrows = len(rows)
         pivots: List[int] = []
         prow = 0
@@ -313,8 +305,14 @@ class Matrix:
             for r, row in enumerate(rows):
                 c = row[col]
                 if c and r != prow:
-                    # row -= c * pivot, as row += (-c) * pivot
-                    F._axpy(row, (log[c] + F._log_minus_one) % order, terms)
+                    # row -= c * pivot, as row[j] += g^(lc + l) for (j, l) in terms
+                    lc = (log[c] + F._log_minus_one) % order
+                    if table is not None:
+                        for j, l in terms:
+                            row[j] = table[row[j]][exp[lc + l]]
+                    else:
+                        for j, l in terms:
+                            row[j] = add(row[j], exp[lc + l])
             pivots.append(col)
             prow += 1
             if prow == nrows:

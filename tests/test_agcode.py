@@ -207,6 +207,8 @@ def test_build_cl_rejects_support():
             build_cl(c, G, [place])
         with pytest.raises(PlaceInSupportError):
             evaluation_matrix(c, G, [Place.ramified(2), place])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        evaluation_matrix(c, G, [Place.ramified(2), Place.ramified(2)])
 
 
 def test_repetition_code():
@@ -371,8 +373,17 @@ def test_designed_distance_validation():
                           box=GapBox(PlaceTuple(2), (1, 1), (20, 0)))
     with pytest.raises(BadArityError):
         designed_distance(c, G, "pure_gap_box", box=GapBox(PlaceTuple(2), (13,), (1,)))
+    with pytest.raises(InconsistentDivisorError, match="needs a box"):
+        designed_distance(c, G, "pure_gap_box")
+    with pytest.raises(InconsistentDivisorError, match="does not induce G"):
+        designed_distance(c, G + G, "pure_gap_box",
+                          box=GapBox(PlaceTuple(2), (13, 1), (1, 0)))
     with pytest.raises(InconsistentDivisorError):
         designed_distance(c, G, "floor_pair", H=Divisor.make(c.r, {1: 13}))
+    with pytest.raises(InconsistentDivisorError, match="needs the divisor H"):
+        designed_distance(c, G, "floor_pair")
+    with pytest.raises(InconsistentDivisorError, match="must be effective"):
+        designed_distance(c, G, "floor_pair", H=Divisor.make(c.r, {1: -1}))
     with pytest.raises(ValueError):
         designed_distance(c, G, "unknown")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import os
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from kummercodes import verify
 from kummercodes.cli import COMMANDS, main
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -100,6 +102,11 @@ def test_semigroup_and_pure_gaps(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "pure-gaps", "--config", cfg)
     assert code == 0
     assert out.splitlines() == ["1"]
+
+    # At P1, P2 the only candidate, (1, 1), is no pure gap: empty output.
+    cfg = write_cfg(tmp_path, places="P1,P2")
+    for cmd, expected in (("pure-gaps", ""), ("box-search", "no pure gaps\n")):
+        assert run_cli(capsys, cmd, "--config", cfg) == (0, expected, "")
 
 
 def test_floor_output(tmp_path, capsys):
@@ -191,6 +198,27 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "roots=" in err and "f=" in err
 
+    # A missing section or key, and a malformed job value, each give one line.
+    herm = HERM_CFG.format(divisor="0,0,3", places="P1", coords="1", bound="6")
+    refused = [
+        ("curve-info", herm[:herm.index("[curve]")], "missing [curve] section"),
+        ("curve-info", herm[herm.index("[curve]"):], "missing [field] section"),
+        ("curve-info", herm.replace("m = 3\n", ""), "[curve] missing key 'm'"),
+        ("curve-info", herm.replace("f = 0,1,1\n", ""), "needs either roots= or f="),
+        ("dim", herm.replace("divisor = 0,0,3\n", ""), "needs divisor="),
+        ("dim", herm.replace("divisor = 0,0,3", "divisor = 0,3"), "got 2"),
+        ("semigroup", herm.replace("places = P1\n", ""), "needs places="),
+        ("semigroup", herm.replace("places = P1", "places = Pinf,P1"), "Pinf must come last"),
+        ("semigroup", herm.replace("places = P1", "places = P2"), "got 'P2'"),
+        ("build-code", herm + "code = x\n", "code= must be 'l' or 'omega', got 'x'"),
+    ]
+    for cmd, text, message in refused:
+        path = tmp_path / "refused.ini"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, cmd, "--config", path.as_posix())
+        assert (code, out) == (2, ""), message
+        assert err.startswith("config error:") and message in err and err.count("\n") == 1
+
     # A seed picks n places, so without n= it is refused, not ignored.
     seed_only = write_cfg(tmp_path, divisor="0,0,5")
     with open(seed_only, "a", encoding="utf-8") as fh:
@@ -200,6 +228,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, cmd, "--config", seed_only, *extra)
         assert (code, out) == (2, "")
         assert err.startswith("config error:") and "n=" in err and err.count("\n") == 1
+
+
+def test_curve_from_roots_matches_curve_from_f(tmp_path, capsys):
+    # roots = 0,1 names the roots of f = x^2 + x, so every output is the same.
+    by_f = write_cfg(tmp_path)
+    by_roots = tmp_path / "roots.ini"
+    by_roots.write_text(Path(by_f).read_text().replace("f = 0,1,1", "roots = 0,1"))
+    for cmd in ("curve-info", "places", "build-code"):
+        expected = run_cli(capsys, cmd, "--config", by_f)
+        assert expected[0] == 0 and expected[1]
+        assert run_cli(capsys, cmd, "--config", by_roots.as_posix()) == expected
 
 
 def test_unwritable_out_is_a_config_error(tmp_path, capsys):
@@ -315,6 +354,8 @@ def test_verify_example_exit_codes(capsys):
     assert "NOTE the published box overreaches" in out
     code, _, err = run_cli(capsys, "verify-example", "7")
     assert code == 2
+    with pytest.raises(ValueError, match="no example 5"):
+        verify.verify_example(5)
 
 
 # SHA-256 of verify-example stdout and its exit status, pinned from the
@@ -337,9 +378,11 @@ def test_verify_example_golden_hashes(capsys, example, status, digest):
 
 
 def test_console_script_installed():
+    # src/ first, as under pytest's pythonpath, so a checkout needs no install.
+    path = [str(WORKLOADS.parent.parent / "src"), os.environ.get("PYTHONPATH")]
     proc = subprocess.run([sys.executable, "-m", "kummercodes.cli",
-                           "verify-example", "1"],
-                          capture_output=True, text=True)
+                           "verify-example", "1"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") >= 6
 

@@ -54,6 +54,18 @@ def test_duplicate_roots():
         KummerCurve(F, 3, 1, [1, 1])
 
 
+def test_curve_parameters_validated():
+    F = FiniteField(5, 1, [0, 1])
+    with pytest.raises(ValueError, match="at least one root"):
+        KummerCurve(F, 3, 1, [])
+    with pytest.raises(ValueError, match="m=1"):
+        KummerCurve(F, 1, 1, [0])
+    with pytest.raises(ValueError, match="lambda=0"):
+        KummerCurve(F, 3, 0, [0])
+    with pytest.raises(ValueError, match="not an element code"):
+        KummerCurve(F, 3, 1, [5])  # a root >= q
+
+
 def test_bezout_data():
     for c in (curve_example_1(), curve_example_2(), curve_example_4()):
         assert c.A * c.lam + c.B * c.m == 1
@@ -162,6 +174,8 @@ def test_find_roots():
         find_roots(F, [0, 0, 1])  # x^2: repeated root
     with pytest.raises(DoesNotSplitError):
         find_roots(F, [0, 1, 2])  # not monic
+    with pytest.raises(DoesNotSplitError, match="degree >= 1"):
+        find_roots(F, [1])  # a constant
 
 
 def test_find_roots_sorted():

@@ -110,6 +110,10 @@ def test_construction_validates():
         FiniteField(3, 2, [1, 0, 0, 1])  # wrong degree
     with pytest.raises(BadModulusError):
         FiniteField(2, 17, [1] + [0] * 16 + [1])  # q > 2^16
+    with pytest.raises(BadModulusError):
+        FiniteField(2, 0, [1])  # e = 0
+    with pytest.raises(BadModulusError):
+        FiniteField(3, 2, [1, 3, 1])  # a coefficient >= p
 
 
 def test_range_checked_before_primality():
@@ -144,6 +148,11 @@ def from_coeffs(F, coeffs):
     if len(coeffs) > F.e:
         raise ValueError(f"too many coefficients for GF({F.p}^{F.e})")
     return sum(c % F.p * F.p ** i for i, c in enumerate(coeffs))
+
+
+def test_log_of_zero_is_refused():
+    with pytest.raises(ZeroDivisionError):
+        gf9().log(0)
 
 
 def test_char2_self_inverse():
@@ -317,6 +326,21 @@ def test_matrix_identity_and_zero():
     zero = Matrix(F, [[0, 0, 0]] * 2, 3)
     assert zero.rref()[0] == 0
     assert zero.nullspace().nrows == 3
+
+
+def test_matrix_owns_its_rows():
+    # The Matrix keeps the lists it is handed, and its methods leave them as
+    # they are: odd p with the addition table and digitwise, and GF(2^e).
+    for F in (gf9(), KERNEL_FIELDS[7], gf64()):
+        rows = [[1, 2, 3, 0], [2, 4, 6, 1], [0, 5, 1, 1]]
+        before = [list(r) for r in rows]
+        M = Matrix(F, rows)
+        assert all(M.rows[i] is rows[i] for i in range(len(rows)))
+        M.rref()
+        M.nullspace()
+        assert M.rows == before
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix(gf9(), [[1, 2], [3]])
 
 
 def test_nullspace_frozen_example():

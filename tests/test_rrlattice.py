@@ -61,6 +61,11 @@ def test_scan_refused_over_budget():
     assert dimension(prof, Divisor((3 * 10 ** 11, 0), -3 * 10 ** 11)) == 1
 
 
+def test_divisor_must_match_the_profile():
+    with pytest.raises(ValueError, match="has 1 finite coefficients, curve has r=2"):
+        omega_enumerate(curve_hermitian_gf4(), Divisor((0,), 3))
+
+
 def test_example1_45pinf():
     # s = 0, t = 45 = rm: count is 1 - g + t = 30
     c = curve_example_1()

@@ -37,6 +37,8 @@ def test_zero_is_member():
     for c in (curve_example_1(), curve_example_2()):
         assert semigroup_member(c, PlaceTuple(1), (0,))
         assert semigroup_member(c, PlaceTuple(2, True), (0, 0, 0))
+        # pole orders are never negative
+        assert not semigroup_member(c, PlaceTuple(2, True), (0, -1, 0))
 
 
 def test_example1_gap_pair():
@@ -83,6 +85,14 @@ def test_one_point_gaps_vs_membership():
         assert (alpha in g_p1) == (not semigroup_member(c, PlaceTuple(1), (alpha,)))
         assert (alpha in g_inf) == (
             not semigroup_member(c, PlaceTuple(0, True), (alpha,)))
+
+
+def test_one_point_gaps_refusals():
+    c = curve_example_2()
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        one_point_gaps(c, "P1", 0)
+    with pytest.raises(ValueError, match="unknown place selector 'P2'"):
+        one_point_gaps(c, "P2", 5)
 
 
 def test_one_point_smallest_gap():
@@ -392,8 +402,9 @@ def test_floor_zero_and_empty():
     c = curve_example_2()
     zero = Divisor.make(c.r)
     assert floor_divisor(c, zero) == zero
-    with pytest.raises(EmptyRiemannRochSpaceError):
-        floor_divisor(c, Divisor.make(c.r, {1: -1}))
+    for floor in (floor_divisor, floor_via_gcd):
+        with pytest.raises(EmptyRiemannRochSpaceError):
+            floor(c, Divisor.make(c.r, {1: -1}))
 
 
 def leq(D, E):
