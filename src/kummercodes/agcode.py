@@ -16,17 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .curve import KummerCurve, Place
 from .gf import Matrix, pack
-from .rrlattice import (DEFAULT_BUDGET, BudgetExceededError, Divisor, monomial_divisor,
-                        omega_enumerate)
+from .rrlattice import DEFAULT_BUDGET, Divisor, monomial_divisor, omega_enumerate
 from .weierstrass import GapBox, box_bound_value, floor_divisor, pure_gap
-
-
-class PlaceInSupportError(ValueError):
-    pass
-
-
-class InconsistentDivisorError(ValueError):
-    pass
 
 
 def coefficient_at(G: Divisor, place: Place) -> int:
@@ -91,7 +82,7 @@ def _check_evaluation_set(G: Divisor, places: Sequence[Place]) -> None:
         raise ValueError("evaluation places must be pairwise distinct")
     for p in places:
         if in_support(G, p):
-            raise PlaceInSupportError(f"place {p} lies in supp(G)")
+            raise ValueError(f"place {p} lies in supp(G)")
 
 
 def _place_logs(curve: KummerCurve, place: Place) -> List[int]:
@@ -182,26 +173,26 @@ def designed_distance(curve: KummerCurve, G: Divisor, method: str, *,
     two_g_2 = 2 * curve.g - 2
     if method == "goppa_L":
         if n is None or G.degree >= n:
-            raise InconsistentDivisorError("goppa_L needs deg(G) < n")
+            raise ValueError("goppa_L needs deg(G) < n")
         return n - G.degree
     if method == "goppa_omega":
         return G.degree - two_g_2
     if method == "pure_gap_box":
         if box is None:
-            raise InconsistentDivisorError("pure_gap_box needs a box")
+            raise ValueError("pure_gap_box needs a box")
         for pt in box.points():
             if not pure_gap(curve, box.places, pt):
-                raise InconsistentDivisorError(f"{pt} in the box is not a pure gap")
+                raise ValueError(f"{pt} in the box is not a pure gap")
         if box.induced_divisor(curve.r) != G:
-            raise InconsistentDivisorError("box does not induce G")
+            raise ValueError("box does not induce G")
         return box_bound_value(curve, box)
     if method == "floor_pair":
         if H is None:
-            raise InconsistentDivisorError("floor_pair needs the divisor H")
+            raise ValueError("floor_pair needs the divisor H")
         if not H.is_effective():
-            raise InconsistentDivisorError("H must be effective")
+            raise ValueError("H must be effective")
         if H + floor_divisor(curve, H) != G:
-            raise InconsistentDivisorError("G != H + floor(H)")
+            raise ValueError("G != H + floor(H)")
         return 2 * H.degree - two_g_2
     raise ValueError(f"unknown method {method!r}")
 
@@ -224,7 +215,7 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
         return None
     total = q ** k
     if total - 1 > budget:  # q^k can pass the int-to-str digit limit, so print it as a power
-        raise BudgetExceededError(f"{q}^{k} - 1 codewords exceed budget {budget}")
+        raise ValueError(f"{q}^{k} - 1 codewords exceed budget {budget}")
     n = code.n
     rows = code.generator.rows
     if F.p == 2:

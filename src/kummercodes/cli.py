@@ -125,6 +125,10 @@ def parse_places(curve: KummerCurve, text: Optional[str]) -> PlaceTuple:
             l += 1
         else:
             raise ConfigError(f"places must be P1,P2,...,Pl[,Pinf]; got {name!r}")
+    if not names:
+        raise ConfigError("places= names no place")
+    if l > curve.r:
+        raise ConfigError(f"places= names {l} finite places, curve has r={curve.r}")
     return PlaceTuple(l, include_inf)
 
 
@@ -185,7 +189,13 @@ def cmd_dim(curve: KummerCurve, args, cp) -> int:
 
 def cmd_semigroup(curve: KummerCurve, args, cp) -> int:
     places = parse_places(curve, job_value(cp, "places"))
-    coords = _ints(job_value(cp, "coords") or "")
+    text = job_value(cp, "coords")
+    if text is None:
+        raise ConfigError("this command needs coords=c1,...,ck in [job]")
+    coords = _ints(text)
+    if len(coords) != places.arity():
+        raise ConfigError(f"coords= needs one value per place in places= "
+                          f"({places.arity()}), got {len(coords)}")
     member = semigroup_member(curve, places, coords)
     _emit(args.out, ("true" if member else "false") + "\n")
     return 0

@@ -24,18 +24,6 @@ class GcdViolationError(ValueError):
     pass
 
 
-class CharacteristicDividesMError(ValueError):
-    pass
-
-
-class DuplicateRootsError(ValueError):
-    pass
-
-
-class DoesNotSplitError(ValueError):
-    pass
-
-
 class Place(NamedTuple):
     """A rational place: P_inf, a ramified P_mu, or an affine point.
 
@@ -81,7 +69,7 @@ class KummerCurve(RamificationData):
         if not roots:
             raise ValueError("f needs at least one root")
         if len(set(roots)) != len(roots):
-            raise DuplicateRootsError("roots of f must be pairwise distinct")
+            raise ValueError("roots of f must be pairwise distinct")
         if m < 2:
             raise ValueError(f"m={m} must be >= 2")
         if lam < 1:
@@ -90,7 +78,7 @@ class KummerCurve(RamificationData):
         if math.gcd(m, r * lam) != 1:
             raise GcdViolationError(f"gcd(m, r*lambda) = gcd({m}, {r * lam}) != 1")
         if m % field.p == 0:
-            raise CharacteristicDividesMError(f"characteristic {field.p} divides m={m}")
+            raise ValueError(f"characteristic {field.p} divides m={m}")
         super().__init__(m, r)
 
         self.field = field
@@ -170,9 +158,9 @@ def find_roots(field: FiniteField, f_coeffs: Sequence[int]) -> Tuple[int, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) < 2:
-        raise DoesNotSplitError("f must have degree >= 1")
+        raise ValueError("f must have degree >= 1")
     if coeffs[-1] != 1:
-        raise DoesNotSplitError("f must be monic")
+        raise ValueError("f must be monic")
     deg = len(coeffs) - 1
     log, exp, order = field._log, field._exp, field.q - 1
     terms = [(i, log[c]) for i, c in enumerate(coeffs) if c]
@@ -181,6 +169,5 @@ def find_roots(field: FiniteField, f_coeffs: Sequence[int]) -> Tuple[int, ...]:
              if reduce(field.add, [exp[(lc + i * k) % order] for i, lc in terms]) == 0]
     roots += [0] if coeffs[0] == 0 else []
     if len(roots) != deg:
-        raise DoesNotSplitError(
-            f"f has {len(roots)} distinct rational roots but degree {deg}")
+        raise ValueError(f"f has {len(roots)} distinct rational roots but degree {deg}")
     return tuple(sorted(roots))

@@ -31,18 +31,6 @@ from array import array
 from typing import Iterable, List, Sequence, Tuple
 
 
-class NotPrimeError(ValueError):
-    pass
-
-
-class NotIrreducibleError(ValueError):
-    pass
-
-
-class BadModulusError(ValueError):
-    pass
-
-
 MAX_Q = 1 << 16
 
 
@@ -110,24 +98,24 @@ class FiniteField:
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
         if e < 1:
-            raise BadModulusError(f"extension degree e={e} must be >= 1")
+            raise ValueError(f"extension degree e={e} must be >= 1")
         modulus = list(modulus)
         if len(modulus) != e + 1:
-            raise BadModulusError(
+            raise ValueError(
                 f"modulus needs {e + 1} coefficients for degree {e}, got {len(modulus)}")
         # Ahead of the trial division, which a huge p would stall; e > 16
         # exceeds the range for any p >= 2 without forming a huge p ** e.
         if p >= 2 and (e > 16 or p ** e > MAX_Q):
-            raise BadModulusError(f"p^e = {p}^{e} exceeds supported range 2^16")
+            raise ValueError(f"p^e = {p}^{e} exceeds supported range 2^16")
         if not is_prime(p):
-            raise NotPrimeError(f"p={p} is not prime")
+            raise ValueError(f"p={p} is not prime")
         q = p ** e
         if any(not 0 <= c < p for c in modulus):
-            raise BadModulusError("modulus coefficients out of [0, p)")
+            raise ValueError("modulus coefficients out of [0, p)")
         if modulus[-1] != 1:
-            raise BadModulusError("modulus must be monic")
+            raise ValueError("modulus must be monic")
         if not _poly_is_irreducible(modulus, p):
-            raise NotIrreducibleError(f"modulus {modulus} is reducible over GF({p})")
+            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
 
         self.p = p
         self.e = e

@@ -15,10 +15,6 @@ import math
 from typing import List, NamedTuple, Tuple
 
 
-class BudgetExceededError(ValueError):
-    pass
-
-
 DEFAULT_BUDGET = 1 << 24
 
 
@@ -105,7 +101,7 @@ def omega_enumerate(curve: RamificationData, G: Divisor) -> List[LatticePoint]:
         raise ValueError(f"divisor has {len(s)} finite coefficients, curve has r={r}")
     work = max(G.degree, 0) + m + 1
     if work > DEFAULT_BUDGET:
-        raise BudgetExceededError(f"{work} lattice candidates exceed budget {DEFAULT_BUDGET}")
+        raise ValueError(f"{work} lattice candidates exceed budget {DEFAULT_BUDGET}")
     points = []
     i = -s[0]
     misses = 0

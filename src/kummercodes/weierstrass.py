@@ -10,20 +10,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .rrlattice import (DEFAULT_BUDGET, BudgetExceededError, Divisor, ceil_div,
-                        monomial_divisor, omega_enumerate)
-
-
-class BadArityError(ValueError):
-    pass
-
-
-class NonPositiveCoordinateError(ValueError):
-    pass
-
-
-class EmptyRiemannRochSpaceError(ValueError):
-    pass
+from .rrlattice import (DEFAULT_BUDGET, Divisor, ceil_div, monomial_divisor,
+                        omega_enumerate)
 
 
 class PlaceTuple(NamedTuple):
@@ -37,9 +25,9 @@ class PlaceTuple(NamedTuple):
 
     def validate(self, r: int) -> None:
         if not 0 <= self.l <= r:
-            raise BadArityError(f"l={self.l} out of [0, {r}]")
+            raise ValueError(f"l={self.l} out of [0, {r}]")
         if self.arity() == 0:
-            raise BadArityError("at least one place must be selected")
+            raise ValueError("at least one place must be selected")
 
 
 class GapBox(NamedTuple):
@@ -68,7 +56,7 @@ class GapBox(NamedTuple):
 
 def _split_coords(places: PlaceTuple, coords: Sequence[int]) -> Tuple[List[int], Optional[int]]:
     if len(coords) != places.arity():
-        raise BadArityError(f"expected {places.arity()} coordinates, got {len(coords)}")
+        raise ValueError(f"expected {places.arity()} coordinates, got {len(coords)}")
     if places.include_infinity:
         return list(coords[:-1]), coords[-1]
     return list(coords), None
@@ -113,7 +101,7 @@ def pure_gap(curve, places: PlaceTuple, coords: Sequence[int]) -> bool:
     places.validate(curve.r)
     ss, t = _split_coords(places, coords)
     if any(c < 1 for c in coords):
-        raise NonPositiveCoordinateError("pure gap coordinates must be >= 1")
+        raise ValueError("pure gap coordinates must be >= 1")
     return all(v > 0 for v in _member_conditions(curve, ss, t))
 
 
@@ -140,7 +128,7 @@ def pure_gaps(curve, places: PlaceTuple, bound: int,
              if places.include_infinity else [()])
     work = len(finite_axis) ** places.l * len(tails)
     if work > budget:
-        raise BudgetExceededError(f"{work} candidate tuples exceed budget {budget}")
+        raise ValueError(f"{work} candidate tuples exceed budget {budget}")
     hits = set()
     for ss in itertools.combinations_with_replacement(finite_axis, places.l):
         for tail in tails:
@@ -162,7 +150,7 @@ def one_point_gaps(curve, which: str, limit: int) -> List[int]:
         raise ValueError(f"unknown place selector {which!r}")
     work = min(limit, 2 * curve.g - 1)
     if work > DEFAULT_BUDGET:
-        raise BudgetExceededError(
+        raise ValueError(
             f"{work} one-point gap candidates exceed budget {DEFAULT_BUDGET}")
     return [s for s in range(1, work + 1) if pure_gap(curve, places, (s,))]
 
@@ -192,7 +180,7 @@ def box_search(curve, places: PlaceTuple, search_bound: int,
     corners = [hi for hi in gaps if sum(hi) == top]
     work = len(corners) * len(gaps)
     if work > budget:
-        raise BudgetExceededError(f"{work} candidate boxes exceed budget {budget}")
+        raise ValueError(f"{work} candidate boxes exceed budget {budget}")
     gap_set = set(gaps)
     boxes = (GapBox(places, lo, tuple(b - a for a, b in zip(lo, hi)))
              for hi in corners for lo in gaps if all(a <= b for a, b in zip(lo, hi)))
@@ -210,7 +198,7 @@ def floor_divisor(curve, H: Divisor) -> Divisor:
     """
     pts = omega_enumerate(curve, H)
     if not pts:
-        raise EmptyRiemannRochSpaceError("ell(H) = 0; floor undefined")
+        raise ValueError("ell(H) = 0; floor undefined")
     m, r = curve.m, curve.r
     s1 = max(-p.i for p in pts)
     s_rest = [max(-p.i - m * p.j[mu] for p in pts) for mu in range(r - 1)]
@@ -222,7 +210,7 @@ def floor_via_gcd(curve, H: Divisor) -> Divisor:
     """Floor as minus the gcd of the basis monomial divisors (oracle route)."""
     divs = [monomial_divisor(curve, pt) for pt in omega_enumerate(curve, H)]
     if not divs:
-        raise EmptyRiemannRochSpaceError("ell(H) = 0; floor undefined")
+        raise ValueError("ell(H) = 0; floor undefined")
     s = tuple(-min(d.s[mu] for d in divs) for mu in range(curve.r))
     t = -min(d.t for d in divs)
     return Divisor(s, t)

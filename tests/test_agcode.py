@@ -10,16 +10,14 @@ from operator import ne
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kummercodes.agcode import (BudgetExceededError, InconsistentDivisorError,
-                                LinearCode, PlaceInSupportError, brute_force_distance,
-                                build_cl, build_comega, designed_distance,
-                                evaluation_matrix, evaluation_places, in_support)
+from kummercodes.agcode import (LinearCode, brute_force_distance, build_cl, build_comega,
+                                designed_distance, evaluation_matrix, evaluation_places,
+                                in_support)
 from kummercodes.curve import KummerCurve, Place
 from kummercodes.gf import FiniteField, Matrix
 from kummercodes.rrlattice import Divisor, dimension, omega_enumerate
 from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
-from kummercodes.weierstrass import (BadArityError, GapBox, PlaceTuple, floor_divisor,
-                                     floor_via_gcd)
+from kummercodes.weierstrass import GapBox, PlaceTuple, floor_divisor, floor_via_gcd
 from test_curve import curve_hermitian_gf4, f_at
 from test_gf import oracle_dot, power
 
@@ -203,9 +201,9 @@ def test_build_cl_rejects_support():
     c = herm()
     G = Divisor((1, 0), 3)
     for place in (Place.ramified(1), Place.infinity()):
-        with pytest.raises(PlaceInSupportError):
+        with pytest.raises(ValueError, match=rf"^place {place} lies in supp\(G\)$"):
             build_cl(c, G, [place])
-        with pytest.raises(PlaceInSupportError):
+        with pytest.raises(ValueError, match=rf"^place {place} lies in supp\(G\)$"):
             evaluation_matrix(c, G, [Place.ramified(2), place])
     with pytest.raises(ValueError, match="pairwise distinct"):
         evaluation_matrix(c, G, [Place.ramified(2), Place.ramified(2)])
@@ -316,7 +314,7 @@ def test_brute_force_edge_cases():
     G = Divisor((0, 0), 3)
     D = evaluation_places(c, G)
     cl = build_cl(c, G, D)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(ValueError, match=r"^4\^3 - 1 codewords exceed budget 10$"):
         brute_force_distance(cl, budget=10)
     # a zero-dimensional code has no distance
     zero = build_comega(c, Divisor((0, 0), 0), D[:1])
@@ -330,8 +328,7 @@ def test_brute_force_refuses_a_huge_code_by_its_power():
     # Hermitian curve once failed to print its count.
     F = DISTANCE_FIELDS[-1]
     huge = LinearCode(Matrix(F, [[1]] * 1929))
-    with pytest.raises(BudgetExceededError,
-                       match=r"^256\^1929 - 1 codewords exceed budget 16777216$"):
+    with pytest.raises(ValueError, match=r"^256\^1929 - 1 codewords exceed budget 16777216$"):
         brute_force_distance(huge)
 
 
@@ -363,28 +360,28 @@ def test_designed_distance_methods():
 def test_designed_distance_validation():
     c = curve_example_2()
     G = Divisor.make(c.r, {1: 26, 2: 1})
-    with pytest.raises(InconsistentDivisorError):
+    with pytest.raises(ValueError, match=r"^goppa_L needs deg\(G\) < n$"):
         designed_distance(c, G, "goppa_L", n=20)
-    with pytest.raises(InconsistentDivisorError):
+    with pytest.raises(ValueError, match=r"^\(14, 2\) in the box is not a pure gap$"):
         designed_distance(c, G, "pure_gap_box",
                           box=GapBox(PlaceTuple(2), (13, 2), (1, 0)))
-    with pytest.raises(InconsistentDivisorError, match="not a pure gap"):
+    with pytest.raises(ValueError, match="not a pure gap"):
         designed_distance(c, G, "pure_gap_box",  # leaves the pure-gap region
                           box=GapBox(PlaceTuple(2), (1, 1), (20, 0)))
-    with pytest.raises(BadArityError):
+    with pytest.raises(ValueError, match="^expected 2 coordinates, got 1$"):
         designed_distance(c, G, "pure_gap_box", box=GapBox(PlaceTuple(2), (13,), (1,)))
-    with pytest.raises(InconsistentDivisorError, match="needs a box"):
+    with pytest.raises(ValueError, match="needs a box"):
         designed_distance(c, G, "pure_gap_box")
-    with pytest.raises(InconsistentDivisorError, match="does not induce G"):
+    with pytest.raises(ValueError, match="does not induce G"):
         designed_distance(c, G + G, "pure_gap_box",
                           box=GapBox(PlaceTuple(2), (13, 1), (1, 0)))
-    with pytest.raises(InconsistentDivisorError):
+    with pytest.raises(ValueError, match=r"^G != H \+ floor\(H\)$"):
         designed_distance(c, G, "floor_pair", H=Divisor.make(c.r, {1: 13}))
-    with pytest.raises(InconsistentDivisorError, match="needs the divisor H"):
+    with pytest.raises(ValueError, match="needs the divisor H"):
         designed_distance(c, G, "floor_pair")
-    with pytest.raises(InconsistentDivisorError, match="must be effective"):
+    with pytest.raises(ValueError, match="must be effective"):
         designed_distance(c, G, "floor_pair", H=Divisor.make(c.r, {1: -1}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method 'unknown'"):
         designed_distance(c, G, "unknown")
 
 

@@ -210,6 +210,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("semigroup", herm.replace("places = P1\n", ""), "needs places="),
         ("semigroup", herm.replace("places = P1", "places = Pinf,P1"), "Pinf must come last"),
         ("semigroup", herm.replace("places = P1", "places = P2"), "got 'P2'"),
+        ("semigroup", herm.replace("places = P1", "places ="), "places= names no place"),
+        ("semigroup", herm.replace("places = P1", "places = ,"), "places= names no place"),
+        ("semigroup", herm.replace("places = P1", "places = P1,P2,P3"),
+         "places= names 3 finite places, curve has r=2"),
+        ("pure-gaps", herm.replace("places = P1", "places = P1,P2,P3,Pinf"),
+         "places= names 3 finite places, curve has r=2"),
+        ("semigroup", herm.replace("coords = 1\n", ""), "this command needs coords="),
+        ("semigroup", herm.replace("coords = 1", "coords ="),
+         "coords= needs one value per place in places= (1), got 0"),
+        ("semigroup", herm.replace("coords = 1", "coords = 1,1"),
+         "coords= needs one value per place in places= (1), got 2"),
         ("build-code", herm + "code = x\n", "code= must be 'l' or 'omega', got 'x'"),
     ]
     for cmd, text, message in refused:
@@ -277,6 +288,26 @@ def test_math_errors_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "curve-info", "--config", huge_e.as_posix())
     assert code == 1
     assert "p^e = 2^20000 exceeds supported range 2^16" in err
+
+    # Each check of the field and curve gives one error line, not a traceback.
+    herm = HERM_CFG.format(divisor="0,0,3", places="P1", coords="1", bound="6")
+    field = "p = 2\ne = 2\nmodulus = 1,1,1"
+    gf5 = herm.replace(field, "p = 5\ne = 1\nmodulus = 0,1")
+    gf9 = herm.replace(field, "p = 3\ne = 2\nmodulus = 1,0,1")
+    refused = [
+        (herm.replace("modulus = 1,1,1", "modulus = 1,0,1"),
+         "modulus [1, 0, 1] is reducible over GF(2)"),
+        (herm.replace("p = 2", "p = 4"), "p=4 is not prime"),
+        (herm.replace("f = 0,1,1", "f = 0,1,2"), "f must be monic"),
+        (gf5.replace("f = 0,1,1", "f = 2,0,1"), "f has 0 distinct rational roots but degree 2"),
+        (herm.replace("f = 0,1,1", "roots = 1,1"), "roots of f must be pairwise distinct"),
+        (gf9.replace("f = 0,1,1", "roots = 1"), "characteristic 3 divides m=3"),
+    ]
+    for text, message in refused:
+        path = tmp_path / "math.ini"
+        path.write_text(text)
+        assert run_cli(capsys, "curve-info", "--config", path.as_posix()) == (
+            1, "", f"error: {message}\n")
 
     # A negative evaluation-set size is refused, not read as a slice end.
     neg_n = write_cfg(tmp_path)

@@ -1,4 +1,5 @@
-"""The lattice and semigroup layers read only the (m, r) profile."""
+"""Source-level checks: the lattice and semigroup layers read only the
+(m, r) profile, and every exception class the package defines is caught."""
 
 from __future__ import annotations
 
@@ -46,6 +47,25 @@ def test_package_imports_sees_every_form():
         "    from .curve import KummerCurve",
     ])
     assert package_imports(source) == {"rrlattice", "gf", "agcode", "verify", "curve"}
+
+
+def _name(node) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_every_exception_class_is_caught_in_src():
+    """A class whose base ends in Error or Exception is named in some except
+    clause, alone or in a tuple: uncaught types are plain ValueError instead."""
+    defined, caught = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                if any(_name(base).endswith(("Error", "Exception")) for base in node.bases):
+                    defined.add(node.name)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(_name(t) for t in types)
+    assert {"ConfigError", "GcdViolationError"} <= defined <= caught
 
 
 def test_weierstrass_imports_no_field_level_module():

@@ -6,11 +6,10 @@ import random
 
 import pytest
 
-from kummercodes.agcode import PlaceInSupportError, evaluation_matrix
+from kummercodes.agcode import evaluation_matrix
 from kummercodes.curve import KummerCurve, Place
-from kummercodes.rrlattice import (DEFAULT_BUDGET, BudgetExceededError, Divisor,
-                                   LatticePoint, RamificationData, ceil_div, dimension,
-                                   monomial_divisor, omega_enumerate)
+from kummercodes.rrlattice import (DEFAULT_BUDGET, Divisor, LatticePoint, RamificationData,
+                                   ceil_div, dimension, monomial_divisor, omega_enumerate)
 from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
 from kummercodes.weierstrass import _member_conditions
 from test_curve import curve_hermitian_gf4, f_at
@@ -53,7 +52,7 @@ def test_scan_refused_over_budget():
     # budget is refused before any is tried.
     prof = RamificationData(3, 2)
     over = Divisor((0, 0), DEFAULT_BUDGET - 3)
-    with pytest.raises(BudgetExceededError,
+    with pytest.raises(ValueError,
                        match=f"^{DEFAULT_BUDGET + 1} lattice candidates exceed budget "):
         omega_enumerate(prof, over)
     assert omega_enumerate(prof, Divisor((0, 0), -10 ** 12)) == []
@@ -199,7 +198,7 @@ def test_evaluate_at_ramified_and_infinity():
     M = evaluation_matrix(c, G, [Place.ramified(1), Place.ramified(2)])
     assert M.rows[row_of(c, G, 1)] == [0, 0]
     # and has a pole at infinity, which lies in supp(G) and is refused
-    with pytest.raises(PlaceInSupportError):
+    with pytest.raises(ValueError, match=r"^place Pinf lies in supp\(G\)$"):
         evaluation_matrix(c, G, [Place.ramified(1), Place.infinity()])
 
 
@@ -209,7 +208,7 @@ def test_evaluate_pole_detection():
     # supp(G) and are refused, and it is 0 at infinity
     G = Divisor((1, 1), 0)
     for place in (Place.ramified(1), Place.ramified(2)):
-        with pytest.raises(PlaceInSupportError):
+        with pytest.raises(ValueError, match=rf"^place {place} lies in supp\(G\)$"):
             evaluation_matrix(c, G, [Place.infinity(), place])
     assert evaluation_matrix(c, G, [Place.infinity()]).rows[row_of(c, G, -1)] == [0]
 

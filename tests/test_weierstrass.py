@@ -12,24 +12,21 @@ from hypothesis import given, settings, strategies as st
 from kummercodes.rrlattice import Divisor, RamificationData, ceil_div, dimension
 from kummercodes.verify import (EXAMPLES, Example, curve_example_1, curve_example_2,
                                curve_example_4)
-from kummercodes.weierstrass import (BadArityError, BudgetExceededError,
-                                     EmptyRiemannRochSpaceError,
-                                     GapBox, NonPositiveCoordinateError,
-                                     PlaceTuple, box_search, floor_divisor,
-                                     floor_via_gcd, one_point_gaps, pure_gap,
-                                     pure_gaps, semigroup_member)
+from kummercodes.weierstrass import (GapBox, PlaceTuple, box_search, floor_divisor,
+                                     floor_via_gcd, one_point_gaps, pure_gap, pure_gaps,
+                                     semigroup_member)
 from test_acceptance import PROFILES
 from test_curve import curve_hermitian_gf4
 
 
 def test_place_tuple_validation():
     c = curve_example_2()
-    with pytest.raises(BadArityError):
+    with pytest.raises(ValueError, match="^at least one place must be selected$"):
         PlaceTuple(0).validate(c.r)
-    with pytest.raises(BadArityError):
+    with pytest.raises(ValueError, match=r"^l=6 out of \[0, 5\]$"):
         PlaceTuple(6).validate(c.r)
     PlaceTuple(0, include_infinity=True).validate(c.r)
-    with pytest.raises(BadArityError):
+    with pytest.raises(ValueError, match="^expected 2 coordinates, got 1$"):
         semigroup_member(c, PlaceTuple(2), (3,))
 
 
@@ -64,7 +61,7 @@ def test_example2_pure_gaps():
 
 def test_pure_gap_needs_positive_coords():
     c = curve_example_2()
-    with pytest.raises(NonPositiveCoordinateError):
+    with pytest.raises(ValueError, match="^pure gap coordinates must be >= 1$"):
         pure_gap(c, PlaceTuple(2), (0, 1))
 
 
@@ -278,13 +275,13 @@ def test_one_point_gaps_at_every_place_match_ell_counts():
 def test_pure_gaps_clamp_and_budget():
     c = curve_example_2()  # g = 10, so every axis has 10 gaps up to 2g - 1 = 19
     pl = PlaceTuple(3, include_infinity=True)
-    with pytest.raises(BudgetExceededError, match="10000 candidate tuples exceed budget 9999"):
+    with pytest.raises(ValueError, match="10000 candidate tuples exceed budget 9999"):
         pure_gaps(c, pl, 100, budget=9999)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(ValueError, match="^10000 candidate tuples exceed budget 9999$"):
         box_search(c, pl, 19, budget=9999)
     assert pure_gaps(c, pl, 100, budget=10000) == pure_gaps(c, pl, 19)
     assert pure_gaps(c, PlaceTuple(2), 0) == []
-    with pytest.raises(BadArityError):
+    with pytest.raises(ValueError, match=r"^l=6 out of \[0, 5\]$"):
         pure_gaps(c, PlaceTuple(6), 0)
 
 
@@ -378,8 +375,7 @@ def test_box_search_refuses_over_budget():
     # with the largest coordinate sum, so 90 * 2,296 candidate boxes.
     prof, pl = RamificationData(9, 8), PlaceTuple(3)
     assert len(pure_gaps(prof, pl, 55, budget=100_000)) == 2296
-    with pytest.raises(BudgetExceededError,
-                       match="^206640 candidate boxes exceed budget 100000$"):
+    with pytest.raises(ValueError, match="^206640 candidate boxes exceed budget 100000$"):
         box_search(prof, pl, 55, budget=100_000)
 
 
@@ -403,7 +399,7 @@ def test_floor_zero_and_empty():
     zero = Divisor.make(c.r)
     assert floor_divisor(c, zero) == zero
     for floor in (floor_divisor, floor_via_gcd):
-        with pytest.raises(EmptyRiemannRochSpaceError):
+        with pytest.raises(ValueError, match=r"^ell\(H\) = 0; floor undefined$"):
             floor(c, Divisor.make(c.r, {1: -1}))
 
 
