@@ -100,6 +100,13 @@ def _job_int(args, cp: ConfigParser, key: str, default: Optional[int]) -> Option
     return _int(text) if text else default
 
 
+def _budget(args, cp: ConfigParser) -> int:
+    budget = _job_int(args, cp, "budget", DEFAULT_BUDGET)
+    if budget < 0:
+        raise ConfigError(f"budget must be >= 0, got {budget}")
+    return budget
+
+
 def parse_divisor(curve: KummerCurve, text: Optional[str]) -> Divisor:
     if text is None:
         raise ConfigError("this command needs divisor=s1,...,sr,t in [job]")
@@ -206,7 +213,7 @@ def cmd_pure_gaps(curve: KummerCurve, args, cp) -> int:
     bound = _job_int(args, cp, "bound", 0)
     if bound < 1:
         raise ConfigError("pure-gaps needs --bound or bound= in [job]")
-    budget = _job_int(args, cp, "budget", DEFAULT_BUDGET)
+    budget = _budget(args, cp)
     rows = [",".join(str(v) for v in pt) for pt in pure_gaps(curve, places, bound, budget)]
     _emit(args.out, "\n".join([*rows, ""]))
     return 0
@@ -217,7 +224,7 @@ def cmd_box_search(curve: KummerCurve, args, cp) -> int:
     bound = _job_int(args, cp, "bound", 0)
     if bound < 1:
         raise ConfigError("box-search needs --bound or bound= in [job]")
-    budget = _job_int(args, cp, "budget", DEFAULT_BUDGET)
+    budget = _budget(args, cp)
     result = box_search(curve, places, bound, budget)
     if result is None:
         _emit(args.out, "no pure gaps\n")
@@ -267,7 +274,7 @@ def cmd_build_code(curve: KummerCurve, args, cp) -> int:
 
 
 def cmd_check_distance(curve: KummerCurve, args, cp) -> int:
-    budget = _job_int(args, cp, "budget", DEFAULT_BUDGET)
+    budget = _budget(args, cp)
     _, _, code, _ = _build_code(curve, args, cp)
     d = brute_force_distance(code, budget)
     _emit(args.out, ("undefined" if d is None else str(d)) + "\n")

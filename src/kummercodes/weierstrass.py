@@ -115,9 +115,10 @@ def pure_gaps(curve, places: PlaceTuple, bound: int,
     one-point gap lists up to min(bound, 2g - 1) is a candidate; a product
     over the budget is refused before any test.  Pure gaps are symmetric in
     the finite coordinates (ell depends only on their multiset), so only
-    nondecreasing finite parts are tested, and the hits' permutations are
-    sorted into product order.  The one-point scans are budgeted by
-    one_point_gaps.
+    nondecreasing finite parts are tested, each once without P_inf: at
+    P_inf coordinate t those values drop by t, so only the tails below their
+    minimum get the full test.  The hits' permutations are sorted into
+    product order.  The one-point scans are budgeted by one_point_gaps.
     """
     places.validate(curve.r)
     limit = min(bound, 2 * curve.g - 1)
@@ -130,9 +131,10 @@ def pure_gaps(curve, places: PlaceTuple, bound: int,
     if work > budget:
         raise ValueError(f"{work} candidate tuples exceed budget {budget}")
     hits = set()
-    for ss in itertools.combinations_with_replacement(finite_axis, places.l):
-        for tail in tails:
-            if pure_gap(curve, places, ss + tail):
+    for ss in map(list, itertools.combinations_with_replacement(finite_axis, places.l)):
+        room = min(_member_conditions(curve, ss, None), default=limit + 1)
+        for tail in tails:  # sum(tail) is t, or 0 without P_inf
+            if sum(tail) < room and (not tail or min(_member_conditions(curve, ss, *tail)) > 0):
                 hits.update(perm + tail for perm in itertools.permutations(ss))
     return sorted(hits)
 
@@ -171,7 +173,9 @@ def box_search(curve, places: PlaceTuple, search_bound: int,
     boxes up to a pure gap of largest sum (a one-point box) are ranked; those
     corners times the pure gaps are refused over the budget.  Ties go to the
     smallest induced degree (least sum of base), then the lexicographically
-    largest base (the extreme gap over its mirror images), then largest widths.
+    largest base (the extreme gap over its mirror images), then largest widths:
+    the first base in that order with an all-gap box to some corner returns
+    its widest one (a corner is its own width-0 box, so one always does).
     """
     gaps = pure_gaps(curve, places, search_bound, budget)
     if not gaps:
@@ -182,12 +186,11 @@ def box_search(curve, places: PlaceTuple, search_bound: int,
     if work > budget:
         raise ValueError(f"{work} candidate boxes exceed budget {budget}")
     gap_set = set(gaps)
-    boxes = (GapBox(places, lo, tuple(b - a for a, b in zip(lo, hi)))
-             for hi in corners for lo in gaps if all(a <= b for a, b in zip(lo, hi)))
-    best = min((box for box in boxes if all(pt in gap_set for pt in box.points())),
-               key=lambda box: (sum(box.base), tuple(-c for c in box.base),
-                                tuple(-w for w in box.widths)))
-    return best, best.induced_divisor(curve.r)
+    for lo in sorted(reversed(gaps), key=sum):  # gaps and corners are in product order
+        for hi in reversed(corners):
+            box = GapBox(places, lo, tuple(b - a for a, b in zip(lo, hi)))
+            if min(box.widths) >= 0 and all(pt in gap_set for pt in box.points()):
+                return box, box.induced_divisor(curve.r)
 
 
 def floor_divisor(curve, H: Divisor) -> Divisor:

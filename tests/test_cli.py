@@ -222,6 +222,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("semigroup", herm.replace("coords = 1", "coords = 1,1"),
          "coords= needs one value per place in places= (1), got 2"),
         ("build-code", herm + "code = x\n", "code= must be 'l' or 'omega', got 'x'"),
+        ("pure-gaps", herm + "budget = -1\n", "budget must be >= 0, got -1"),
+        ("box-search", herm + "budget = -1\n", "budget must be >= 0, got -1"),
+        ("check-distance", herm + "budget = -1\n", "budget must be >= 0, got -1"),
     ]
     for cmd, text, message in refused:
         path = tmp_path / "refused.ini"
@@ -229,6 +232,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, cmd, "--config", path.as_posix())
         assert (code, out) == (2, ""), message
         assert err.startswith("config error:") and message in err and err.count("\n") == 1
+
+    # A negative --budget is refused before any search, not reported as over budget.
+    for cmd, name in (("pure-gaps", "gaps"), ("box-search", "gaps"),
+                      ("check-distance", "distance")):
+        code, out, err = run_cli(capsys, cmd, "--config", str(WORKLOADS / f"{name}.ini"),
+                                 "--budget", "-1")
+        assert (code, out, err) == (2, "", "config error: budget must be >= 0, got -1\n"), cmd
 
     # A seed picks n places, so without n= it is refused, not ignored.
     seed_only = write_cfg(tmp_path, divisor="0,0,5")

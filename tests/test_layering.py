@@ -73,6 +73,21 @@ def test_weierstrass_imports_no_field_level_module():
     assert package_imports(source) & FIELD_LEVEL == set()
 
 
+def test_ceil_div_is_named_only_in_member_conditions():
+    """_member_conditions is the one closed form of membership: no other
+    code in weierstrass may call (or alias) ceil_div to copy the formula."""
+    tree = ast.parse((PACKAGE / "weierstrass.py").read_text(encoding="utf-8"))
+
+    def uses(node):
+        return sum(_name(n) == "ceil_div" for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+    member = [n for n in ast.walk(tree)
+              if isinstance(n, ast.FunctionDef) and n.name == "_member_conditions"]
+    assert len(member) == 1
+    assert uses(tree) == uses(member[0]) > 0
+
+
 def test_rrlattice_imports_nothing_from_the_package():
     assert package_imports((PACKAGE / "rrlattice.py").read_text(encoding="utf-8")) == set()
 

@@ -226,10 +226,12 @@ PRUNING_CASES = ([(f"profile{m}_{r}", RamificationData(m, r)) for m, r in PROFIL
                          ids=[name for name, _ in PRUNING_CASES])
 def test_pure_gaps_equal_exhaustive_scan(curve):
     # The gap-axis search against a scan of the whole box, past the 2g - 1 clamp.
+    # Arity 1 covers the finite part without a tail (P1) and the tail
+    # without a finite part (Pinf).
     bound = 2 * curve.g + curve.m
     for l in range(curve.r + 1):
         for inf in (False, True):
-            if l + inf not in (2, 3):
+            if l + inf not in (1, 2, 3):
                 continue
             pl = PlaceTuple(l, inf)
             full = [pt for pt in itertools.product(range(1, bound + 1), repeat=pl.arity())
@@ -362,6 +364,27 @@ def test_box_search_equals_pair_scan(curve):
             if 1 <= l + inf <= 3:
                 pl = PlaceTuple(l, inf)
                 assert box_search(curve, pl, bound) == pair_scan_box_search(curve, pl, bound), pl
+
+
+@st.composite
+def profile_places_box_bound(draw):
+    """A coprime profile with 2 <= m <= 9, 1 <= r <= 4, a 1- to 3-place
+    tuple on it, with or without P_inf, and the bound 2g - 1."""
+    m = draw(st.integers(2, 9))
+    r = draw(st.integers(1, 4).filter(lambda r: math.gcd(m, r) == 1))
+    l, inf = draw(st.sampled_from([(l, inf) for inf in (False, True)
+                                   for l in range(r + 1) if 1 <= l + inf <= 3]))
+    prof = RamificationData(m, r)
+    return prof, PlaceTuple(l, inf), 2 * prof.g - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile_places_box_bound())
+def test_box_search_equals_pair_scan_on_random_profiles(case):
+    # The rank-order walk keeps every tie-break of the pair scan: least
+    # degree, then the largest base, then the largest widths.
+    prof, pl, bound = case
+    assert box_search(prof, pl, bound) == pair_scan_box_search(prof, pl, bound)
 
 
 def test_box_search_equals_pair_scan_on_a_large_profile():
