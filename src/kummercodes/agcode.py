@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from functools import partial
+from itertools import repeat
 from operator import add, mul, sub, xor
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .curve import KummerCurve, Place
 from .gf import Matrix, pack
@@ -53,28 +54,54 @@ def evaluation_places(curve: KummerCurve, G: Divisor,
 
 
 class LinearCode:
-    """[n, k] code over GF(q) given by a full-rank generator in RREF."""
+    """[n, k] code over GF(q): the row space of a full-rank matrix or, given its
+    pivots, the null space of that matrix in RREF, made a row at a time."""
 
-    def __init__(self, generator: Matrix, bounds: Sequence[Tuple[str, int]] = ()):
-        self.generator, self.bounds = generator, list(bounds)
+    def __init__(self, matrix: Matrix, bounds: Sequence[Tuple[str, int]] = (),
+                 pivots: Optional[Sequence[int]] = None):
+        self.matrix, self.bounds, self.pivots = matrix, list(bounds), pivots
 
     @property
     def field(self):
-        return self.generator.field
+        return self.matrix.field
 
     @property
     def n(self) -> int:
-        return self.generator.ncols
+        return self.matrix.ncols
 
     @property
     def k(self) -> int:
-        return self.generator.nrows
+        return self.matrix.nrows if self.pivots is None else self.n - len(self.pivots)
 
-    def export_text(self) -> str:
-        """Wire format: header `n k q`, then k rows of n codec integers."""
+    def rows(self) -> Iterator[List[int]]:
+        """Generator rows; of a null space, one per free column fc in order: the
+        unit vector at fc, with the negated column fc of the RREF at the pivots."""
+        if self.pivots is None:
+            yield from self.matrix.rows
+            return
+        F, n, pivots = self.field, self.n, self.pivots
+        neg = range(F.q) if F.p == 2 else [F.neg(a) for a in range(F.q)]
+        pivot_set, zero = set(pivots), [0] * n
+        for fc, column in enumerate(zip(*self.matrix.rows) if pivots else repeat((), n)):
+            if fc not in pivot_set:
+                row = zero[:]
+                row[fc] = 1
+                for pc, a in zip(pivots, column):
+                    row[pc] = neg[a]
+                yield row
+
+    def export(self) -> Iterator[str]:
+        """Wire format, a line at a time: header `n k q`, then k rows of n codec integers."""
         text = [str(v) for v in range(self.field.q)]
-        rows = (" ".join(map(text.__getitem__, row)) for row in self.generator.rows)
-        return "\n".join([f"{self.n} {self.k} {self.field.q}", *rows, ""])
+        yield f"{self.n} {self.k} {self.field.q}\n"
+        for row in self.rows():
+            yield " ".join(map(text.__getitem__, row)) + "\n"
+
+
+def null_space(matrix: Matrix) -> LinearCode:
+    """The code {v : matrix v^T = 0}, held as the RREF of matrix and its pivots."""
+    rank, red, pivots = matrix.rref()
+    return LinearCode(Matrix(matrix.field, red.rows[:rank], matrix.ncols), pivots=pivots)
 
 
 def _check_evaluation_set(G: Divisor, places: Sequence[Place]) -> None:
@@ -152,7 +179,7 @@ def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearC
 def build_comega(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearCode:
     """C_Omega(D, G) = C_L(D, G)^perp, the null space of the evaluation matrix;
     checks the dimension law when it applies."""
-    code = LinearCode(evaluation_matrix(curve, G, places).nullspace())
+    code = null_space(evaluation_matrix(curve, G, places))
     n, k = code.n, code.k
     if 2 * curve.g - 2 < G.degree < n:
         expected = n + curve.g - 1 - G.degree
@@ -217,7 +244,7 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
     if total - 1 > budget:  # q^k can pass the int-to-str digit limit, so print it as a power
         raise ValueError(f"{q}^{k} - 1 codewords exceed budget {budget}")
     n = code.n
-    rows = code.generator.rows
+    rows = list(code.rows())
     if F.p == 2:
         def weight(cw):  # bits e..7 (or e..15) of every cell are zero
             folded = cw

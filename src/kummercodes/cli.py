@@ -12,7 +12,8 @@ import argparse
 import configparser
 import sys
 from configparser import ConfigParser
-from typing import List, Optional, Sequence
+from itertools import chain
+from typing import Iterable, List, Optional, Sequence, Union
 
 from . import verify
 from .agcode import (brute_force_distance, build_cl, build_comega,
@@ -139,13 +140,26 @@ def parse_places(curve: KummerCurve, text: Optional[str]) -> PlaceTuple:
     return PlaceTuple(l, include_inf)
 
 
-def _emit(out: Optional[str], text: str) -> None:
+def _emit(out: Optional[str], chunks: Union[str, Iterable[str]]) -> None:
+    """Write the text, or its chunks as they come, to stdout or to the file out,
+    about 64 KiB at a time (unbuffered stdout makes a system call of each write).
+    Every check that can refuse the job runs first, so a refused job writes nothing."""
+    def write(fh) -> None:
+        batch, size = [], 0
+        for chunk in [chunks] if isinstance(chunks, str) else chunks:
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= 1 << 16:
+                fh.write("".join(batch))
+                batch, size = [], 0
+        fh.write("".join(batch))
+
     if not out:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
@@ -169,12 +183,9 @@ def cmd_curve_info(curve: KummerCurve, args, cp) -> int:
 
 def cmd_places(curve: KummerCurve, args, cp) -> int:
     text = [str(v) for v in range(curve.field.q)]
-    rows = ["kind,mu,x,y"]
-    for p in curve.places():  # nearly all affine, whose rows need no kind lookup
-        rows.append(f"affine,0,{text[p.x]},{text[p.y]}" if p.kind_rank == 2
-                    else f"{p.kind},{p.mu},{p.x},{p.y}")
-    rows.append("")
-    _emit(args.out, "\n".join(rows))
+    rows = (f"affine,0,{text[p.x]},{text[p.y]}\n" if p.kind_rank == 2  # nearly all: no kind lookup
+            else f"{p.kind},{p.mu},{p.x},{p.y}\n" for p in curve.iter_places())
+    _emit(args.out, chain(["kind,mu,x,y\n"], rows))
     return 0
 
 
@@ -265,7 +276,7 @@ def _build_code(curve, args, cp):
 
 def cmd_build_code(curve: KummerCurve, args, cp) -> int:
     G, D, code, selection = _build_code(curve, args, cp)
-    _emit(args.out, code.export_text())
+    _emit(args.out, code.export())
     dest = sys.stdout if args.out else sys.stderr
     dest.write(f"selection {selection} n={code.n}\n")
     for name, value in code.bounds:

@@ -14,7 +14,7 @@ import math
 from functools import reduce
 from itertools import repeat
 from operator import add
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .gf import FiniteField
 from .rrlattice import Divisor, RamificationData
@@ -93,18 +93,18 @@ class KummerCurve(RamificationData):
             raise AssertionError("failed Bezout identity A*lambda + B*m = 1")
 
     def num_places(self) -> int:
-        return len(self.places())
+        return sum(1 for _ in self.iter_places())
 
     def places(self) -> List[Place]:
         """All rational places in canonical order (cached)."""
-        cached = getattr(self, "_places", None)
-        if cached is None:
-            cached = self._enumerate_places()
-            self._places = cached
-        return cached
+        if "_places" not in vars(self):
+            self._places = list(self.iter_places())
+        return self._places
 
-    def _enumerate_places(self) -> List[Place]:
-        """y^m = c has d = gcd(m, q-1) roots, with logs (log c / d) * (m/d)^-1
+    def iter_places(self) -> Iterator[Place]:
+        """The rational places in canonical order, made one at a time.
+
+        y^m = c has d = gcd(m, q-1) roots, with logs (log c / d) * (m/d)^-1
         mod (q-1)/d plus multiples of (q-1)/d, when d | log c, and none otherwise;
         log f(x) = sum of log(x - alpha) over the roots, one pass per root."""
         F = self.field
@@ -117,16 +117,14 @@ class KummerCurve(RamificationData):
         for alpha in self.roots:
             diffs = map(F.add, xs, repeat(F.neg(alpha)))
             log_f = list(map(add, log_f, map(F._log.__getitem__, diffs)))
-        out = [Place.infinity()]
-        out.extend(Place.ramified(mu) for mu in range(1, self.r + 1))
+        yield Place.infinity()
+        yield from map(Place.ramified, range(1, self.r + 1))
         new = tuple.__new__  # Place.affine without the per-call keyword handling
         for x0, log_fx in zip(xs, log_f):
             log_c = log_fx * self.lam % order
-            if log_c % d:
-                continue
-            ys = sorted(F._exp[log_c // d * inv_m % period:order:period])
-            out.extend([new(Place, (2, 0, x0, y0)) for y0 in ys])
-        return out
+            if log_c % d == 0:
+                for y0 in sorted(F._exp[log_c // d * inv_m % period:order:period]):
+                    yield new(Place, (2, 0, x0, y0))
 
     def principal_divisor(self, item: str, index: int = 0) -> Divisor:
         """Divisor of x - alpha_index, y, f, or z."""

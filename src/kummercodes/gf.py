@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p^e), and row reduction and null spaces over it.
+"""Exact arithmetic in GF(p^e), and row reduction over it.
 
 Field elements are represented as plain integers in [0, q): the base-p
 digits of the integer (least significant first) are the coefficients of
@@ -256,8 +256,8 @@ class Matrix:
     """Dense row-major matrix of codec integers over one FiniteField.
 
     The Matrix owns the row lists it is handed and copies none of them,
-    so a caller that changes them later changes the Matrix.  rref and
-    nullspace never change self.rows.
+    so a caller that changes them later changes the Matrix.  rref never
+    changes self.rows.
     """
 
     def __init__(self, field: FiniteField, rows: List[List[int]], ncols: int | None = None):
@@ -344,21 +344,6 @@ class Matrix:
                     rows[r] = v ^ _scaled(multiples, c)  # row -= c * pivot
             pivots.append(col)
         return len(pivots), Matrix(F, [unpack(F, v, n) for v in rows], n), pivots
-
-    def nullspace(self) -> "Matrix":
-        """Basis of {v : M v^T = 0}, rows in reduced echelon order."""
-        F, n = self.field, self.ncols
-        _, red, pivots = self.rref()
-        neg = range(F.q) if F.p == 2 else [F.neg(a) for a in range(F.q)]
-        pivot_set, basis = set(pivots), []
-        for fc, column in enumerate(zip(*red.rows) if red.rows else [()] * n):
-            if fc not in pivot_set:
-                v = [0] * n
-                v[fc] = 1
-                for pc, a in zip(pivots, column):
-                    v[pc] = neg[a]
-                basis.append(v)
-        return Matrix(F, basis, n)
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"

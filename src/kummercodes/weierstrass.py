@@ -112,24 +112,26 @@ def pure_gaps(curve, places: PlaceTuple, bound: int,
     Every coordinate of a pure gap is a one-point gap at its place
     (Homma-Kim; Carvalho-Torres), hence at most 2g - 1, and the gaps at
     P_2..P_r are those at P_1.  So only the product of the sorted
-    one-point gap lists up to min(bound, 2g - 1) is a candidate; a product
-    over the budget is refused before any test.  Pure gaps are symmetric in
-    the finite coordinates (ell depends only on their multiset), so only
-    nondecreasing finite parts are tested, each once without P_inf: at
-    P_inf coordinate t those values drop by t, so only the tails below their
-    minimum get the full test.  The hits' permutations are sorted into
-    product order.  The one-point scans are budgeted by one_point_gaps.
+    one-point gap lists up to min(bound, 2g - 1) is a candidate.  A place
+    has exactly g gaps, so that product has at most min(bound, g)^arity
+    tuples; a bound over the budget is refused before any test, one-point
+    scans included.  Pure gaps are symmetric in the finite coordinates
+    (ell depends only on their multiset), so only nondecreasing finite
+    parts are tested, each once without P_inf: at P_inf coordinate t those
+    values drop by t, so only the tails below their minimum get the full
+    test.  The hits' permutations are sorted into product order.  The
+    one-point scans are budgeted by one_point_gaps.
     """
     places.validate(curve.r)
     limit = min(bound, 2 * curve.g - 1)
     if limit < 1:
         return []
+    work = min(limit, curve.g) ** places.arity()
+    if work > budget:
+        raise ValueError(f"{work} candidate tuples exceed budget {budget}")
     finite_axis = one_point_gaps(curve, "P1", limit)
     tails = ([(t,) for t in one_point_gaps(curve, "Pinf", limit)]
              if places.include_infinity else [()])
-    work = len(finite_axis) ** places.l * len(tails)
-    if work > budget:
-        raise ValueError(f"{work} candidate tuples exceed budget {budget}")
     hits = set()
     for ss in map(list, itertools.combinations_with_replacement(finite_axis, places.l)):
         room = min(_member_conditions(curve, ss, None), default=limit + 1)

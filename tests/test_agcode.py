@@ -12,14 +12,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kummercodes.agcode import (LinearCode, brute_force_distance, build_cl, build_comega,
                                 designed_distance, evaluation_matrix, evaluation_places,
-                                in_support)
+                                in_support, null_space)
 from kummercodes.curve import KummerCurve, Place
 from kummercodes.gf import FiniteField, Matrix
 from kummercodes.rrlattice import Divisor, dimension, omega_enumerate
 from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
 from kummercodes.weierstrass import GapBox, PlaceTuple, floor_divisor, floor_via_gcd
 from test_curve import curve_hermitian_gf4, f_at
-from test_gf import oracle_dot, power
+from test_gf import oracle_dot, oracle_nullspace, power
 
 
 def herm():
@@ -29,8 +29,30 @@ def herm():
 def orthogonal(cl, co):
     """Every row of one generator is orthogonal to every row of the other,
     by scalar dot products independent of the matrix kernel."""
-    return all(oracle_dot(cl.field, u, v) == 0
-               for u in cl.generator.rows for v in co.generator.rows)
+    dual_rows = list(co.rows())
+    return all(oracle_dot(cl.field, u, v) == 0 for u in cl.rows() for v in dual_rows)
+
+
+def test_streamed_comega_rows_equal_oracle_nullspace():
+    # Rows made one at a time from the RREF equal the null space the scalar
+    # oracle builds whole, over GF(2^e) and odd p, rank-deficient or not.
+    rng = random.Random(16)
+    for F in DISTANCE_FIELDS + PROPERTY_FIELDS:
+        for _ in range(8):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 12)
+            rows = [[rng.choice([0, 1, rng.randrange(F.q)]) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            streamed = null_space(Matrix(F, rows, ncols))
+            assert list(streamed.rows()) == oracle_nullspace(F, rows, ncols)
+            assert streamed.k == len(oracle_nullspace(F, rows, ncols))
+    c = herm()
+    D = evaluation_places(c, Divisor((0, 0), -1))
+    # ell(G) = 0: no parity check, so C_Omega is the whole space, the identity.
+    whole = build_comega(c, Divisor((0, 0), -1), D)
+    assert list(whole.rows()) == [[int(i == j) for j in range(len(D))] for i in range(len(D))]
+    # k = 0: n = ell(G), so C_Omega is the zero code and yields no row.
+    zero = build_comega(c, Divisor((0, 0), 0), D[:1])
+    assert zero.k == 0 and list(zero.rows()) == [] and list(zero.export()) == ["1 0 4\n"]
 
 
 def test_in_support():
@@ -215,7 +237,7 @@ def test_repetition_code():
     D = evaluation_places(c, G)
     code = build_cl(c, G, D)
     assert code.k == 1
-    assert code.generator.rows == [[1] * code.n]
+    assert list(code.rows()) == [[1] * code.n]
     assert brute_force_distance(code) == code.n
 
 
@@ -252,7 +274,7 @@ def naive_distance(code):
     sum of the chosen multiples."""
     F = code.field
     multiples = [[[F.mul(c, v) for v in row] for c in range(F.q)]
-                 for row in code.generator.rows]
+                 for row in code.rows()]
     best = None
     for msg in itertools.product(range(F.q), repeat=code.k):
         if not any(msg):
@@ -390,11 +412,11 @@ def test_export_text_format():
     G = Divisor((0, 0), 3)
     D = evaluation_places(c, G)
     code = build_cl(c, G, D)
-    lines = code.export_text().splitlines()
+    lines = "".join(code.export()).splitlines()
     assert lines[0] == f"{code.n} {code.k} 4"
     assert len(lines) == 1 + code.k
     parsed = [[int(v) for v in row.split()] for row in lines[1:]]
-    assert parsed == code.generator.rows
+    assert parsed == list(code.rows()) == code.matrix.rows
 
 
 def test_linear_codes_do_not_share_bounds():

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,35 @@ def test_build_code_export(tmp_path, capsys):
     assert len(lines) == 1 + k
     assert "selection all" in out
     assert "bound goppa_omega 3" in out
+
+
+def test_out_file_equals_stdout_and_is_written_as_made(tmp_path, capsys):
+    # The 32,769 rows of places.ini go to the file as they are made: a listing
+    # built whole in memory peaked at about 6.4 MB of Python allocations.
+    for cmd, cfg in (("places", WORKLOADS / "places.ini"),
+                     ("build-code", WORKLOADS / "construct.ini")):
+        code, expected, _ = run_cli(capsys, cmd, "--config", str(cfg))
+        target = tmp_path / f"{cmd}.txt"
+        assert run_cli(capsys, cmd, "--config", str(cfg), "--out", str(target))[0] == code == 0
+        assert target.read_bytes() == expected.encode("utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["places", "--config", str(WORKLOADS / "places.ini"),
+                     "--out", str(tmp_path / "traced.txt")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 2 << 20, peak
+
+
+def test_refused_build_code_creates_no_out_file(tmp_path, capsys):
+    cfg = tmp_path / "job.ini"
+    cfg.write_text(HERM_CFG.format(divisor="0,0,3", places="P1", coords="1", bound="6")
+                   + "n = 9\n")
+    target = tmp_path / "code.txt"
+    code, out, err = run_cli(capsys, "build-code", "--config", str(cfg), "--out", str(target))
+    assert (code, out, err) == (1, "", "error: asked for n=9 places; 0 to 8 are available\n")
+    assert not target.exists()
 
 
 def test_empty_code_has_no_designed_bound(tmp_path, capsys):
@@ -358,19 +388,25 @@ def test_gap_searches_refuse_over_budget(tmp_path, capsys):
 
 
 def test_gap_axis_scan_refuses_over_budget(tmp_path, capsys):
-    # m = 10^9 + 7 puts 2g - 1 near 4 * 10^9, so bound = 10^8 asks for 10^8
-    # one-point tests per axis: refused before the scan, in well under a second.
+    # m = 10^9 + 7 puts g near 2 * 10^9, so bound = 10^8 allows up to 10^8 gaps
+    # per axis and 10^16 pairs: refused before either one-point scan of 10^8
+    # tests, in well under a second.  With a budget above 10^16 the one-point
+    # scan refuses itself before it starts.
     path = tmp_path / "huge_m.ini"
     path.write_text("\n".join([
         "[field]", "p = 5", "e = 2", "modulus = 2,0,1",
         "[curve]", "m = 1000000007", "lambda = 1", "f = 0,1,0,0,0,1",
         "[job]", "places = P1,P2", "bound = 100000000", "budget = 1000", ""]))
+    refusals = [((), "10000000000000000 candidate tuples exceed budget 1000"),
+                (("--budget", str(10 ** 17)),
+                 "100000000 one-point gap candidates exceed budget 16777216")]
     for cmd in ("pure-gaps", "box-search"):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, cmd, "--config", str(path))
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (1, "")
-        assert err == "error: 100000000 one-point gap candidates exceed budget 16777216\n"
+        for flags, message in refusals:
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, cmd, "--config", str(path), *flags)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (1, "")
+            assert err == f"error: {message}\n"
 
 
 def test_lattice_scan_refuses_over_budget(tmp_path, capsys):

@@ -72,10 +72,11 @@ def test_bezout_data():
 
 
 def test_place_counts():
-    assert curve_example_1().num_places() == 370
-    assert curve_example_2().num_places() == 126
-    assert curve_example_4().num_places() == 257
-    assert curve_hermitian_gf4().num_places() == 9
+    for curve, count in ((curve_example_1(), 370), (curve_example_2(), 126),
+                         (curve_example_4(), 257), (curve_hermitian_gf4(), 9)):
+        assert curve.num_places() == count
+        assert "_places" not in vars(curve)  # counted from the stream, no list kept
+        assert len(curve.places()) == count and "_places" in vars(curve)
 
 
 def f_at(c, x0):

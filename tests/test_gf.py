@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kummercodes.agcode import null_space
 from kummercodes.gf import FiniteField, Matrix, pack, unpack
 
 
@@ -96,6 +97,11 @@ def oracle_nullspace(F, rows, ncols):
             v[pc] = F.sub(0, row[fc])
         basis.append(v)
     return basis
+
+
+def null_rows(M):
+    """The null space of M as the package streams it, as a list of rows."""
+    return list(null_space(M).rows())
 
 
 def test_construction_validates():
@@ -321,11 +327,11 @@ def test_matrix_identity_and_zero():
     eye = Matrix(F, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
     rank, _, pivots = eye.rref()
     assert rank == 4 and pivots == [0, 1, 2, 3]
-    assert eye.nullspace().nrows == 0
+    assert null_rows(eye) == []
 
     zero = Matrix(F, [[0, 0, 0]] * 2, 3)
     assert zero.rref()[0] == 0
-    assert zero.nullspace().nrows == 3
+    assert null_rows(zero) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_matrix_owns_its_rows():
@@ -337,7 +343,7 @@ def test_matrix_owns_its_rows():
         M = Matrix(F, rows)
         assert all(M.rows[i] is rows[i] for i in range(len(rows)))
         M.rref()
-        M.nullspace()
+        null_rows(M)
         assert M.rows == before
     with pytest.raises(ValueError, match="ragged rows"):
         Matrix(gf9(), [[1, 2], [3]])
@@ -349,8 +355,7 @@ def test_nullspace_frozen_example():
     M = Matrix(F, [[1, 1, 0], [0, 1, 1]])
     rank, _, _ = M.rref()
     assert rank == 2
-    ns = M.nullspace()
-    assert ns.rows == [[1, 1, 1]]
+    assert null_rows(M) == [[1, 1, 1]]
 
 
 def test_rank_nullity_random():
@@ -361,9 +366,9 @@ def test_rank_nullity_random():
             nc = rng.randrange(1, 6)
             M = Matrix(F, [[rng.randrange(F.q) for _ in range(nc)] for _ in range(nr)])
             rank = M.rref()[0]
-            ns = M.nullspace()
-            assert rank + ns.nrows == nc
-            for row in ns.rows:
+            ns = null_rows(M)
+            assert rank + len(ns) == nc
+            for row in ns:
                 assert all(oracle_dot(F, m_row, row) == 0 for m_row in M.rows)
 
 
@@ -399,9 +404,9 @@ def test_kernel_matches_scalar_oracle(case):
     M = Matrix(F, rows)
     rank, red, pivots = M.rref()
     assert (rank, red.rows, pivots) == oracle_rref(F, rows)
-    ns = M.nullspace()
-    assert ns.rows == oracle_nullspace(F, rows, M.ncols)
-    assert all(oracle_dot(F, m_row, v) == 0 for m_row in rows for v in ns.rows)
+    ns = null_rows(M)
+    assert ns == oracle_nullspace(F, rows, M.ncols)
+    assert all(oracle_dot(F, m_row, v) == 0 for m_row in rows for v in ns)
 
 
 
@@ -420,7 +425,7 @@ def test_kernel_matches_scalar_oracle_on_wide_rows():
             M = Matrix(F, rows)
             rank, red, pivots = M.rref()
             assert (rank, red.rows, pivots) == oracle_rref(F, rows)
-            assert M.nullspace().rows == oracle_nullspace(F, rows, ncols)
+            assert null_rows(M) == oracle_nullspace(F, rows, ncols)
 
 
 def test_pack_puts_entry_j_in_byte_aligned_cell_j():

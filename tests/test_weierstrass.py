@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kummercodes import weierstrass
 from kummercodes.rrlattice import Divisor, RamificationData, ceil_div, dimension
 from kummercodes.verify import (EXAMPLES, Example, curve_example_1, curve_example_2,
                                curve_example_4)
@@ -285,6 +286,23 @@ def test_pure_gaps_clamp_and_budget():
     assert pure_gaps(c, PlaceTuple(2), 0) == []
     with pytest.raises(ValueError, match=r"^l=6 out of \[0, 5\]$"):
         pure_gaps(c, PlaceTuple(6), 0)
+
+
+def test_refused_pure_gaps_tests_nothing(monkeypatch):
+    # A bound over the budget is refused before either one-point scan runs.
+    calls = []
+    for name in ("pure_gap", "_member_conditions"):
+        original = getattr(weierstrass, name)
+        monkeypatch.setattr(weierstrass, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    c = curve_example_2()  # g = 10, so min(bound, g)^4 = 10000 tuples
+    pl = PlaceTuple(3, include_infinity=True)
+    for search in (pure_gaps, box_search):
+        with pytest.raises(ValueError, match="^10000 candidate tuples exceed budget 9999$"):
+            search(c, pl, 100, budget=9999)
+    assert calls == []
+    assert pure_gaps(c, pl, 19, budget=10000)
+    assert {"pure_gap", "_member_conditions"} <= set(calls)
 
 
 def test_oracle_membership_and_pure_gap():
