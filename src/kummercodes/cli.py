@@ -1,8 +1,9 @@
 """Command-line front end.
 
 A job is described by a flat INI config with [field], [curve] and [job]
-sections; the subcommand picks the operation.  All output is plain
-UTF-8 text or CSV with no timestamps, so identical configs produce
+sections; the subcommand picks the operation, which returns its output
+lines for `main` to write and to end with an exit code.  All output is
+plain UTF-8 text or CSV with no timestamps, so identical configs produce
 byte-identical output.
 """
 
@@ -10,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from configparser import ConfigParser
 from itertools import chain
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import verify
 from .agcode import (brute_force_distance, build_cl, build_comega,
@@ -86,23 +88,27 @@ def build_curve(cp: ConfigParser) -> KummerCurve:
     return KummerCurve(field, m, lam, roots)
 
 
-def job_value(cp: ConfigParser, key: str) -> Optional[str]:
-    if "job" in cp and key in cp["job"]:
-        return cp["job"][key]
-    return None
+Job = Callable[[str], Optional[str]]
+Output = Tuple[Iterable[str], Sequence[str]]  # (lines of the output, notes on it)
 
 
-def _job_int(args, cp: ConfigParser, key: str, default: Optional[int]) -> Optional[int]:
-    """--key when given (0 included), else key= in [job], else default."""
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    text = job_value(cp, key)
-    return _int(text) if text else default
+def job_reader(args, cp: ConfigParser) -> Job:
+    """The job's values: --key when given (0 included), else key= from [job], else None."""
+    section = cp["job"] if "job" in cp else {}
+
+    def read(key: str) -> Optional[str]:
+        flag = getattr(args, key, None)
+        return section.get(key) if flag is None else str(flag)
+    return read
 
 
-def _budget(args, cp: ConfigParser) -> int:
-    budget = _job_int(args, cp, "budget", DEFAULT_BUDGET)
+def _number(job: Job, key: str, default: Optional[int]) -> Optional[int]:
+    text = job(key)
+    return _int(text) if text else default  # an empty key= means the default
+
+
+def _budget(job: Job) -> int:
+    budget = _number(job, "budget", DEFAULT_BUDGET)
     if budget < 0:
         raise ConfigError(f"budget must be >= 0, got {budget}")
     return budget
@@ -122,8 +128,7 @@ def parse_places(curve: KummerCurve, text: Optional[str]) -> PlaceTuple:
     if text is None:
         raise ConfigError("this command needs places=P1,...,Pl[,Pinf] in [job]")
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    include_inf = False
-    l = 0
+    include_inf, l = False, 0
     for idx, name in enumerate(names):
         if name.lower() in ("pinf", "infinity"):
             if idx != len(names) - 1:
@@ -140,13 +145,14 @@ def parse_places(curve: KummerCurve, text: Optional[str]) -> PlaceTuple:
     return PlaceTuple(l, include_inf)
 
 
-def _emit(out: Optional[str], chunks: Union[str, Iterable[str]]) -> None:
-    """Write the text, or its chunks as they come, to stdout or to the file out,
-    about 64 KiB at a time (unbuffered stdout makes a system call of each write).
-    Every check that can refuse the job runs first, so a refused job writes nothing."""
-    def write(fh) -> None:
+def _emit(out: Optional[str], lines: Iterable[str], notes: Sequence[str]) -> None:
+    """Write the lines, as they come, to the file out or to stdout, about 64 KiB at
+    a time (unbuffered stdout makes a system call of each write); then the notes,
+    to stdout after a file and to stderr otherwise.  Every check that can refuse
+    the job runs first, so a refused job writes nothing."""
+    def write(fh, chunks: Iterable[str]) -> None:
         batch, size = [], 0
-        for chunk in [chunks] if isinstance(chunks, str) else chunks:
+        for chunk in chunks:
             batch.append(chunk)
             size += len(chunk)
             if size >= 1 << 16:
@@ -154,142 +160,112 @@ def _emit(out: Optional[str], chunks: Union[str, Iterable[str]]) -> None:
                 batch, size = [], 0
         fh.write("".join(batch))
 
-    if not out:
-        write(sys.stdout)
-        return
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                write(fh, lines)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            write(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        write(sys.stdout, notes if out else lines)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk: /dev/null takes the exit flush
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ConfigError(f"cannot write stdout: {exc.strerror or exc}") from exc
+    if not out:
+        sys.stderr.write("".join(notes))
 
 
-def cmd_curve_info(curve: KummerCurve, args, cp) -> int:
-    lines = [
-        f"m {curve.m}",
-        f"lambda {curve.lam}",
-        f"r {curve.r}",
-        f"genus {curve.g}",
-        f"places {curve.num_places()}",
-        f"A {curve.A}",
-        f"B {curve.B}",
-        f"a {curve.a}",
-        f"b {curve.b}",
-        "",
-    ]
-    _emit(args.out, "\n".join(lines))
-    return 0
+def cmd_curve_info(curve: KummerCurve, job: Job) -> Output:
+    values = [("m", curve.m), ("lambda", curve.lam), ("r", curve.r), ("genus", curve.g),
+              ("places", curve.num_places()), ("A", curve.A), ("B", curve.B),
+              ("a", curve.a), ("b", curve.b)]
+    return [f"{name} {value}\n" for name, value in values], ()
 
 
-def cmd_places(curve: KummerCurve, args, cp) -> int:
+def cmd_places(curve: KummerCurve, job: Job) -> Output:
     text = [str(v) for v in range(curve.field.q)]
     rows = (f"affine,0,{text[p.x]},{text[p.y]}\n" if p.kind_rank == 2  # nearly all: no kind lookup
             else f"{p.kind},{p.mu},{p.x},{p.y}\n" for p in curve.iter_places())
-    _emit(args.out, chain(["kind,mu,x,y\n"], rows))
-    return 0
+    return chain(["kind,mu,x,y\n"], rows), ()
 
 
-def cmd_rr_basis(curve: KummerCurve, args, cp) -> int:
-    G = parse_divisor(curve, job_value(cp, "divisor"))
-    rows = []
-    for pt in omega_enumerate(curve, G):
-        left = " ".join(str(v) for v in (pt.i,) + pt.j)
-        rows.append(f"{left} | {-monomial_divisor(curve, pt)}")
-    _emit(args.out, "\n".join([*rows, ""]))  # "" for an empty basis
-    return 0
+def cmd_rr_basis(curve: KummerCurve, job: Job) -> Output:
+    G = parse_divisor(curve, job("divisor"))
+    return [f"{' '.join(map(str, (pt.i,) + pt.j))} | {-monomial_divisor(curve, pt)}\n"
+            for pt in omega_enumerate(curve, G)], ()
 
 
-def cmd_dim(curve: KummerCurve, args, cp) -> int:
-    G = parse_divisor(curve, job_value(cp, "divisor"))
-    _emit(args.out, f"{dimension(curve, G)}\n")
-    return 0
+def cmd_dim(curve: KummerCurve, job: Job) -> Output:
+    return [f"{dimension(curve, parse_divisor(curve, job('divisor')))}\n"], ()
 
 
-def cmd_semigroup(curve: KummerCurve, args, cp) -> int:
-    places = parse_places(curve, job_value(cp, "places"))
-    text = job_value(cp, "coords")
+def cmd_semigroup(curve: KummerCurve, job: Job) -> Output:
+    places = parse_places(curve, job("places"))
+    text = job("coords")
     if text is None:
         raise ConfigError("this command needs coords=c1,...,ck in [job]")
     coords = _ints(text)
     if len(coords) != places.arity():
         raise ConfigError(f"coords= needs one value per place in places= "
                           f"({places.arity()}), got {len(coords)}")
-    member = semigroup_member(curve, places, coords)
-    _emit(args.out, ("true" if member else "false") + "\n")
-    return 0
+    return ["true\n" if semigroup_member(curve, places, coords) else "false\n"], ()
 
 
-def cmd_pure_gaps(curve: KummerCurve, args, cp) -> int:
-    places = parse_places(curve, job_value(cp, "places"))
-    bound = _job_int(args, cp, "bound", 0)
+def _search(curve: KummerCurve, job: Job, command: str) -> Tuple[PlaceTuple, int, int]:
+    places = parse_places(curve, job("places"))
+    bound = _number(job, "bound", 0)
     if bound < 1:
-        raise ConfigError("pure-gaps needs --bound or bound= in [job]")
-    budget = _budget(args, cp)
-    rows = [",".join(str(v) for v in pt) for pt in pure_gaps(curve, places, bound, budget)]
-    _emit(args.out, "\n".join([*rows, ""]))
-    return 0
+        raise ConfigError(f"{command} needs --bound or bound= in [job]")
+    return places, bound, _budget(job)
 
 
-def cmd_box_search(curve: KummerCurve, args, cp) -> int:
-    places = parse_places(curve, job_value(cp, "places"))
-    bound = _job_int(args, cp, "bound", 0)
-    if bound < 1:
-        raise ConfigError("box-search needs --bound or bound= in [job]")
-    budget = _budget(args, cp)
-    result = box_search(curve, places, bound, budget)
+def cmd_pure_gaps(curve: KummerCurve, job: Job) -> Output:
+    gaps = pure_gaps(curve, *_search(curve, job, "pure-gaps"))
+    return [",".join(map(str, pt)) + "\n" for pt in gaps], ()
+
+
+def cmd_box_search(curve: KummerCurve, job: Job) -> Output:
+    result = box_search(curve, *_search(curve, job, "box-search"))
     if result is None:
-        _emit(args.out, "no pure gaps\n")
-        return 0
+        return ["no pure gaps\n"], ()
     box, G = result
-    text = (f"base {' '.join(map(str, box.base))}\n"
-            f"widths {' '.join(map(str, box.widths))}\n"
-            f"G {G}\n"
-            f"bound {designed_distance(curve, G, 'pure_gap_box', box=box)}\n")
-    _emit(args.out, text)
-    return 0
+    return [f"base {' '.join(map(str, box.base))}\n",
+            f"widths {' '.join(map(str, box.widths))}\n",
+            f"G {G}\n",
+            f"bound {designed_distance(curve, G, 'pure_gap_box', box=box)}\n"], ()
 
 
-def cmd_floor(curve: KummerCurve, args, cp) -> int:
-    H = parse_divisor(curve, job_value(cp, "divisor"))
-    _emit(args.out, f"{floor_divisor(curve, H)}\n")
-    return 0
+def cmd_floor(curve: KummerCurve, job: Job) -> Output:
+    return [f"{floor_divisor(curve, parse_divisor(curve, job('divisor')))}\n"], ()
 
 
-def _build_code(curve, args, cp):
-    G = parse_divisor(curve, job_value(cp, "divisor"))
-    n_text = job_value(cp, "n")
-    n = _int(n_text) if n_text else None
-    seed = _job_int(args, cp, "seed", None)
+def _build_code(curve: KummerCurve, job: Job):
+    G = parse_divisor(curve, job("divisor"))
+    n, seed = _number(job, "n", None), _number(job, "seed", None)
     if seed is not None and n is None:
         raise ConfigError("seed selects n places and needs n= in [job]")
     D = evaluation_places(curve, G, n=n, seed=seed)
-    kind = (job_value(cp, "code") or "omega").lower()
-    if kind == "l":
-        code = build_cl(curve, G, D)
-    elif kind == "omega":
-        code = build_comega(curve, G, D)
-    else:
+    kind = (job("code") or "omega").lower()
+    build = {"l": build_cl, "omega": build_comega}.get(kind)
+    if build is None:
         raise ConfigError(f"code= must be 'l' or 'omega', got {kind!r}")
+    code = build(curve, G, D)
     selection = "all" if n is None else ("drop-highest" if seed is None else f"seed={seed}")
-    return G, D, code, selection
+    return code, selection
 
 
-def cmd_build_code(curve: KummerCurve, args, cp) -> int:
-    G, D, code, selection = _build_code(curve, args, cp)
-    _emit(args.out, code.export())
-    dest = sys.stdout if args.out else sys.stderr
-    dest.write(f"selection {selection} n={code.n}\n")
-    for name, value in code.bounds:
-        dest.write(f"bound {name} {value}\n")
-    return 0
+def cmd_build_code(curve: KummerCurve, job: Job) -> Output:
+    code, selection = _build_code(curve, job)
+    return code.export(), [f"selection {selection} n={code.n}\n",
+                           *(f"bound {name} {value}\n" for name, value in code.bounds)]
 
 
-def cmd_check_distance(curve: KummerCurve, args, cp) -> int:
-    budget = _budget(args, cp)
-    _, _, code, _ = _build_code(curve, args, cp)
-    d = brute_force_distance(code, budget)
-    _emit(args.out, ("undefined" if d is None else str(d)) + "\n")
-    return 0
+def cmd_check_distance(curve: KummerCurve, job: Job) -> Output:
+    budget = _budget(job)
+    d = brute_force_distance(_build_code(curve, job)[0], budget)
+    return [("undefined" if d is None else str(d)) + "\n"], ()
 
 
 COMMANDS = {
@@ -327,21 +303,21 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(argv)
-    verify_job = args.command == "verify-example"
-    if verify_job and args.example not in verify.EXAMPLES:
-        print(f"verify-example needs a number in {_example_range()}", file=sys.stderr)
-        return 2
-    if not verify_job and not args.config:
-        print("this command needs --config", file=sys.stderr)
-        return 2
-    if verify_job:  # outside the try: it reads no config, so its errors are internal
-        ok, lines = verify.verify_example(args.example)
     try:
-        if verify_job:
-            _emit(args.out, "\n".join([*lines, ""]))
-            return 0 if ok else 1
-        cp = load_config(args.config)
-        return COMMANDS[args.command](build_curve(cp), args, cp)
+        if args.command == "verify-example":
+            if args.example not in verify.EXAMPLES:
+                raise ConfigError(f"verify-example needs a number in {_example_range()}")
+            ok, lines = verify.verify_example(args.example)
+            output = [line + "\n" for line in lines], ()
+        elif args.example is not None:
+            raise ConfigError(f"{args.command} takes no example number, got {args.example}")
+        elif not args.config:
+            raise ConfigError("this command needs --config")
+        else:
+            cp = load_config(args.config)
+            ok, output = True, COMMANDS[args.command](build_curve(cp), job_reader(args, cp))
+        _emit(args.out, *output)
+        return 0 if ok else 1
     except (ConfigError, KeyError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

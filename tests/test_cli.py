@@ -190,8 +190,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "dim", "--config", bad.as_posix())
     assert code == 2
 
-    code, _, err = run_cli(capsys, "dim")
-    assert code == 2
+    assert run_cli(capsys, "dim") == (2, "", "config error: this command needs --config\n")
+
+    # Only verify-example takes the example number: anywhere else it is refused.
+    stray = run_cli(capsys, "dim", "3", "--config", str(WORKLOADS / "gaps.ini"))
+    assert stray == (2, "", "config error: dim takes no example number, got 3\n")
 
     not_int = tmp_path / "not_int.ini"
     not_int.write_text(HERM_CFG.replace("p = 2", "p = abc").format(
@@ -373,6 +376,46 @@ def test_zero_flags_are_not_ignored(tmp_path, capsys):
         assert "exceed budget 0" in err
 
 
+HUGE_M_CFG = "\n".join([
+    "[field]", "p = 5", "e = 2", "modulus = 2,0,1",
+    "[curve]", "m = 1000000007", "lambda = 1", "f = 0,1,0,0,0,1",
+    "[job]", "places = P1,P2", "bound = 100000000", "budget = 1000", ""])
+HERM_JOB = HERM_CFG.format(divisor="0,0,3", places="P1", coords="1", bound="6")
+SEED_2_BUILD = (0, "4 1 4\n3 2 1 0\n", "selection seed=2 n=4\nbound goppa_omega 3\n")
+
+# One row per value the job reader merges: the [job] keys set over the base
+# config and the flags given.  A non-zero --key beats key=, key= beats the
+# default, and an empty key= means the default.  (exit, stdout, stderr) is exact.
+PRECEDENCE = [
+    ("bound-flag", "pure-gaps", HERM_JOB, {"bound": "0"}, ("--bound", "6"), (0, "1\n", "")),
+    ("bound-key", "pure-gaps", HERM_JOB, {"bound": "6"}, (), (0, "1\n", "")),
+    ("bound-empty", "pure-gaps", HERM_JOB, {"bound": ""}, (),
+     (2, "", "config error: pure-gaps needs --bound or bound= in [job]\n")),
+    ("budget-flag", "pure-gaps", HERM_JOB, {"budget": "0"}, ("--budget", "1"), (0, "1\n", "")),
+    ("budget-key", "pure-gaps", HERM_JOB, {"budget": "0"}, (),
+     (1, "", "error: 1 candidate tuples exceed budget 0\n")),
+    ("budget-empty", "pure-gaps", HUGE_M_CFG, {"budget": ""}, (),
+     (1, "", "error: 10000000000000000 candidate tuples exceed budget 16777216\n")),
+    ("seed-flag", "build-code", HERM_JOB, {"n": "4", "seed": "1"}, ("--seed", "2"), SEED_2_BUILD),
+    ("seed-flag-alone", "build-code", HERM_JOB, {"n": "4"}, ("--seed", "2"), SEED_2_BUILD),
+    ("seed-key", "build-code", HERM_JOB, {"n": "4", "seed": "2"}, (), SEED_2_BUILD),
+    ("seed-empty", "build-code", HERM_JOB, {"n": "4", "seed": ""}, (),
+     (0, "4 1 4\n2 1 2 1\n", "selection drop-highest n=4\nbound goppa_omega 3\n")),
+]
+
+
+@pytest.mark.parametrize("command,base,keys,flags,expected", [row[1:] for row in PRECEDENCE],
+                         ids=[row[0] for row in PRECEDENCE])
+def test_flag_beats_key_beats_default(tmp_path, capsys, command, base, keys, flags, expected):
+    cp = configparser.ConfigParser()
+    cp.read_string(base)
+    cp["job"].update(keys)
+    path = tmp_path / "job.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    assert run_cli(capsys, command, "--config", str(path), *flags) == expected
+
+
 def test_gap_searches_refuse_over_budget(tmp_path, capsys):
     # gaps.ini tests 10^4 candidate tuples: one 10-gap axis per place.
     cfg = str(WORKLOADS / "gaps.ini")
@@ -393,10 +436,7 @@ def test_gap_axis_scan_refuses_over_budget(tmp_path, capsys):
     # tests, in well under a second.  With a budget above 10^16 the one-point
     # scan refuses itself before it starts.
     path = tmp_path / "huge_m.ini"
-    path.write_text("\n".join([
-        "[field]", "p = 5", "e = 2", "modulus = 2,0,1",
-        "[curve]", "m = 1000000007", "lambda = 1", "f = 0,1,0,0,0,1",
-        "[job]", "places = P1,P2", "bound = 100000000", "budget = 1000", ""]))
+    path.write_text(HUGE_M_CFG)
     refusals = [((), "10000000000000000 candidate tuples exceed budget 1000"),
                 (("--budget", str(10 ** 17)),
                  "100000000 one-point gap candidates exceed budget 16777216")]
@@ -429,8 +469,8 @@ def test_verify_example_exit_codes(capsys):
     assert ("FAIL pure gap box {8..9}x{1}x{1..3}: 5/6 tuples are pure gaps; "
             "failing: [(9, 1, 3)]") in out
     assert "NOTE the published box overreaches" in out
-    code, _, err = run_cli(capsys, "verify-example", "7")
-    assert code == 2
+    assert run_cli(capsys, "verify-example", "7") == (
+        2, "", "config error: verify-example needs a number in 1-4\n")
     with pytest.raises(ValueError, match="no example 5"):
         verify.verify_example(5)
 
@@ -454,14 +494,42 @@ def test_verify_example_golden_hashes(capsys, example, status, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_console_script_installed():
-    # src/ first, as under pytest's pythonpath, so a checkout needs no install.
+def cli_command(*argv):
+    """A CLI process on src/ (first, as under pytest's pythonpath, so a checkout
+    needs no install) with stdout block-buffered, as it is by default."""
     path = [str(WORKLOADS.parent.parent / "src"), os.environ.get("PYTHONPATH")]
-    proc = subprocess.run([sys.executable, "-m", "kummercodes.cli",
-                           "verify-example", "1"], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("PYTHONUNBUFFERED", None)
+    return [sys.executable, "-m", "kummercodes.cli", *argv], env
+
+
+def test_console_script_installed():
+    argv, env = cli_command("verify-example", "1")
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") >= 6
+
+
+def test_closed_stdout_pipe_is_a_config_error():
+    # The reader stops after the first of the 32,769 lines (551,846 bytes,
+    # more than a pipe holds), as `| head -1` does: one line, no traceback.
+    argv, env = cli_command("places", "--config", str(WORKLOADS / "places.ini"))
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"kind,mu,x,y\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (2, "config error: cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_stdout_is_a_config_error():
+    # verify-example's 316 bytes sit in the stdout buffer until main flushes it.
+    argv, env = cli_command("verify-example", "2")
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        2, "config error: cannot write stdout: No space left on device\n")
 
 
 EXAMPLE_1_CFG = """

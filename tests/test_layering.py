@@ -1,5 +1,6 @@
 """Source-level checks: the lattice and semigroup layers read only the
-(m, r) profile, and every exception class the package defines is caught."""
+(m, r) profile, every exception class the package defines is caught, and
+the CLI writes its output along one path."""
 
 from __future__ import annotations
 
@@ -66,6 +67,23 @@ def test_every_exception_class_is_caught_in_src():
                 types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                 caught.update(_name(t) for t in types)
     assert {"ConfigError", "GcdViolationError"} <= defined <= caught
+
+
+def test_cli_output_goes_through_main():
+    """main makes the one _emit call, and no other function in cli (no command
+    above all) names print, sys.stdout or sys.stderr: _emit writes, main reports."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def emit_calls(node):
+        return sum(isinstance(n, ast.Call) and _name(n.func) == "_emit" for n in ast.walk(node))
+
+    assert emit_calls(tree) == emit_calls(functions["main"]) == 1
+    assert any(name.startswith("cmd_") for name in functions)
+    for name, node in functions.items():
+        if name not in ("main", "_emit"):
+            named = {_name(n) for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+            assert not named & {"print", "stdout", "stderr"}, name
 
 
 def test_weierstrass_imports_no_field_level_module():
