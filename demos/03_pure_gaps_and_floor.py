@@ -6,8 +6,8 @@ and compute a divisor floor two different ways.
 """
 
 from kummercodes import (Divisor, FiniteField, KummerCurve, PlaceTuple,
-                         box_search, designed_distance, find_roots,
-                         floor_divisor, pure_gaps)
+                         box_search, find_roots, floor_divisor,
+                         pure_gap_box_bound, pure_gaps)
 from kummercodes.weierstrass import floor_via_gcd
 
 F = FiniteField(5, 2, [2, 0, 1])
@@ -20,7 +20,7 @@ print(f"\n{len(gaps)} pure gaps at (P1, P2) in the 19 x 19 window")
 print("the extreme ones:", sorted(gaps)[-4:])
 
 box, G = box_search(curve, pair, 40)
-bound = designed_distance(curve, G, "pure_gap_box", box=box)
+bound = pure_gap_box_bound(curve, box)
 print(f"\nbest box: base={box.base} widths={box.widths}")
 print(f"induced G = {G}  ->  designed distance >= {bound}")
 

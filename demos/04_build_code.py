@@ -7,8 +7,8 @@ curve we then verify a designed bound by brute force.
 """
 
 from kummercodes import (Divisor, FiniteField, KummerCurve, brute_force_distance,
-                         build_cl, build_comega, designed_distance,
-                         evaluation_places, find_roots)
+                         build_cl, build_comega, evaluation_places,
+                         find_roots, pure_gap_box_bound)
 from kummercodes.weierstrass import GapBox, PlaceTuple
 
 F = FiniteField(5, 2, [2, 0, 1])
@@ -17,7 +17,7 @@ G = Divisor.make(curve.r, {1: 26, 2: 1})
 D = evaluation_places(curve, G)
 code = build_comega(curve, G, D)
 box = GapBox(PlaceTuple(2), (13, 1), (1, 0))
-bound = designed_distance(curve, G, "pure_gap_box", box=box)
+bound = pure_gap_box_bound(curve, box)
 print(f"{curve}\nC_Omega parameters [{code.n}, {code.k}, >= {bound}]")
 
 print("\nbrute-force check on the GF(4) Hermitian curve:")

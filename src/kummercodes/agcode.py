@@ -2,9 +2,9 @@
 
 C_L evaluates the monomial basis of L(G) at the chosen rational places;
 C_Omega = C_L^perp is the null space of that evaluation matrix.
-Designed minimum-distance lower bounds are attached from the Goppa
-estimates, pure-gap boxes and floor pairs, and a brute-force weight
-enumerator verifies them where the codebook is small enough.
+build_cl and build_comega attach the Goppa bounds (the pure-gap box and
+floor-pair bounds are weierstrass's), and a brute-force weight enumerator
+verifies bounds where the codebook is small enough.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .curve import KummerCurve, Place
 from .gf import Matrix, pack
 from .rrlattice import DEFAULT_BUDGET, Divisor, monomial_divisor, omega_enumerate
-from .weierstrass import GapBox, box_bound_value, floor_divisor, pure_gap
 
 
 def coefficient_at(G: Divisor, place: Place) -> int:
@@ -172,7 +171,7 @@ def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearC
     code = LinearCode(Matrix(curve.field, red.rows[:rank], n))
     # The empty code has no nonzero word, so no distance bound applies.
     if rank and G.degree < n:
-        code.bounds.append(("goppa_L", designed_distance(curve, G, "goppa_L", n=n)))
+        code.bounds.append(("goppa_L", n - G.degree))
     return code
 
 
@@ -186,42 +185,10 @@ def build_comega(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> Lin
         if k != expected:
             raise AssertionError(
                 f"dimension law violated: k_omega={k}, expected {expected}")
-    bound = designed_distance(curve, G, "goppa_omega")
+    bound = G.degree - (2 * curve.g - 2)
     if k and bound > 0:
         code.bounds.append(("goppa_omega", bound))
     return code
-
-
-def designed_distance(curve: KummerCurve, G: Divisor, method: str, *,
-                      n: Optional[int] = None,
-                      box: Optional[GapBox] = None,
-                      H: Optional[Divisor] = None) -> int:
-    """A proven lower bound on the minimum distance for the given divisor."""
-    two_g_2 = 2 * curve.g - 2
-    if method == "goppa_L":
-        if n is None or G.degree >= n:
-            raise ValueError("goppa_L needs deg(G) < n")
-        return n - G.degree
-    if method == "goppa_omega":
-        return G.degree - two_g_2
-    if method == "pure_gap_box":
-        if box is None:
-            raise ValueError("pure_gap_box needs a box")
-        for pt in box.points():
-            if not pure_gap(curve, box.places, pt):
-                raise ValueError(f"{pt} in the box is not a pure gap")
-        if box.induced_divisor(curve.r) != G:
-            raise ValueError("box does not induce G")
-        return box_bound_value(curve, box)
-    if method == "floor_pair":
-        if H is None:
-            raise ValueError("floor_pair needs the divisor H")
-        if not H.is_effective():
-            raise ValueError("H must be effective")
-        if H + floor_divisor(curve, H) != G:
-            raise ValueError("G != H + floor(H)")
-        return 2 * H.degree - two_g_2
-    raise ValueError(f"unknown method {method!r}")
 
 
 def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Optional[int]:

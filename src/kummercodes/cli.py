@@ -18,13 +18,12 @@ from itertools import chain
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import verify
-from .agcode import (brute_force_distance, build_cl, build_comega,
-                     designed_distance, evaluation_places)
+from .agcode import brute_force_distance, build_cl, build_comega, evaluation_places
 from .curve import KummerCurve, find_roots
 from .gf import FiniteField
 from .rrlattice import Divisor, dimension, monomial_divisor, omega_enumerate
-from .weierstrass import (DEFAULT_BUDGET, PlaceTuple, box_search, floor_divisor, pure_gaps,
-                          semigroup_member)
+from .weierstrass import (DEFAULT_BUDGET, PlaceTuple, box_search, floor_divisor,
+                          pure_gap_box_bound, pure_gaps, semigroup_member)
 
 
 class ConfigError(ValueError):
@@ -234,7 +233,7 @@ def cmd_box_search(curve: KummerCurve, job: Job) -> Output:
     return [f"base {' '.join(map(str, box.base))}\n",
             f"widths {' '.join(map(str, box.widths))}\n",
             f"G {G}\n",
-            f"bound {designed_distance(curve, G, 'pure_gap_box', box=box)}\n"], ()
+            f"bound {pure_gap_box_bound(curve, box)}\n"], ()
 
 
 def cmd_floor(curve: KummerCurve, job: Job) -> Output:

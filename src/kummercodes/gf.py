@@ -142,16 +142,23 @@ class FiniteField:
                     a ^= mod_int
             return acc
 
-        # c is primitive exactly when its powers first return to 1 after
-        # q - 1 steps; the first such c is the generator, and its walk the
-        # exp table.  c = 1 passes only for q = 2.
-        for gen in range(1, q):
-            exp, v = [1], gen
-            while v != 1:
-                exp.append(v)
-                v = raw_mul(v, gen)
-            if len(exp) == q - 1:
-                break
+        def raw_pow(a: int, k: int) -> int:
+            acc = 1
+            while k:
+                if k & 1:
+                    acc = raw_mul(acc, a)
+                a, k = raw_mul(a, a), k >> 1
+            return acc
+
+        # c is primitive exactly when c^((q-1)/l) != 1 for every prime l | q - 1;
+        # the first such c is the generator, and its one walk the exp table.
+        # c = 1 passes only for q = 2, where q - 1 has no prime factor.
+        cofactors = [(q - 1) // l for l in range(2, q) if (q - 1) % l == 0 and is_prime(l)]
+        gen = next(c for c in range(1, q) if all(raw_pow(c, k) != 1 for k in cofactors))
+        exp, v = [1], gen
+        while v != 1:
+            exp.append(v)
+            v = raw_mul(v, gen)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i

@@ -10,11 +10,12 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .agcode import build_comega, designed_distance, evaluation_places
+from .agcode import build_comega, evaluation_places
 from .curve import GcdViolationError, KummerCurve, find_roots
 from .gf import FiniteField
 from .rrlattice import Divisor, RamificationData, monomial_divisor, omega_enumerate
-from .weierstrass import GapBox, PlaceTuple, box_bound_value, box_search, floor_divisor, pure_gap
+from .weierstrass import (GapBox, PlaceTuple, box_bound_value, box_search, floor_divisor,
+                          floor_pair_bound, pure_gap, pure_gap_box_bound)
 
 # Pinned moduli, low-degree-first base-p digits; FiniteField checks irreducibility.
 GF25 = (5, 2, (2, 0, 1))           # x^2 + 2
@@ -135,7 +136,7 @@ def verify_example(number: int) -> Tuple[bool, List[str]]:
     if ex.box:
         box, G = box_search(curve, ex.box.places, 40)
         check("box search", box == ex.box, f"base={box.base} widths={box.widths}")
-        bound = designed_distance(curve, G, "pure_gap_box", box=box)
+        bound = pure_gap_box_bound(curve, box)
     if ex.H:
         H = Divisor.make(curve.r, *ex.H)
         pts = omega_enumerate(curve, H)
@@ -147,7 +148,7 @@ def verify_example(number: int) -> Tuple[bool, List[str]]:
         flo = floor_divisor(curve, H)
         check("floor", flo == Divisor.make(curve.r, *ex.floor), f"floor={flo}")
         G = H + flo
-        bound = designed_distance(curve, G, "floor_pair", H=H)
+        bound = floor_pair_bound(curve, H)
     if ex.G:
         check("divisor G", G == Divisor.make(curve.r, *ex.G), f"G={G}")
     check("designed distance", bound == ex.distance, f"d_omega>={bound}")

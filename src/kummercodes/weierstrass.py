@@ -1,4 +1,4 @@
-"""Closed-form Weierstrass semigroups, pure gaps, gap boxes and floors.
+"""Closed-form Weierstrass semigroups, pure gaps, gap boxes, floors and their bounds.
 
 Everything here reads only the (m, r) profile of the curve (genus and
 Bezout pair a*r + b*m = 1), so a bare RamificationData serves as well
@@ -129,8 +129,8 @@ def pure_gaps(curve, places: PlaceTuple, bound: int,
     work = min(limit, curve.g) ** places.arity()
     if work > budget:
         raise ValueError(f"{work} candidate tuples exceed budget {budget}")
-    finite_axis = one_point_gaps(curve, "P1", limit)
-    tails = ([(t,) for t in one_point_gaps(curve, "Pinf", limit)]
+    finite_axis = one_point_gaps(curve, PlaceTuple(1), limit)
+    tails = ([(t,) for t in one_point_gaps(curve, PlaceTuple(0, True), limit)]
              if places.include_infinity else [()])
     hits = set()
     for ss in map(list, itertools.combinations_with_replacement(finite_axis, places.l)):
@@ -141,17 +141,14 @@ def pure_gaps(curve, places: PlaceTuple, bound: int,
     return sorted(hits)
 
 
-def one_point_gaps(curve, which: str, limit: int) -> List[int]:
-    """Sorted gap numbers (one-place pure gaps, all <= 2g - 1) at P_1 or P_inf up to `limit`.
+def one_point_gaps(curve, places: PlaceTuple, limit: int) -> List[int]:
+    """Sorted gap numbers (one-place pure gaps, all <= 2g - 1) at one place, up to `limit`.
 
     Each of the min(limit, 2g - 1) candidates is one test, so a scan over
     DEFAULT_BUDGET is refused before it starts.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    places = {"P1": PlaceTuple(1), "Pinf": PlaceTuple(0, True)}.get(which)
-    if places is None:
-        raise ValueError(f"unknown place selector {which!r}")
     work = min(limit, 2 * curve.g - 1)
     if work > DEFAULT_BUDGET:
         raise ValueError(
@@ -165,6 +162,15 @@ def box_bound_value(curve, box: GapBox) -> int:
     deg(G) = sum(2*base + width - 1), so this is 2*sum(corner) - (2g - 2).
     """
     return 2 * sum(box.corner()) - (2 * curve.g - 2)
+
+
+def pure_gap_box_bound(curve, box: GapBox) -> int:
+    """box_bound_value, the designed distance of C_Omega at G = box.induced_divisor,
+    once every point of the box is checked to be a pure gap."""
+    for pt in box.points():
+        if not pure_gap(curve, box.places, pt):
+            raise ValueError(f"{pt} in the box is not a pure gap")
+    return box_bound_value(curve, box)
 
 
 def box_search(curve, places: PlaceTuple, search_bound: int,
@@ -209,6 +215,13 @@ def floor_divisor(curve, H: Divisor) -> Divisor:
     s_rest = [max(-p.i - m * p.j[mu] for p in pts) for mu in range(r - 1)]
     t = max(r * p.i + m * sum(p.j) for p in pts)
     return Divisor(tuple([s1] + s_rest), t)
+
+
+def floor_pair_bound(curve, H: Divisor) -> int:
+    """Designed distance 2 deg(H) - (2g - 2) of C_Omega at G = H + floor(H), H effective."""
+    if not H.is_effective():
+        raise ValueError("H must be effective")
+    return 2 * H.degree - (2 * curve.g - 2)
 
 
 def floor_via_gcd(curve, H: Divisor) -> Divisor:

@@ -18,15 +18,14 @@ from __future__ import annotations
 import itertools
 import random
 
-from kummercodes.agcode import (brute_force_distance, build_cl, build_comega,
-                                designed_distance, evaluation_places)
+from kummercodes.agcode import brute_force_distance, build_cl, build_comega, evaluation_places
 from kummercodes.cli import main
 from kummercodes.rrlattice import (Divisor, RamificationData, dimension,
                                    omega_enumerate)
 from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
 from kummercodes.weierstrass import (GapBox, PlaceTuple, box_bound_value,
-                                     floor_divisor, floor_via_gcd, pure_gap,
-                                     semigroup_member)
+                                     floor_divisor, floor_pair_bound, floor_via_gcd,
+                                     pure_gap, pure_gap_box_bound, semigroup_member)
 from test_agcode import orthogonal
 from test_curve import curve_hermitian_gf4
 
@@ -217,7 +216,7 @@ def test_criterion_7_code_parameters():
     D4 = evaluation_places(c4, G4)
     code4 = build_comega(c4, G4, D4)
     assert (code4.n, code4.k) == (254, 228)
-    assert designed_distance(c4, G4, "floor_pair", H=H) == 16
+    assert floor_pair_bound(c4, H) == 16
     assert code4.k == code4.n + c4.g - 1 - G4.degree
 
     c2 = curve_example_2()
@@ -227,7 +226,8 @@ def test_criterion_7_code_parameters():
     code2 = build_comega(c2, G2, D2)
     assert (code2.n, code2.k) == (124, 106)
     box2 = GapBox(PlaceTuple(2), (13, 1), (1, 0))
-    assert designed_distance(c2, G2, "pure_gap_box", box=box2) == 12
+    assert box2.induced_divisor(c2.r) == G2
+    assert pure_gap_box_bound(c2, box2) == 12
 
     c1 = curve_example_1()
     G1 = Divisor.make(c1.r, {1: 51}, 1)
@@ -236,7 +236,8 @@ def test_criterion_7_code_parameters():
     code1 = build_comega(c1, G1, D1)
     assert (code1.n, code1.k) == (368, 331)
     box1 = GapBox(PlaceTuple(1, include_infinity=True), (26, 1), (0, 0))
-    assert designed_distance(c1, G1, "pure_gap_box", box=box1) == 24
+    assert box1.induced_divisor(c1.r) == G1
+    assert pure_gap_box_bound(c1, box1) == 24
 
     # Example-3 arithmetic as pure formula checks (no valid curve)
     prof = RamificationData(6, 5)
@@ -264,7 +265,7 @@ def test_criterion_8_bound_soundness():
         assert orthogonal(cl, co)
         d = brute_force_distance(co)
 
-        bounds = [designed_distance(c, G, "goppa_omega")]
+        bounds = [dict(co.bounds)["goppa_omega"]]
 
         # every pure-gap box inducing exactly G
         coeffs = [a, b]
@@ -283,8 +284,9 @@ def test_criterion_8_bound_soundness():
                     if any(w < 0 for w in widths):
                         continue
                     box = GapBox(pl, tuple(bases), widths)
+                    assert box.induced_divisor(c.r) == G
                     if all(pure_gap(c, pl, pt) for pt in box.points()):
-                        bounds.append(designed_distance(c, G, "pure_gap_box", box=box))
+                        bounds.append(pure_gap_box_bound(c, box))
 
         # every floor pair H + floor(H) = G
         for ha, hb, ht in itertools.product(range(5), repeat=3):
@@ -292,7 +294,7 @@ def test_criterion_8_bound_soundness():
             if dimension(c, H) == 0:
                 continue
             if H + floor_divisor(c, H) == G:
-                bounds.append(designed_distance(c, G, "floor_pair", H=H))
+                bounds.append(floor_pair_bound(c, H))
 
         for bound in bounds:
             assert d >= bound, f"G={G}: brute d={d} < designed bound {bound}"

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kummercodes.agcode import (LinearCode, brute_force_distance, build_cl, build_comega,
-                                designed_distance, evaluation_matrix, evaluation_places,
-                                in_support, null_space)
+                                evaluation_matrix, evaluation_places, in_support, null_space)
 from kummercodes.curve import KummerCurve, Place
 from kummercodes.gf import FiniteField, Matrix
 from kummercodes.rrlattice import Divisor, dimension, omega_enumerate
 from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
-from kummercodes.weierstrass import GapBox, PlaceTuple, floor_divisor, floor_via_gcd
+from kummercodes.weierstrass import (GapBox, PlaceTuple, floor_divisor, floor_pair_bound,
+                                     floor_via_gcd, pure_gap_box_bound)
 from test_curve import curve_hermitian_gf4, f_at
 from test_gf import oracle_dot, oracle_nullspace, power
 
@@ -366,45 +366,30 @@ def test_singleton_bound():
             assert code.k + d <= code.n + 1
 
 
-def test_designed_distance_methods():
+def test_designed_bounds():
     c = curve_example_2()
     G = Divisor.make(c.r, {1: 26, 2: 1})
-    assert designed_distance(c, G, "goppa_omega") == 27 - 18
-    assert designed_distance(c, G, "goppa_L", n=124) == 124 - 27
+    D = evaluation_places(c, G)
+    assert len(D) == 124
+    assert dict(build_comega(c, G, D).bounds)["goppa_omega"] == 27 - 18
+    assert dict(build_cl(c, G, D).bounds)["goppa_L"] == 124 - 27
     box = GapBox(PlaceTuple(2), (13, 1), (1, 0))
-    assert designed_distance(c, G, "pure_gap_box", box=box) == 12
-
-    H = Divisor.make(c.r, {1: 13})
-    G2 = H + floor_divisor(c, H)
-    assert designed_distance(c, G2, "floor_pair", H=H) == 2 * 13 - 18
+    assert box.induced_divisor(c.r) == G
+    assert pure_gap_box_bound(c, box) == 12
+    assert floor_pair_bound(c, Divisor.make(c.r, {1: 13})) == 2 * 13 - 18
 
 
-def test_designed_distance_validation():
+def test_designed_bound_refusals():
     c = curve_example_2()
-    G = Divisor.make(c.r, {1: 26, 2: 1})
-    with pytest.raises(ValueError, match=r"^goppa_L needs deg\(G\) < n$"):
-        designed_distance(c, G, "goppa_L", n=20)
     with pytest.raises(ValueError, match=r"^\(14, 2\) in the box is not a pure gap$"):
-        designed_distance(c, G, "pure_gap_box",
-                          box=GapBox(PlaceTuple(2), (13, 2), (1, 0)))
+        pure_gap_box_bound(c, GapBox(PlaceTuple(2), (13, 2), (1, 0)))
     with pytest.raises(ValueError, match="not a pure gap"):
-        designed_distance(c, G, "pure_gap_box",  # leaves the pure-gap region
-                          box=GapBox(PlaceTuple(2), (1, 1), (20, 0)))
+        # leaves the pure-gap region
+        pure_gap_box_bound(c, GapBox(PlaceTuple(2), (1, 1), (20, 0)))
     with pytest.raises(ValueError, match="^expected 2 coordinates, got 1$"):
-        designed_distance(c, G, "pure_gap_box", box=GapBox(PlaceTuple(2), (13,), (1,)))
-    with pytest.raises(ValueError, match="needs a box"):
-        designed_distance(c, G, "pure_gap_box")
-    with pytest.raises(ValueError, match="does not induce G"):
-        designed_distance(c, G + G, "pure_gap_box",
-                          box=GapBox(PlaceTuple(2), (13, 1), (1, 0)))
-    with pytest.raises(ValueError, match=r"^G != H \+ floor\(H\)$"):
-        designed_distance(c, G, "floor_pair", H=Divisor.make(c.r, {1: 13}))
-    with pytest.raises(ValueError, match="needs the divisor H"):
-        designed_distance(c, G, "floor_pair")
-    with pytest.raises(ValueError, match="must be effective"):
-        designed_distance(c, G, "floor_pair", H=Divisor.make(c.r, {1: -1}))
-    with pytest.raises(ValueError, match="unknown method 'unknown'"):
-        designed_distance(c, G, "unknown")
+        pure_gap_box_bound(c, GapBox(PlaceTuple(2), (13,), (1,)))
+    with pytest.raises(ValueError, match="^H must be effective$"):
+        floor_pair_bound(c, Divisor.make(c.r, {1: -1}))
 
 
 def test_export_text_format():

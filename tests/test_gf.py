@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummercodes.agcode import null_space
+from kummercodes import gf
 from kummercodes.gf import FiniteField, Matrix, pack, unpack
 
 
@@ -320,6 +321,22 @@ def test_tables_match_polynomial_route():
         gen, exp, log = polynomial_route_tables(F.p, F.e, F.modulus)
         assert (F.generator, F._exp[:F.q - 1], F._log) == (gen, exp, log), (F.p, F.modulus)
         assert F._exp[F.q - 1:] == exp
+
+
+def test_generator_search_does_not_walk_every_candidate(monkeypatch):
+    # Each candidate is tested by c^((q-1)/l) != 1 for each prime l | q - 1,
+    # so the one exp walk of the generator (q - 1 products) dominates.
+    calls = [0]
+    mulmod = gf._poly_mulmod
+
+    def counted(*args):
+        calls[0] += 1
+        return mulmod(*args)
+
+    monkeypatch.setattr(gf, "_poly_mulmod", counted)
+    F = FiniteField(251, 2, [1, 0, 1])
+    assert F.generator == 256
+    assert calls[0] <= 1.2 * (F.q - 1)
 
 
 def test_matrix_identity_and_zero():

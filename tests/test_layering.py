@@ -1,6 +1,7 @@
 """Source-level checks: the lattice and semigroup layers read only the
-(m, r) profile, every exception class the package defines is caught, and
-the CLI writes its output along one path."""
+(m, r) profile, agcode leaves the pure-gap and floor bounds to weierstrass,
+every exception class the package defines is caught, and the CLI writes
+its output along one path."""
 
 from __future__ import annotations
 
@@ -89,6 +90,12 @@ def test_cli_output_goes_through_main():
 def test_weierstrass_imports_no_field_level_module():
     source = (PACKAGE / "weierstrass.py").read_text(encoding="utf-8")
     assert package_imports(source) & FIELD_LEVEL == set()
+
+
+def test_agcode_imports_nothing_from_weierstrass():
+    """Every designed-distance formula past Goppa's lives in the profile layer."""
+    source = (PACKAGE / "agcode.py").read_text(encoding="utf-8")
+    assert "weierstrass" not in package_imports(source)
 
 
 def test_ceil_div_is_named_only_in_member_conditions():

@@ -69,16 +69,16 @@ def test_pure_gap_needs_positive_coords():
 def test_one_point_gap_counts():
     for c in (curve_example_1(), curve_example_2(), curve_example_4()):
         bound = 3 * c.m * c.r
-        assert len(one_point_gaps(c, "P1", bound)) == c.g
-        assert len(one_point_gaps(c, "Pinf", bound)) == c.g
+        assert len(one_point_gaps(c, PlaceTuple(1), bound)) == c.g
+        assert len(one_point_gaps(c, PlaceTuple(0, True), bound)) == c.g
 
 
 def test_one_point_gaps_vs_membership():
     # gap lists agree with the semigroup predicate elementwise
     c = curve_example_2()
     bound = 3 * c.m * c.r
-    g_p1 = set(one_point_gaps(c, "P1", bound))
-    g_inf = set(one_point_gaps(c, "Pinf", bound))
+    g_p1 = set(one_point_gaps(c, PlaceTuple(1), bound))
+    g_inf = set(one_point_gaps(c, PlaceTuple(0, True), bound))
     for alpha in range(1, bound + 1):
         assert (alpha in g_p1) == (not semigroup_member(c, PlaceTuple(1), (alpha,)))
         assert (alpha in g_inf) == (
@@ -88,15 +88,15 @@ def test_one_point_gaps_vs_membership():
 def test_one_point_gaps_refusals():
     c = curve_example_2()
     with pytest.raises(ValueError, match="limit must be >= 1"):
-        one_point_gaps(c, "P1", 0)
-    with pytest.raises(ValueError, match="unknown place selector 'P2'"):
-        one_point_gaps(c, "P2", 5)
+        one_point_gaps(c, PlaceTuple(1), 0)
+    with pytest.raises(ValueError, match="^expected 2 coordinates, got 1$"):
+        one_point_gaps(c, PlaceTuple(2), 5)
 
 
 def test_one_point_smallest_gap():
     c = curve_example_2()
-    assert 1 in one_point_gaps(c, "P1", 5)
-    assert 1 in one_point_gaps(c, "Pinf", 5)
+    assert 1 in one_point_gaps(c, PlaceTuple(1), 5)
+    assert 1 in one_point_gaps(c, PlaceTuple(0, True), 5)
 
 
 def test_h_p1_closed_form():
@@ -208,9 +208,9 @@ def test_pure_gap_symmetric_in_finite_coordinates(case):
     # Every candidate is tested here, so the pure gaps found must be closed
     # under those permutations and equal what pure_gaps returns.
     prof, pl, limit = case
-    axes = [one_point_gaps(prof, "P1", limit)] * pl.l
+    axes = [one_point_gaps(prof, PlaceTuple(1), limit)] * pl.l
     if pl.include_infinity:
-        axes.append(one_point_gaps(prof, "Pinf", limit))
+        axes.append(one_point_gaps(prof, PlaceTuple(0, True), limit))
     found = {pt for pt in itertools.product(*axes) if pure_gap(prof, pl, pt)}
     for pt in found:
         finite, rest = pt[:pl.l], pt[pl.l:]
@@ -261,8 +261,8 @@ def test_one_point_gaps_at_every_place_match_ell_counts():
                 continue
             prof = RamificationData(m, r)
             limit = 2 * prof.g + m
-            axes = {"P1": set(one_point_gaps(prof, "P1", limit)),
-                    "Pinf": set(one_point_gaps(prof, "Pinf", limit))}
+            axes = {"P1": set(one_point_gaps(prof, PlaceTuple(1), limit)),
+                    "Pinf": set(one_point_gaps(prof, PlaceTuple(0, True), limit))}
             for mu in range(r + 1):
                 Q = Divisor.make(r, {mu: 1}) if mu else Divisor.make(r, t=1)
                 G, ell = Divisor.make(r), []
