@@ -13,7 +13,7 @@ import random
 from functools import partial
 from itertools import repeat
 from operator import add, mul, sub, xor
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from .curve import KummerCurve, Place
 from .gf import Matrix, pack
@@ -56,9 +56,8 @@ class LinearCode:
     """[n, k] code over GF(q): the row space of a full-rank matrix or, given its
     pivots, the null space of that matrix in RREF, made a row at a time."""
 
-    def __init__(self, matrix: Matrix, bounds: Sequence[Tuple[str, int]] = (),
-                 pivots: Optional[Sequence[int]] = None):
-        self.matrix, self.bounds, self.pivots = matrix, list(bounds), pivots
+    def __init__(self, matrix: Matrix, pivots: Optional[Sequence[int]] = None):
+        self.matrix, self.pivots, self.bounds = matrix, pivots, []
 
     @property
     def field(self):
@@ -79,7 +78,7 @@ class LinearCode:
             yield from self.matrix.rows
             return
         F, n, pivots = self.field, self.n, self.pivots
-        neg = range(F.q) if F.p == 2 else [F.neg(a) for a in range(F.q)]
+        neg = [F.neg(a) for a in range(F.q)]
         pivot_set, zero = set(pivots), [0] * n
         for fc, column in enumerate(zip(*self.matrix.rows) if pivots else repeat((), n)):
             if fc not in pivot_set:
@@ -99,8 +98,7 @@ class LinearCode:
 
 def null_space(matrix: Matrix) -> LinearCode:
     """The code {v : matrix v^T = 0}, held as the RREF of matrix and its pivots."""
-    rank, red, pivots = matrix.rref()
-    return LinearCode(Matrix(matrix.field, red.rows[:rank], matrix.ncols), pivots=pivots)
+    return LinearCode(*matrix.rref())
 
 
 def _check_evaluation_set(G: Divisor, places: Sequence[Place]) -> None:
@@ -166,12 +164,10 @@ def evaluation_matrix(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -
 
 def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearCode:
     """The evaluation code C_L(D, G) with a canonical RREF generator."""
-    n = len(places)
-    rank, red, _ = evaluation_matrix(curve, G, places).rref()
-    code = LinearCode(Matrix(curve.field, red.rows[:rank], n))
+    code = LinearCode(evaluation_matrix(curve, G, places).rref()[0])
     # The empty code has no nonzero word, so no distance bound applies.
-    if rank and G.degree < n:
-        code.bounds.append(("goppa_L", n - G.degree))
+    if code.k and G.degree < code.n:
+        code.bounds.append(("goppa_L", code.n - G.degree))
     return code
 
 

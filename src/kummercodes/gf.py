@@ -11,8 +11,8 @@ FiniteField holds scalar arithmetic only.  Multiplication and negation
 use discrete log tables built once per field.  The generator is the
 first element, in codec order, whose powers reach every nonzero
 element; the walk over its powers is the exp table, doubled so that a
-sum of two logs indexes it directly.  Addition is XOR for p = 2, a
-q x q table for odd q <= 256 and digitwise otherwise.
+sum of two logs indexes it directly.  The adder is chosen once: XOR for
+p = 2, a q x q table for odd q <= 256 and digitwise otherwise.
 
 A Matrix owns the row lists it is handed; row operations live in its
 methods.  For p = 2, rref packs a row into one int of byte-aligned cells
@@ -26,6 +26,7 @@ exp table and the field's adder.  The supported range is q <= 2^16.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
 from typing import Iterable, List, Sequence, Tuple
@@ -170,7 +171,9 @@ class FiniteField:
         self._cells = "B" if q <= 1 << 8 else "H"  # array typecode of a packed GF(2^e) entry
 
         self._add_table = None
-        if p != 2 and q <= 1 << 8:
+        if p == 2:
+            self.add = operator.xor
+        elif q <= 1 << 8:
             # Digitwise sums, one base-p digit per pass: a = a0 + p*a', b = b0 + p*b'.
             digit = [[(a + b) % p for b in range(p)] for a in range(p)]
             table = [[0]]
@@ -178,6 +181,9 @@ class FiniteField:
                 table = [[lo + p * hi for hi in hi_row for lo in lo_row]
                          for hi_row in table for lo_row in digit]
             self._add_table = table
+            self.add = lambda a, b: table[a][b]
+        else:
+            self.add = self._add_digitwise
 
     # -- codec ----------------------------------------------------------
 
@@ -193,13 +199,6 @@ class FiniteField:
         return a
 
     # -- arithmetic ------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_digitwise(a, b)
 
     def _add_digitwise(self, a: int, b: int) -> int:
         p = self.p
@@ -273,18 +272,18 @@ class Matrix:
         if any(len(r) != self.ncols for r in rows):
             raise ValueError("ragged rows")
 
-    def rref(self) -> Tuple[int, "Matrix", List[int]]:
+    def rref(self) -> Tuple["Matrix", List[int]]:
         """Reduced row echelon form.
 
         Pivot rule is fixed (scan columns left to right, rows top-down)
         so the result, and hence every derived basis, is deterministic.
-        Returns (rank, rref matrix, pivot column list).
+        Returns (the nonzero rows of the RREF, their pivot columns).
         """
         if self.field.p == 2:
             return self._rref_packed()
         F = self.field
         exp, log, order = F._exp, F._log, F.q - 1
-        table, add = F._add_table, F._add_digitwise  # the table when q <= 256
+        table, add = F._add_table, F.add  # the table when q <= 256
         rows = [list(r) for r in self.rows]  # a working copy: self.rows stays as it is
         nrows = len(rows)
         pivots: List[int] = []
@@ -312,9 +311,9 @@ class Matrix:
             prow += 1
             if prow == nrows:
                 break
-        return prow, Matrix(F, rows, self.ncols), pivots
+        return Matrix(F, rows[:prow], self.ncols), pivots
 
-    def _rref_packed(self) -> Tuple[int, "Matrix", List[int]]:
+    def _rref_packed(self) -> Tuple["Matrix", List[int]]:
         """rref over GF(2^e) on packed rows (see the module docstring)."""
         F, n, e = self.field, self.ncols, self.field.e
         width, mask = 8 * array(F._cells).itemsize, F.q - 1
@@ -350,7 +349,7 @@ class Matrix:
                 if c and r != prow:
                     rows[r] = v ^ _scaled(multiples, c)  # row -= c * pivot
             pivots.append(col)
-        return len(pivots), Matrix(F, [unpack(F, v, n) for v in rows], n), pivots
+        return Matrix(F, [unpack(F, v, n) for v in rows[:len(pivots)]], n), pivots
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"

@@ -319,10 +319,9 @@ def full_rank_codes(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     rows = [[rng.randrange(2) if rng.random() < 0.5 else rng.randrange(F.q) for _ in range(n)]
             for _ in range(k)]
-    rank, red, _ = Matrix(F, rows, n).rref()
-    assume(rank == k)
-    gen = red if draw(st.booleans()) else Matrix(F, rows, n)
-    return LinearCode(Matrix(F, gen.rows[:k], n))
+    red, pivots = Matrix(F, rows, n).rref()
+    assume(len(pivots) == k)
+    return LinearCode(red if draw(st.booleans()) else Matrix(F, rows, n))
 
 
 @settings(max_examples=120, deadline=None)
@@ -406,11 +405,9 @@ def test_export_text_format():
 
 def test_linear_codes_do_not_share_bounds():
     F = FiniteField(2, 1, [0, 1])
-    given_bounds = [("goppa_L", 2)]
-    a, b = LinearCode(Matrix(F, [[1, 1]])), LinearCode(Matrix(F, [[1, 1]]), given_bounds)
+    a, b = LinearCode(Matrix(F, [[1, 1]])), LinearCode(Matrix(F, [[1, 1]]))
     a.bounds.append(("goppa_L", 1))
-    given_bounds.append(("goppa_omega", 9))
-    assert a.bounds == [("goppa_L", 1)] and b.bounds == [("goppa_L", 2)]
+    assert a.bounds == [("goppa_L", 1)] and b.bounds == []
     assert LinearCode(Matrix(F, [[1, 0]])).bounds == []
 
 
@@ -455,7 +452,7 @@ def curve_codes(draw):
 @given(curve_codes())
 def test_random_curve_code_properties(case):
     c, G, D = case
-    assert evaluation_matrix(c, G, D).rref()[0] == dimension(c, G)
+    assert len(evaluation_matrix(c, G, D).rref()[1]) == dimension(c, G)
     cl, co = build_cl(c, G, D), build_comega(c, G, D)
     assert cl.k + co.k == len(D)
     assert orthogonal(cl, co)

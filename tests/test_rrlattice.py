@@ -220,7 +220,7 @@ def test_basis_evaluations_full_rank():
     G = Divisor.make(c.r, t=3)
     D = [p for p in c.places() if p.kind != "infinity"]
     M = evaluation_matrix(c, G, D)
-    assert M.rref()[0] == M.nrows == dimension(c, G)
+    assert len(M.rref()[1]) == M.nrows == dimension(c, G)
 
 
 def test_divisor_and_lattice_point_keep_repr_hash_and_field_order():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -361,7 +362,7 @@ def pair_scan_box_search(curve, places, search_bound):
     best = best_key = None
     for hi in gaps:
         for lo in gaps:
-            if not all(a <= b for a, b in zip(lo, hi)):
+            if not all(map(operator.le, lo, hi)):
                 continue
             box = GapBox(places, lo, tuple(b - a for a, b in zip(lo, hi)))
             deg = sum(box.coefficients())
