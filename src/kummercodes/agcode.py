@@ -192,20 +192,19 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
 
     A nonzero scalar multiple of a codeword has its weight, so only the
     (q^k - 1)/(q - 1) messages whose first nonzero digit is 1 are visited:
-    for each leading row, the rows below it run in codec order as a base-q
-    odometer whose ticks add a precomputed delta row (next scalar multiple
-    minus the current one), O(n) per message; for p = 2 a word is one packed
-    int (gf.pack), a tick one XOR.  The budget still counts all q^k - 1
+    a lead row plus any combination of multiples of the rows below it, by one
+    recursion over the rows, O(n) per message; for p = 2 a word is one packed
+    int (gf.pack), an addition one XOR.  The budget still counts all q^k - 1
     codewords.  Returns None for the zero-dimensional code.
     """
     F = code.field
-    q = F.q
-    k = code.k
+    q, k = F.q, code.k
     if k == 0:
         return None
-    total = q ** k
-    if total - 1 > budget:  # q^k can pass the int-to-str digit limit, so print it as a power
+    if q ** k - 1 > budget:  # q^k can pass the int-to-str digit limit, so print it as a power
         raise ValueError(f"{q}^{k} - 1 codewords exceed budget {budget}")
+    if k > 64:  # a recursion level per row, and over 64 rows is at least 2^65 - 1 codewords
+        raise ValueError(f"{k} rows exceed the search depth 64")
     n = code.n
     rows = list(code.rows())
     if F.p == 2:
@@ -215,31 +214,25 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
                 folded |= cw >> shift
             return (folded & low_bits).bit_count()
 
-        step, encode, low_bits = xor, partial(pack, F), pack(F, [1] * n)  # bit 0 of each cell
+        plus, encode, low_bits = xor, partial(pack, F), pack(F, [1] * n)  # bit 0 of each cell
     else:
-        def step(cw, delta_row):
-            return list(map(F.add, cw, delta_row))
+        def plus(cw, other):
+            return list(map(F.add, cw, other))
 
         def weight(cw):
             return n - cw.count(0)
 
         encode = list
-    # delta[d][a]: row d scaled by decode((a+1) mod q) - decode(a).
-    steps = [F.sub((a + 1) % q, a) for a in range(q)]
-    delta = [[encode([F.mul(s, v) for v in row]) for s in steps] for row in rows]
-    best = n + 1
-    for lead in range(k):
-        cw = encode(rows[lead])  # codec 1 is the field's one
-        digits = [0] * k
-        for _ in range(q ** (k - 1 - lead)):
-            best = min(best, weight(cw))
-            d = lead + 1
-            while d < k:
-                cw = step(cw, delta[d][digits[d]])
-                digits[d] += 1
-                if digits[d] < q:
-                    break
-                digits[d] = 0
-                d += 1
-    return best
+    # multiples[d][s]: row d scaled by the element of codec s; row 0 is never added.
+    multiples = [None] + [[encode([F.mul(s, v) for v in row]) for s in range(q)]
+                          for row in rows[1:]]
 
+    def least(d, cw):
+        """Least weight of cw plus any combination of multiples of rows d..k-1."""
+        if d == k:
+            return weight(cw)
+        if d == k - 1:
+            return min(map(weight, map(plus, repeat(cw), multiples[d])))
+        return min(least(d + 1, plus(cw, m)) for m in multiples[d])
+
+    return min(least(lead + 1, encode(row)) for lead, row in enumerate(rows))  # lead digit 1

@@ -21,9 +21,9 @@ from . import verify
 from .agcode import brute_force_distance, build_cl, build_comega, evaluation_places
 from .curve import KummerCurve, find_roots
 from .gf import FiniteField
-from .rrlattice import Divisor, dimension, monomial_divisor, omega_enumerate
-from .weierstrass import (DEFAULT_BUDGET, PlaceTuple, box_search, floor_divisor,
-                          pure_gap_box_bound, pure_gaps, semigroup_member)
+from .rrlattice import DEFAULT_BUDGET, Divisor, dimension, monomial_divisor, omega_enumerate
+from .weierstrass import (PlaceTuple, box_search, floor_divisor, pure_gap_box_bound, pure_gaps,
+                          semigroup_member)
 
 
 class ConfigError(ValueError):

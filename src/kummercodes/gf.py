@@ -127,21 +127,22 @@ class FiniteField:
     # -- construction helpers -------------------------------------------
 
     def _build_tables(self) -> None:
-        p, e, q = self.p, self.e, self.q
-        mod = list(self.modulus)
+        p, e, q, mod = self.p, self.e, self.q, self.modulus
         mod_int = self._encode(mod)
 
-        def raw_mul(a: int, b: int) -> int:
-            if p != 2:
+        if p == 2:
+            def raw_mul(a: int, b: int) -> int:
+                acc = 0  # carry-less shift-and-add, reduced by the modulus at degree e
+                while b:
+                    if b & 1:
+                        acc ^= a
+                    b, a = b >> 1, a << 1
+                    if a & q:
+                        a ^= mod_int
+                return acc
+        else:
+            def raw_mul(a: int, b: int) -> int:
                 return self._encode(_poly_mulmod(_digits(a, p, e), _digits(b, p, e), mod, p))
-            acc = 0  # carry-less shift-and-add, reduced by the modulus at degree e
-            while b:
-                if b & 1:
-                    acc ^= a
-                b, a = b >> 1, a << 1
-                if a & q:
-                    a ^= mod_int
-            return acc
 
         def raw_pow(a: int, k: int) -> int:
             acc = 1

@@ -353,6 +353,17 @@ def test_brute_force_refuses_a_huge_code_by_its_power():
         brute_force_distance(huge)
 
 
+def test_brute_force_refuses_more_than_64_rows(monkeypatch):
+    # The search recurses once per row; with the budget out of the way, the
+    # 1929-row code is refused at once, before a multiple is formed, not by a
+    # RecursionError or a search that never ends.
+    F = DISTANCE_FIELDS[-1]
+    huge = LinearCode(Matrix(F, [[1]] * 1929))
+    monkeypatch.setattr(F, "mul", lambda a, b: pytest.fail("a multiple was built"))
+    with pytest.raises(ValueError, match=r"^1929 rows exceed the search depth 64$"):
+        brute_force_distance(huge, budget=256 ** 1929)
+
+
 def test_singleton_bound():
     c = herm()
     for t in range(1, 6):

@@ -166,6 +166,7 @@ def test_principal_divisors():
 def test_find_roots():
     F = FiniteField(2, 2, [1, 1, 1])
     assert find_roots(F, [0, 1, 1]) == (0, 1)  # x^2 + x
+    assert find_roots(F, [0, 1, 1, 0, 0]) == find_roots(F, [0, 1, 1])  # trailing zeros
     F5 = FiniteField(5, 1, [0, 1])
     with pytest.raises(ValueError, match="^f has 0 distinct rational roots but degree 2$"):
         find_roots(F5, [2, 0, 1])  # x^2 + 2 irreducible mod 5
