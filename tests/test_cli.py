@@ -625,28 +625,40 @@ def test_build_code_golden_hashes(tmp_path, capsys, name, text, kind, digest):
 
 EXAMPLE_2_PURE_GAPS_CFG = EXAMPLE_2_CFG.replace(
     "divisor = 26,1,0,0,0,0", "places = P1,P2,Pinf\nbound = 25")
+# C_L of G = 10 P_inf on example 2's curve: the [125, 4] code over GF(25), d = 115.
+EXAMPLE_2_DISTANCE_CFG = EXAMPLE_2_CFG.replace(
+    "divisor = 26,1,0,0,0,0", "divisor = 0,0,0,0,0,10\ncode = l")
 
 # SHA-256 of stdout, pinned from the exhaustive searches that preceded
 # gap-axis pruning and scalar-normalised distance enumeration.  Bound 25
 # lies above 2g - 1 = 19 on example 2, so the clamp is exercised.
 GOLDEN_SEARCHES = [
-    ("check-distance", (WORKLOADS / "distance.ini").read_text(),
-     "2a57042a43991d2ca310938e6802d7283954e38c825a548c4bee89c45238b43b"),
-    ("box-search", (WORKLOADS / "gaps.ini").read_text(),
-     "115dda11d6f5ce2b1b2815a15700eec6e468d5f17f25ab4113094b553c8d7fc5"),
-    ("pure-gaps", EXAMPLE_2_PURE_GAPS_CFG,
-     "bb15f3dce2d4fb350579804f54c600354074888e0c72e45509fd9f70097362f2"),
+    pytest.param("check-distance", (WORKLOADS / "distance.ini").read_text(),
+                 "2a57042a43991d2ca310938e6802d7283954e38c825a548c4bee89c45238b43b",
+                 id="check-distance"),
+    # Odd p: pinned from the list-and-F.add search that preceded the one
+    # packed comparison at the last row.
+    pytest.param("check-distance", EXAMPLE_2_DISTANCE_CFG,
+                 "e623772cc677b6536e0545bc9870ad53a37b5cf0187fcc9851641b52344c7ee8",
+                 id="check-distance-example2"),
+    pytest.param("box-search", (WORKLOADS / "gaps.ini").read_text(),
+                 "115dda11d6f5ce2b1b2815a15700eec6e468d5f17f25ab4113094b553c8d7fc5",
+                 id="box-search"),
+    pytest.param("pure-gaps", EXAMPLE_2_PURE_GAPS_CFG,
+                 "bb15f3dce2d4fb350579804f54c600354074888e0c72e45509fd9f70097362f2",
+                 id="pure-gaps"),
     # Pinned from the frozen-dataclass places and the polynomial-route
     # GF(1024) tables, before the tuple places and carry-less set-up.
-    ("places", (WORKLOADS / "places.ini").read_text(),
-     "84aaa9ea88ad03926e2de43f64cb8b0fd88acc2b084d95b0300c574899b9930f"),
-    ("curve-info", (WORKLOADS / "places.ini").read_text(),
-     "114f6c866d7a8e0c3bd0db22ef29ce62c7449f8343b7cadf05ad4731541b71a2"),
+    pytest.param("places", (WORKLOADS / "places.ini").read_text(),
+                 "84aaa9ea88ad03926e2de43f64cb8b0fd88acc2b084d95b0300c574899b9930f",
+                 id="places"),
+    pytest.param("curve-info", (WORKLOADS / "places.ini").read_text(),
+                 "114f6c866d7a8e0c3bd0db22ef29ce62c7449f8343b7cadf05ad4731541b71a2",
+                 id="curve-info"),
 ]
 
 
-@pytest.mark.parametrize("command,text,digest", GOLDEN_SEARCHES,
-                         ids=[command for command, _, _ in GOLDEN_SEARCHES])
+@pytest.mark.parametrize("command,text,digest", GOLDEN_SEARCHES)
 def test_search_golden_hashes(tmp_path, capsys, command, text, digest):
     path = tmp_path / "job.ini"
     path.write_text(text)
