@@ -10,13 +10,13 @@ verifies bounds where the codebook is small enough.
 from __future__ import annotations
 
 import random
-from functools import partial
+from collections import Counter
 from itertools import repeat
-from operator import add, mul, sub, xor
+from operator import add, getitem, mul, sub
 from typing import Iterator, List, Optional, Sequence
 
 from .curve import KummerCurve, Place
-from .gf import Matrix, pack
+from .gf import Matrix
 from .rrlattice import DEFAULT_BUDGET, Divisor, monomial_divisor, omega_enumerate
 
 
@@ -193,9 +193,10 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
     A nonzero scalar multiple of a codeword has its weight, so only the
     (q^k - 1)/(q - 1) messages whose first nonzero digit is 1 are visited:
     a lead row plus any combination of multiples of the rows below it, by one
-    recursion over the rows, O(n) per message; for p = 2 a word is one packed
-    int (gf.pack), an addition one XOR.  The budget still counts all q^k - 1
-    codewords.  Returns None for the zero-dimensional code.
+    recursion over the rows.  The last row is compared, not added: cw + s row
+    is zero where cw equals t row, t = -s, so one count of the t at each cell
+    weighs the q words cw + s row at once, in any characteristic.  The budget
+    still counts all q^k - 1 codewords.  Returns None for the zero-dimensional code.
     """
     F = code.field
     q, k = F.q, code.k
@@ -207,32 +208,25 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
         raise ValueError(f"{k} rows exceed the search depth 64")
     n = code.n
     rows = list(code.rows())
-    if F.p == 2:
-        def weight(cw):  # bits e..7 (or e..15) of every cell are zero
-            folded = cw
-            for shift in range(1, F.e):
-                folded |= cw >> shift
-            return (folded & low_bits).bit_count()
-
-        plus, encode, low_bits = xor, partial(pack, F), pack(F, [1] * n)  # bit 0 of each cell
-    else:
-        def plus(cw, other):
-            return list(map(F.add, cw, other))
-
-        def weight(cw):
-            return n - cw.count(0)
-
-        encode = list
-    # multiples[d][s]: row d scaled by the element of codec s; row 0 is never added.
-    multiples = [None] + [[encode([F.mul(s, v) for v in row]) for s in range(q)]
-                          for row in rows[1:]]
+    # multiples[d][s]: row d scaled by the element of codec s, for the rows added, 1..k-2.
+    multiples = [None] + [[[F.mul(s, v) for v in row] for s in range(q)] for row in rows[1:-1]]
+    # ratio[j][c]: the t with c = t row[j], row the last one unless it is the lead row 0;
+    # where row[j] = 0, c = 0 is t row[j] for every t (q) and any other c for none (-1).
+    ratio = []
+    for v in rows[-1] if k > 1 else ():
+        ratio.append([q] + [-1] * (q - 1))
+        if v:
+            for t in range(q):
+                ratio[-1][F.mul(t, v)] = t
 
     def least(d, cw):
         """Least weight of cw plus any combination of multiples of rows d..k-1."""
         if d == k:
-            return weight(cw)
-        if d == k - 1:
-            return min(map(weight, map(plus, repeat(cw), multiples[d])))
-        return min(least(d + 1, plus(cw, m)) for m in multiples[d])
+            return n - cw.count(0)
+        if d < k - 1:
+            return min(least(d + 1, list(map(F.add, cw, m))) for m in multiples[d])
+        matches = Counter(map(getitem, ratio, cw))  # matches[t]: the cells where cw = t row
+        del matches[-1]
+        return n - matches.pop(q, 0) - max(matches.values(), default=0)
 
-    return min(least(lead + 1, encode(row)) for lead, row in enumerate(rows))  # lead digit 1
+    return min(least(lead + 1, row) for lead, row in enumerate(rows))  # lead digit 1

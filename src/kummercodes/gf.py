@@ -169,7 +169,7 @@ class FiniteField:
         self._log = log
         # log(-1): -1 = g^((q-1)/2) for odd q, and -1 = 1 in characteristic 2.
         self._log_minus_one = (q - 1) // 2 if p != 2 else 0
-        self._cells = "B" if q <= 1 << 8 else "H"  # array typecode of a packed GF(2^e) entry
+        self._cells = "B" if q <= 1 << 8 else "H"  # array typecode of a packed entry
 
         self._add_table = None
         if p == 2:
@@ -234,7 +234,7 @@ class FiniteField:
 
 
 def pack(F: FiniteField, row: Sequence[int]) -> int:
-    """A row over GF(2^e) as one int: entry j in the byte-aligned cell j."""
+    """A row over any GF(q) as one int: entry j in byte-aligned cell j, 8 bits (16 if q > 256)."""
     cells = array(F._cells, row)
     if sys.byteorder == "big":
         cells.byteswap()
@@ -242,7 +242,7 @@ def pack(F: FiniteField, row: Sequence[int]) -> int:
 
 
 def unpack(F: FiniteField, packed: int, n: int) -> List[int]:
-    """The n entries of a packed row over GF(2^e)."""
+    """The n entries of a packed row."""
     cells = array(F._cells)
     cells.frombytes(packed.to_bytes(n * cells.itemsize, "little"))
     if sys.byteorder == "big":

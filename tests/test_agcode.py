@@ -309,8 +309,8 @@ DISTANCE_FIELDS = [
 
 @st.composite
 def full_rank_codes(draw):
-    """A full-rank k x n generator, k >= 1 and q^k <= 4096, in RREF or not.
-    Up to 70 coordinates, so a packed characteristic-2 word passes 64 bits.
+    """A full-rank k x n generator, k >= 1, q^k <= 4096 and up to 70 coordinates,
+    in RREF or not (an RREF last row is zero at the other rows' pivots).
     The entries come from one drawn seed, each 0 or 1 half the time and any
     field element otherwise: drawing them one by one cost more than the oracle."""
     F = draw(st.sampled_from(DISTANCE_FIELDS))
@@ -362,6 +362,17 @@ def test_brute_force_refuses_more_than_64_rows(monkeypatch):
     monkeypatch.setattr(F, "mul", lambda a, b: pytest.fail("a multiple was built"))
     with pytest.raises(ValueError, match=r"^1929 rows exceed the search depth 64$"):
         brute_force_distance(huge, budget=256 ** 1929)
+
+
+def test_brute_force_on_reed_solomon_codes_over_large_fields():
+    # Reed-Solomon codes are MDS, d = n - k + 1: rows 1 and x at 40 distinct points
+    # give d = 39, and x alone d = 40.  The property test reaches k >= 2 only for
+    # q <= 64; these have k = 2 over GF(2^10), GF(3^6) and the prime field GF(251).
+    points = list(range(1, 41))
+    for F in (FiniteField(2, 10, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]),
+              FiniteField(3, 6, [1, 0, 0, 0, 1, 1, 1]), FiniteField(251, 1, [0, 1])):
+        assert brute_force_distance(LinearCode(Matrix(F, [[1] * 40, points]))) == 39
+        assert brute_force_distance(LinearCode(Matrix(F, [points]))) == 40
 
 
 def test_singleton_bound():

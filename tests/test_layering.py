@@ -1,7 +1,7 @@
 """Source-level checks: the lattice and semigroup layers read only the
-(m, r) profile, agcode leaves the pure-gap and floor bounds to weierstrass,
-every exception class the package defines is caught, and the CLI writes
-its output along one path."""
+(m, r) profile, agcode leaves the pure-gap and floor bounds to weierstrass
+and reads no characteristic, every exception class the package defines is
+caught, and the CLI writes its output along one path."""
 
 from __future__ import annotations
 
@@ -96,6 +96,13 @@ def test_agcode_imports_nothing_from_weierstrass():
     """Every designed-distance formula past Goppa's lives in the profile layer."""
     source = (PACKAGE / "agcode.py").read_text(encoding="utf-8")
     assert "weierstrass" not in package_imports(source)
+
+
+def test_agcode_reads_no_characteristic():
+    """The exact-distance search is one kernel for every p: agcode reads no
+    `.p` attribute, so nothing in it branches on the characteristic."""
+    tree = ast.parse((PACKAGE / "agcode.py").read_text(encoding="utf-8"))
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "p"]
 
 
 def test_ceil_div_is_named_only_in_member_conditions():
