@@ -14,16 +14,13 @@ import configparser
 import os
 import sys
 from configparser import ConfigParser
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from . import verify
-from .agcode import brute_force_distance, build_cl, build_comega, evaluation_places
+from . import agcode, verify, weierstrass  # lazy: each runs when a command first calls it
 from .curve import KummerCurve, find_roots
 from .gf import FiniteField
 from .rrlattice import DEFAULT_BUDGET, Divisor, dimension, monomial_divisor, omega_enumerate
-from .weierstrass import (PlaceTuple, box_search, floor_divisor, pure_gap_box_bound, pure_gaps,
-                          semigroup_member)
 
 
 class ConfigError(ValueError):
@@ -123,7 +120,7 @@ def parse_divisor(curve: KummerCurve, text: Optional[str]) -> Divisor:
     return Divisor(tuple(coeffs[:-1]), coeffs[-1])
 
 
-def parse_places(curve: KummerCurve, text: Optional[str]) -> PlaceTuple:
+def parse_places(curve: KummerCurve, text: Optional[str]) -> weierstrass.PlaceTuple:
     if text is None:
         raise ConfigError("this command needs places=P1,...,Pl[,Pinf] in [job]")
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
@@ -141,7 +138,7 @@ def parse_places(curve: KummerCurve, text: Optional[str]) -> PlaceTuple:
         raise ConfigError("places= names no place")
     if l > curve.r:
         raise ConfigError(f"places= names {l} finite places, curve has r={curve.r}")
-    return PlaceTuple(l, include_inf)
+    return weierstrass.PlaceTuple(l, include_inf)
 
 
 def _emit(out: Optional[str], lines: Iterable[str], notes: Sequence[str]) -> None:
@@ -184,10 +181,14 @@ def cmd_curve_info(curve: KummerCurve, job: Job) -> Output:
 
 
 def cmd_places(curve: KummerCurve, job: Job) -> Output:
+    """P_inf and P_1..P_r (iter_places makes them before any fibre), then one
+    chunk of lines per x-fibre of affine points."""
     text = [str(v) for v in range(curve.field.q)]
-    rows = (f"affine,0,{text[p.x]},{text[p.y]}\n" if p.kind_rank == 2  # nearly all: no kind lookup
-            else f"{p.kind},{p.mu},{p.x},{p.y}\n" for p in curve.iter_places())
-    return chain(["kind,mu,x,y\n"], rows), ()
+    ends = [f"{v}\n" for v in text]
+    head = [f"{p.kind},{p.mu},{p.x},{p.y}\n" for p in islice(curve.iter_places(), curve.r + 1)]
+    fibres = ("".join(map(f"affine,0,{text[x0]},".__add__, map(ends.__getitem__, ys)))
+              for x0, ys in curve.fibres())
+    return chain(["kind,mu,x,y\n"], head, fibres), ()
 
 
 def cmd_rr_basis(curve: KummerCurve, job: Job) -> Output:
@@ -209,10 +210,11 @@ def cmd_semigroup(curve: KummerCurve, job: Job) -> Output:
     if len(coords) != places.arity():
         raise ConfigError(f"coords= needs one value per place in places= "
                           f"({places.arity()}), got {len(coords)}")
-    return ["true\n" if semigroup_member(curve, places, coords) else "false\n"], ()
+    return ["true\n" if weierstrass.semigroup_member(curve, places, coords) else "false\n"], ()
 
 
-def _search(curve: KummerCurve, job: Job, command: str) -> Tuple[PlaceTuple, int, int]:
+def _search(curve: KummerCurve, job: Job,
+            command: str) -> Tuple[weierstrass.PlaceTuple, int, int]:
     places = parse_places(curve, job("places"))
     bound = _number(job, "bound", 0)
     if bound < 1:
@@ -221,23 +223,23 @@ def _search(curve: KummerCurve, job: Job, command: str) -> Tuple[PlaceTuple, int
 
 
 def cmd_pure_gaps(curve: KummerCurve, job: Job) -> Output:
-    gaps = pure_gaps(curve, *_search(curve, job, "pure-gaps"))
+    gaps = weierstrass.pure_gaps(curve, *_search(curve, job, "pure-gaps"))
     return [",".join(map(str, pt)) + "\n" for pt in gaps], ()
 
 
 def cmd_box_search(curve: KummerCurve, job: Job) -> Output:
-    result = box_search(curve, *_search(curve, job, "box-search"))
+    result = weierstrass.box_search(curve, *_search(curve, job, "box-search"))
     if result is None:
         return ["no pure gaps\n"], ()
     box, G = result
     return [f"base {' '.join(map(str, box.base))}\n",
             f"widths {' '.join(map(str, box.widths))}\n",
             f"G {G}\n",
-            f"bound {pure_gap_box_bound(curve, box)}\n"], ()
+            f"bound {weierstrass.pure_gap_box_bound(curve, box)}\n"], ()
 
 
 def cmd_floor(curve: KummerCurve, job: Job) -> Output:
-    return [f"{floor_divisor(curve, parse_divisor(curve, job('divisor')))}\n"], ()
+    return [f"{weierstrass.floor_divisor(curve, parse_divisor(curve, job('divisor')))}\n"], ()
 
 
 def _build_code(curve: KummerCurve, job: Job):
@@ -245,9 +247,9 @@ def _build_code(curve: KummerCurve, job: Job):
     n, seed = _number(job, "n", None), _number(job, "seed", None)
     if seed is not None and n is None:
         raise ConfigError("seed selects n places and needs n= in [job]")
-    D = evaluation_places(curve, G, n=n, seed=seed)
+    D = agcode.evaluation_places(curve, G, n=n, seed=seed)
     kind = (job("code") or "omega").lower()
-    build = {"l": build_cl, "omega": build_comega}.get(kind)
+    build = {"l": agcode.build_cl, "omega": agcode.build_comega}.get(kind)
     if build is None:
         raise ConfigError(f"code= must be 'l' or 'omega', got {kind!r}")
     code = build(curve, G, D)
@@ -263,7 +265,7 @@ def cmd_build_code(curve: KummerCurve, job: Job) -> Output:
 
 def cmd_check_distance(curve: KummerCurve, job: Job) -> Output:
     budget = _budget(job)
-    d = brute_force_distance(_build_code(curve, job)[0], budget)
+    d = agcode.brute_force_distance(_build_code(curve, job)[0], budget)
     return [("undefined" if d is None else str(d)) + "\n"], ()
 
 
@@ -281,8 +283,8 @@ COMMANDS = {
 }
 
 
-def _example_range() -> str:
-    return f"{min(verify.EXAMPLES)}-{max(verify.EXAMPLES)}"
+# min-max of verify.EXAMPLES, written out so that parsing does not run verify
+EXAMPLE_RANGE = "1-4"
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -291,7 +293,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Multi-point algebraic-geometric codes over Kummer extensions")
     ap.add_argument("command", choices=sorted(COMMANDS) + ["verify-example"])
     ap.add_argument("example", nargs="?", type=int,
-                    help=f"example number for verify-example ({_example_range()})")
+                    help=f"example number for verify-example ({EXAMPLE_RANGE})")
     ap.add_argument("--config", help="path to the job config file")
     ap.add_argument("--out", help="write primary output to this file")
     ap.add_argument("--budget", type=int, help="work budget for exhaustive searches")
@@ -305,7 +307,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "verify-example":
             if args.example not in verify.EXAMPLES:
-                raise ConfigError(f"verify-example needs a number in {_example_range()}")
+                raise ConfigError(f"verify-example needs a number in {EXAMPLE_RANGE}")
             ok, lines = verify.verify_example(args.example)
             output = [line + "\n" for line in lines], ()
         elif args.example is not None:

@@ -91,7 +91,7 @@ class KummerCurve(RamificationData):
         self.B = (1 - self.A * lam) // m
 
     def num_places(self) -> int:
-        return sum(1 for _ in self.iter_places())
+        return 1 + self.r + sum(len(ys) for _, ys in self.fibres())
 
     def places(self) -> List[Place]:
         """All rational places in canonical order (cached)."""
@@ -100,7 +100,17 @@ class KummerCurve(RamificationData):
         return self._places
 
     def iter_places(self) -> Iterator[Place]:
-        """The rational places in canonical order, made one at a time.
+        """The rational places in canonical order, made one at a time."""
+        yield Place.infinity()
+        yield from map(Place.ramified, range(1, self.r + 1))
+        new = tuple.__new__  # Place.affine without the per-call keyword handling
+        for x0, ys in self.fibres():
+            for y0 in ys:
+                yield new(Place, (2, 0, x0, y0))
+
+    def fibres(self) -> Iterator[Tuple[int, List[int]]]:
+        """The affine points as (x0, sorted ys) by increasing x0, for each x0
+        off the roots with a point over it: the one rule for affine points.
 
         y^m = c has d = gcd(m, q-1) roots, with logs (log c / d) * (m/d)^-1
         mod (q-1)/d plus multiples of (q-1)/d, when d | log c, and none otherwise;
@@ -115,14 +125,10 @@ class KummerCurve(RamificationData):
         for alpha in self.roots:
             diffs = map(F.add, xs, repeat(F.neg(alpha)))
             log_f = list(map(add, log_f, map(F._log.__getitem__, diffs)))
-        yield Place.infinity()
-        yield from map(Place.ramified, range(1, self.r + 1))
-        new = tuple.__new__  # Place.affine without the per-call keyword handling
         for x0, log_fx in zip(xs, log_f):
             log_c = log_fx * self.lam % order
             if log_c % d == 0:
-                for y0 in sorted(F._exp[log_c // d * inv_m % period:order:period]):
-                    yield new(Place, (2, 0, x0, y0))
+                yield x0, sorted(F._exp[log_c // d * inv_m % period:order:period])
 
     def principal_divisor(self, item: str, index: int = 0) -> Divisor:
         """Divisor of x - alpha_index, y, f, or z."""

@@ -10,12 +10,11 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .agcode import build_comega, evaluation_places
+from . import agcode, weierstrass
 from .curve import GcdViolationError, KummerCurve, find_roots
 from .gf import FiniteField
 from .rrlattice import Divisor, RamificationData, monomial_divisor, omega_enumerate
-from .weierstrass import (GapBox, PlaceTuple, box_bound_value, box_search, floor_divisor,
-                          floor_pair_bound, pure_gap, pure_gap_box_bound)
+from .weierstrass import GapBox, PlaceTuple  # the EXAMPLES table below is built of them
 
 # Pinned moduli, low-degree-first base-p digits; FiniteField checks irreducibility.
 GF25 = (5, 2, (2, 0, 1))           # x^2 + 2
@@ -116,7 +115,7 @@ def verify_example(number: int) -> Tuple[bool, List[str]]:
     if ex.places:
         check("rational places", len(curve.places()) == ex.places, f"N={len(curve.places())}")
     if ex.verdicts:
-        got = {c: pure_gap(curve, ex.box.places, c) for c in ex.verdicts}
+        got = {c: weierstrass.pure_gap(curve, ex.box.places, c) for c in ex.verdicts}
         gaps = [_point(c) for c, v in ex.verdicts.items() if v]
         detail = (" ".join(f"{_point(c)}->{v}" for c, v in got.items())
                   if not all(ex.verdicts.values()) else f"{list(got.values())}")
@@ -124,7 +123,7 @@ def verify_example(number: int) -> Tuple[bool, List[str]]:
     if ex.published_box:
         box = ex.published_box
         pts = list(box.points())
-        bad = sorted(c for c in pts if not pure_gap(curve, box.places, c))
+        bad = sorted(c for c in pts if not weierstrass.pure_gap(curve, box.places, c))
         label = "x".join(f"{{{b}..{b + w}}}" if w else f"{{{b}}}"
                          for b, w in zip(box.base, box.widths))
         check(f"pure gap box {label}", not bad, f"{len(pts) - len(bad)}/{len(pts)} tuples are "
@@ -132,11 +131,11 @@ def verify_example(number: int) -> Tuple[bool, List[str]]:
         if bad:
             lines.append(f"NOTE {ex.refutation}")
         G = box.induced_divisor(curve.r)
-        bound = box_bound_value(curve, box)  # unvalidated: the box may hold non-gaps
+        bound = weierstrass.box_bound_value(curve, box)  # unvalidated: the box may hold non-gaps
     if ex.box:
-        box, G = box_search(curve, ex.box.places, 40)
+        box, G = weierstrass.box_search(curve, ex.box.places, 40)
         check("box search", box == ex.box, f"base={box.base} widths={box.widths}")
-        bound = pure_gap_box_bound(curve, box)
+        bound = weierstrass.pure_gap_box_bound(curve, box)
     if ex.H:
         H = Divisor.make(curve.r, *ex.H)
         pts = omega_enumerate(curve, H)
@@ -145,10 +144,10 @@ def verify_example(number: int) -> Tuple[bool, List[str]]:
         expected = {Divisor(c[:-1], c[-1]) for c in ex.basis}
         check("basis listing", orders == expected,
               f"{len(orders & expected)}/{len(expected)} tuples match")
-        flo = floor_divisor(curve, H)
+        flo = weierstrass.floor_divisor(curve, H)
         check("floor", flo == Divisor.make(curve.r, *ex.floor), f"floor={flo}")
         G = H + flo
-        bound = floor_pair_bound(curve, H)
+        bound = weierstrass.floor_pair_bound(curve, H)
     if ex.G:
         check("divisor G", G == Divisor.make(curve.r, *ex.G), f"G={G}")
     check("designed distance", bound == ex.distance, f"d_omega>={bound}")
@@ -156,7 +155,7 @@ def verify_example(number: int) -> Tuple[bool, List[str]]:
         n, k = ex.code[0], ex.code[0] + curve.g - 1 - G.degree
         check("dimension formula", k == ex.code[1], f"n={n} k_omega={k}")
     else:
-        code = build_comega(curve, G, evaluation_places(curve, G))
+        code = agcode.build_comega(curve, G, agcode.evaluation_places(curve, G))
         check("code parameters", (code.n, code.k) == ex.code, f"[{code.n},{code.k}]")
         if ex.box:  # a box example names its evaluation set
             lines.append(f"INFO evaluation set: all {code.n} places outside supp(G)"

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from kummercodes import verify
-from kummercodes.cli import COMMANDS, main
+from kummercodes.cli import COMMANDS, EXAMPLE_RANGE, main
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
@@ -475,6 +475,11 @@ def test_verify_example_exit_codes(capsys):
         verify.verify_example(5)
 
 
+def test_example_range_text_matches_the_examples():
+    # Written out in cli so that parsing the command line does not run verify.
+    assert EXAMPLE_RANGE == f"{min(verify.EXAMPLES)}-{max(verify.EXAMPLES)}"
+
+
 # SHA-256 of verify-example stdout and its exit status, pinned from the
 # pair-scan box search that preceded top-corner ranking.  Examples 1 and 2
 # run box_search; example 3 reports the refuted published box and exits 1.
@@ -508,6 +513,15 @@ def test_console_script_installed():
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") >= 6
+
+
+def test_help_golden_hash():
+    # argparse wraps to $COLUMNS; 80 columns is also its fallback without a terminal.
+    argv, env = cli_command("--help")
+    proc = subprocess.run(argv, capture_output=True, text=True, env=dict(env, COLUMNS="80"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
+        "b59ec8fb16bdf6dee4c9d2596663b7d9c26bd07b036b0d35f9541323c0941f82")
 
 
 def test_closed_stdout_pipe_is_a_config_error():

@@ -129,11 +129,11 @@ def brute_force_places(c):
     return out
 
 
-def test_places_match_brute_force_scan():
+def scan_curves():
     gf2 = FiniteField(2, 1, [0, 1])
     gf7 = FiniteField(7, 1, [0, 1])
     gf16 = FiniteField(2, 4, [1, 1, 0, 0, 1])
-    curves = [
+    return [
         KummerCurve(gf2, 3, 1, [0]),                      # y^3 = x over GF(2)
         KummerCurve(gf2, 3, 1, [0, 1]),                   # no affine places
         KummerCurve(gf7, 3, 1, [0]),                      # gcd(3, 6) = 3
@@ -143,8 +143,25 @@ def test_places_match_brute_force_scan():
         curve_hermitian_gf4(),                            # gcd(3, 3) = 3
         curve_example_2(),                                # gcd(6, 24) = 6
     ]
-    for c in curves:
+
+
+def test_places_match_brute_force_scan():
+    for c in scan_curves():
         assert c.places() == brute_force_places(c), c
+
+
+def test_fibres_match_brute_force_scan():
+    """fibres() is the affine part of the scan, grouped by x0, and
+    num_places() counts it without making the places."""
+    for c in scan_curves():
+        fibres = list(c.fibres())
+        xs = [x0 for x0, _ in fibres]
+        assert xs == sorted(set(xs)) and not set(xs) & set(c.roots), c
+        for _, ys in fibres:
+            assert ys and ys == sorted(set(ys)), c
+        affine = [Place.affine(x0, y0) for x0, ys in fibres for y0 in ys]
+        assert affine == brute_force_places(c)[1 + c.r:] == c.places()[1 + c.r:], c
+        assert c.num_places() == len(c.places()), c
 
 
 def test_principal_divisors():

@@ -1,11 +1,13 @@
 """Source-level checks: the lattice and semigroup layers read only the
 (m, r) profile, agcode leaves the pure-gap and floor bounds to weierstrass
 and reads no characteristic, every exception class the package defines is
-caught, and the CLI writes its output along one path."""
+caught, the CLI writes its output along one path, and a CLI job runs only
+the package modules its command calls."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ import kummercodes
 
 PACKAGE = Path(kummercodes.__file__).resolve().parent
 FIELD_LEVEL = {"curve", "gf", "agcode"}
+CALLED_LATE = {"agcode", "verify", "weierstrass"}  # run only by the commands that call them
 
 
 def package_imports(source: str) -> set:
@@ -131,3 +134,109 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _imported_from(node: ast.ImportFrom):
+    """The package module whose names the `from ... import` binds; None when
+    it binds modules (`from . import agcode`) or imports from outside."""
+    parts = (node.module or "").split(".")
+    if not node.level:
+        if parts[0] != "kummercodes":
+            return None
+        parts = parts[1:]
+    return parts[0] if parts and parts[0] else None
+
+
+def test_cli_and_verify_import_late_modules_only_as_modules():
+    """cli and verify call agcode, weierstrass and verify through the module
+    (`agcode.build_cl(...)`), so a lazy module runs only when a call reaches
+    it; verify's EXAMPLES table, built of GapBox and PlaceTuple at import, is
+    the one exception."""
+    allowed = {("verify", "weierstrass"): {"GapBox", "PlaceTuple"}}
+    bound = {}
+    for name in ("cli", "verify"):
+        source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+        assert package_imports(source) >= CALLED_LATE - {name}, name
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and _imported_from(node) in CALLED_LATE:
+                bound.setdefault((name, _imported_from(node)), set()).update(
+                    alias.name for alias in node.names)
+    assert bound == allowed
+
+
+RAN_MODULES = """
+import sys, types
+import kummercodes.cli
+
+def ran():
+    # A lazy module that has not run is still a _LazyModule; type() reads no attribute.
+    return sorted(name.split(".", 1)[1] for name, module in sys.modules.items()
+                  if name.startswith("kummercodes.") and type(module) is types.ModuleType)
+
+before = ran()
+code = kummercodes.cli.main(sys.argv[1:])
+print(code, ",".join(before), ",".join(ran()), file=sys.stderr)
+"""
+
+TINY_JOB = """
+[field]
+p = 2
+e = 2
+modulus = 1,1,1
+
+[curve]
+m = 3
+lambda = 1
+f = 0,1,1
+
+[job]
+divisor = 0,0,3
+places = P1,P2
+bound = 6
+code = l
+"""
+
+
+@pytest.mark.parametrize("command,extra", [("places", set()),
+                                           ("box-search", {"weierstrass"}),
+                                           ("check-distance", {"agcode"})])
+def test_a_job_runs_only_the_modules_its_command_calls(tmp_path, command, extra):
+    """`import kummercodes.cli` runs cli, curve, gf and rrlattice; each
+    command adds only the modules it calls (fresh interpreter without site)."""
+    config = tmp_path / "job.ini"
+    config.write_text(TINY_JOB)
+    argv = [sys.executable, "-S", "-c", RAN_MODULES, command, "--config", str(config)]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    code, before, after = proc.stderr.splitlines()[-1].split()
+    start = {"cli", "curve", "gf", "rrlattice"}
+    assert (code, set(before.split(",")), set(after.split(","))) == ("0", start, start | extra)
+
+
+# The package's exports at the time its submodules became lazy, by home module.
+EXPORTS = {
+    "gf": ["FiniteField", "Matrix"],
+    "curve": ["KummerCurve", "Place", "find_roots"],
+    "rrlattice": ["Divisor", "LatticePoint", "RamificationData", "dimension", "omega_enumerate",
+                  "monomial_divisor"],
+    "weierstrass": ["PlaceTuple", "GapBox", "semigroup_member", "pure_gap", "pure_gaps",
+                    "one_point_gaps", "box_search", "floor_divisor", "pure_gap_box_bound",
+                    "floor_pair_bound"],
+    "agcode": ["LinearCode", "build_cl", "build_comega", "brute_force_distance",
+               "evaluation_places"],
+}
+
+
+def test_package_exports_resolve_to_their_home_objects():
+    assert sorted(kummercodes.__all__) == sorted(sum(EXPORTS.values(), []))
+    assert len(kummercodes.__all__) == 26
+    star = {}
+    exec("from kummercodes import *", star)
+    for home, names in EXPORTS.items():
+        module = importlib.import_module(f"kummercodes.{home}")
+        for name in names:
+            assert getattr(kummercodes, name) is getattr(module, name) is star[name], name
+    from kummercodes import FiniteField
+    assert FiniteField is importlib.import_module("kummercodes.gf").FiniteField
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kummercodes.no_such_name
