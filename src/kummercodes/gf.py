@@ -11,24 +11,26 @@ FiniteField holds scalar arithmetic only.  Multiplication and negation
 use discrete log tables built once per field.  The generator is the
 first element, in codec order, whose powers reach every nonzero
 element; the walk over its powers is the exp table, doubled so that a
-sum of two logs indexes it directly.  The adder is chosen once: XOR for
-p = 2, a q x q table for odd q <= 256 and digitwise otherwise.
+sum of two logs indexes it directly.  This search is the irreducibility
+test too: GF(p)[x]/(f) has an element of order q - 1 exactly when f is
+irreducible.  The adder is chosen once: XOR for p = 2, a q x q table for
+odd q <= 256 and digitwise otherwise.
 
 A Matrix owns the row lists it is handed; row operations live in its
-methods.  For p = 2, rref packs a row into one int of byte-aligned cells
-(8 bits for q <= 256, 16 above); a shift and a reduction of each cell's
-bit e - 1 multiply the whole row by x, so c times a row is one XOR of an
-x^k multiple per set bit of c.  For odd p, rref updates a working copy
-of the rows in place, adding g^(log c + log a) to each entry through the
-exp table and the field's adder.  The supported range is q <= 2^16.
+methods.  pack puts entry j of a row in cell j of one int, a little-endian
+struct cell of 8 bits for q <= 256 and 16 above.  For p = 2, rref works
+on packed rows: a shift and a reduction of each cell's bit e - 1 multiply
+the whole row by x, so c times a row is one XOR of an x^k multiple per
+set bit of c.  For odd p, rref updates a working copy of the rows in
+place, adding g^(log c + log a) to each entry through the exp table and
+the field's adder.  The supported range is q <= 2^16.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
-from array import array
+import struct
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -50,44 +52,20 @@ def _digits(a: int, p: int, n: int) -> List[int]:
     return out
 
 
-def _poly_trim(a: List[int]) -> List[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> List[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    """The e digits of a b modulo the monic mod of degree e, for e-digit a and b."""
+    e = len(mod) - 1
+    prod = [0] * (2 * e - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_mod(prod, mod, p)
-
-
-def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> List[int]:
-    """The remainder of a on division by the monic polynomial mod."""
-    rem = _poly_trim(list(a))
-    while len(rem) >= len(mod):
-        shift = len(rem) - len(mod)
-        c = rem[-1]
-        for i, di in enumerate(mod):
-            rem[shift + i] = (rem[shift + i] - c * di) % p
-        _poly_trim(rem)
-    return rem
-
-
-def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
-    """Exhaustive trial division by all monic polynomials of degree <= e/2."""
-    e = len(mod) - 1
-    if e == 1:
-        return True
-    for deg in range(1, e // 2 + 1):
-        for code in range(p ** deg):
-            trial = _digits(code, p, deg) + [1]
-            if not _poly_mod(mod, trial, p):
-                return False
-    return True
+                prod[i + j] += ai * bj
+    for k in range(2 * e - 2, e - 1, -1):  # x^k = x^(k-e) x^e, x^e = -(mod below e)
+        c = prod[k] % p
+        if c:
+            for i in range(e):
+                prod[k - e + i] -= c * mod[i]
+    return [c % p for c in prod[:e]]
 
 
 class FiniteField:
@@ -104,7 +82,7 @@ class FiniteField:
         if len(modulus) != e + 1:
             raise ValueError(
                 f"modulus needs {e + 1} coefficients for degree {e}, got {len(modulus)}")
-        # Ahead of the trial division, which a huge p would stall; e > 16
+        # Ahead of the primality test, which a huge p would stall; e > 16
         # exceeds the range for any p >= 2 without forming a huge p ** e.
         if p >= 2 and (e > 16 or p ** e > MAX_Q):
             raise ValueError(f"p^e = {p}^{e} exceeds supported range 2^16")
@@ -115,8 +93,6 @@ class FiniteField:
             raise ValueError("modulus coefficients out of [0, p)")
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
-        if not _poly_is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
 
         self.p = p
         self.e = e
@@ -152,11 +128,14 @@ class FiniteField:
                 a, k = raw_mul(a, a), k >> 1
             return acc
 
-        # c is primitive exactly when c^((q-1)/l) != 1 for every prime l | q - 1;
-        # the first such c is the generator, and its one walk the exp table.
-        # c = 1 passes only for q = 2, where q - 1 has no prime factor.
+        # In a field, c is primitive exactly when c^((q-1)/l) != 1 for every
+        # prime l | q - 1; the first such c is the generator, and its one walk
+        # the exp table (c = 1 passes only for q = 2).  A ring that is not a
+        # field has no element of order q - 1: no c passes, or c^(q-1) != 1.
         cofactors = [(q - 1) // l for l in range(2, q) if (q - 1) % l == 0 and is_prime(l)]
-        gen = next(c for c in range(1, q) if all(raw_pow(c, k) != 1 for k in cofactors))
+        gen = next((c for c in range(1, q) if all(raw_pow(c, k) != 1 for k in cofactors)), None)
+        if gen is None or raw_pow(gen, q - 1) != 1:
+            raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
         exp, v = [1], gen
         while v != 1:
             exp.append(v)
@@ -169,7 +148,6 @@ class FiniteField:
         self._log = log
         # log(-1): -1 = g^((q-1)/2) for odd q, and -1 = 1 in characteristic 2.
         self._log_minus_one = (q - 1) // 2 if p != 2 else 0
-        self._cells = "B" if q <= 1 << 8 else "H"  # array typecode of a packed entry
 
         self._add_table = None
         if p == 2:
@@ -233,21 +211,20 @@ class FiniteField:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
 
+def _cell(F: FiniteField) -> str:
+    """The struct format of one packed entry: an unsigned byte, or 16 bits if q > 256."""
+    return "B" if F.q <= 1 << 8 else "H"
+
+
 def pack(F: FiniteField, row: Sequence[int]) -> int:
-    """A row over any GF(q) as one int: entry j in byte-aligned cell j, 8 bits (16 if q > 256)."""
-    cells = array(F._cells, row)
-    if sys.byteorder == "big":
-        cells.byteswap()
-    return int.from_bytes(cells, "little")
+    """A row over any GF(q) as one int: entry j in byte-aligned cell j (see _cell)."""
+    return int.from_bytes(struct.pack(f"<{len(row)}{_cell(F)}", *row), "little")
 
 
 def unpack(F: FiniteField, packed: int, n: int) -> List[int]:
     """The n entries of a packed row."""
-    cells = array(F._cells)
-    cells.frombytes(packed.to_bytes(n * cells.itemsize, "little"))
-    if sys.byteorder == "big":
-        cells.byteswap()
-    return cells.tolist()
+    cell = _cell(F)
+    return list(struct.unpack(f"<{n}{cell}", packed.to_bytes(n * struct.calcsize(cell), "little")))
 
 
 def _scaled(multiples: Sequence[int], c: int) -> int:
@@ -317,7 +294,7 @@ class Matrix:
     def _rref_packed(self) -> Tuple["Matrix", List[int]]:
         """rref over GF(2^e) on packed rows (see the module docstring)."""
         F, n, e = self.field, self.ncols, self.field.e
-        width, mask = 8 * array(F._cells).itemsize, F.q - 1
+        width, mask = 8 * struct.calcsize(_cell(F)), F.q - 1
         high = pack(F, [1] * n) << e - 1  # bit e - 1 of every cell
         low_modulus = F._encode(F.modulus[:-1])  # x^e in the basis 1, x, .., x^(e-1)
 

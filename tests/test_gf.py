@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,6 +333,43 @@ def test_tables_match_polynomial_route():
         gen, exp, log = polynomial_route_tables(F.p, F.e, F.modulus)
         assert (F.generator, F._exp[:F.q - 1], F._log) == (gen, exp, log), (F.p, F.modulus)
         assert F._exp[F.q - 1:] == exp
+
+
+def poly_mul(a, b, p):
+    """The product of two coefficient lists over GF(p), low degree first."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    return prod
+
+
+def largest_irreducibles(p, e):
+    """The two monic moduli of degree e with the largest codecs that the field accepts."""
+    found = []
+    for low in reversed(range(p ** e)):
+        modulus = [low // p ** i % p for i in range(e)] + [1]
+        try:
+            FiniteField(p, e, modulus)
+        except ValueError:
+            continue
+        found.append(modulus)
+        if len(found) == 2:
+            return found
+
+
+@pytest.mark.parametrize("p, e", [(3, 5), (2, 8), (251, 1)])
+def test_products_of_irreducibles_are_refused_quickly(p, e):
+    # The generator search is the irreducibility test: a product f g or a
+    # square f^2 leaves a ring with no element of order q - 1.  q = 3^10,
+    # 2^16 and 251^2 are the largest in range for p = 3, 2 and 251.
+    f, g = largest_irreducibles(p, e)
+    for modulus in (poly_mul(f, g, p), poly_mul(f, f, p)):
+        start = time.perf_counter()
+        message = re.escape(f"modulus {modulus} is reducible over GF({p})")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteField(p, 2 * e, modulus)
+        assert time.perf_counter() - start < 2.0, modulus
 
 
 def test_generator_search_does_not_walk_every_candidate(monkeypatch):

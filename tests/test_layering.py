@@ -128,9 +128,11 @@ def test_rrlattice_imports_nothing_from_the_package():
 
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
-    """The value classes are NamedTuples, so a fresh interpreter (without
-    site, whose .pth files vary by install) imports neither module."""
-    code = "import sys, kummercodes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    """The value classes are NamedTuples and packed rows are struct cells, so
+    a fresh interpreter (without site, whose .pth files vary by install)
+    imports none of dataclasses, inspect and array."""
+    code = ("import sys, kummercodes.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'array'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
     assert proc.stdout.strip() == "[]"

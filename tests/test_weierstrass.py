@@ -465,6 +465,10 @@ def test_floor_properties_random():
             assert dimension(c, flo) == dimension(c, H)
             assert floor_divisor(c, flo) == flo
             assert flo == floor_via_gcd(c, H)
+            # Minimality: lowering any one coefficient (each P_mu, then P_inf) loses a function.
+            for k in range(c.r + 1):
+                lower = Divisor(tuple(v - (mu == k) for mu, v in enumerate(flo.s)), flo.t - (k == c.r))
+                assert dimension(c, lower) < dimension(c, H), (H, k)
 
 
 def test_floor_fixed_iff_member():
