@@ -10,7 +10,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # export -> home module
 _EXPORTS = {
-    "FiniteField": "gf", "Matrix": "gf", "KummerCurve": "curve", "Place": "curve",
+    "FiniteField": "gf", "Matrix": "matrix", "KummerCurve": "curve", "Place": "curve",
     "find_roots": "curve", "Divisor": "rrlattice", "LatticePoint": "rrlattice",
     "RamificationData": "rrlattice", "dimension": "rrlattice",
     "omega_enumerate": "rrlattice", "monomial_divisor": "rrlattice",
@@ -37,8 +37,8 @@ def _lazy(name: str):
 
 
 # Every module but cli, which `python -m kummercodes.cli` runs as __main__.
-agcode, curve, gf, rrlattice, verify, weierstrass = map(
-    _lazy, ("agcode", "curve", "gf", "rrlattice", "verify", "weierstrass"))
+agcode, curve, gf, matrix, rrlattice, verify, weierstrass = map(
+    _lazy, ("agcode", "curve", "gf", "matrix", "rrlattice", "verify", "weierstrass"))
 
 
 def __getattr__(name: str):

@@ -16,7 +16,7 @@ from operator import add, getitem, mul, sub
 from typing import Iterator, List, Optional, Sequence
 
 from .curve import KummerCurve, Place
-from .gf import Matrix
+from .matrix import Matrix
 from .rrlattice import DEFAULT_BUDGET, Divisor, monomial_divisor, omega_enumerate
 
 

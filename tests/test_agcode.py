@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from kummercodes.agcode import (LinearCode, brute_force_distance, build_cl, build_comega,
                                 evaluation_matrix, evaluation_places, in_support, null_space)
 from kummercodes.curve import KummerCurve, Place
-from kummercodes.gf import FiniteField, Matrix
+from kummercodes.gf import FiniteField
+from kummercodes.matrix import Matrix
 from kummercodes.rrlattice import Divisor, dimension, omega_enumerate
 from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
 from kummercodes.weierstrass import (GapBox, PlaceTuple, floor_divisor, floor_pair_bound,

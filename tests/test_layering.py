@@ -1,8 +1,9 @@
 """Source-level checks: the lattice and semigroup layers read only the
 (m, r) profile, agcode leaves the pure-gap and floor bounds to weierstrass
-and reads no characteristic, every exception class the package defines is
-caught, the CLI writes its output along one path, and a CLI job runs only
-the package modules its command calls."""
+and reads no characteristic, row reduction sits off the start-up path, every
+exception class the package defines is caught, the CLI writes its output
+along one path, and a CLI job runs only the package modules its command
+calls."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import pytest
 import kummercodes
 
 PACKAGE = Path(kummercodes.__file__).resolve().parent
-FIELD_LEVEL = {"curve", "gf", "agcode"}
+FIELD_LEVEL = {"curve", "gf", "matrix", "agcode"}
 CALLED_LATE = {"agcode", "verify", "weierstrass"}  # run only by the commands that call them
 
 
@@ -127,12 +128,42 @@ def test_rrlattice_imports_nothing_from_the_package():
     assert package_imports((PACKAGE / "rrlattice.py").read_text(encoding="utf-8")) == set()
 
 
+def test_matrix_imports_only_gf_from_the_package():
+    assert package_imports((PACKAGE / "matrix.py").read_text(encoding="utf-8")) == {"gf"}
+
+
+def test_only_agcode_imports_matrix():
+    """The modules every job runs (cli, curve, gf, rrlattice) and verify name
+    no matrix, so only a command that reduces a matrix compiles it; gf's
+    lazy hook is checked below."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in ("agcode", "gf", "matrix"):
+            assert "matrix" not in package_imports(path.read_text(encoding="utf-8")), path.stem
+
+
+def test_gf_imports_the_package_only_inside_its_getattr():
+    """gf is the field alone: its one package import is the lazy `matrix`
+    inside its module __getattr__, which runs only when gf is asked for
+    Matrix, pack or unpack."""
+    tree = ast.parse((PACKAGE / "gf.py").read_text(encoding="utf-8"))
+    hook = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "__getattr__"]
+
+    def imports_of_the_package(node):
+        return [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))
+                and package_imports(ast.unparse(n))]
+
+    assert len(hook) == 1
+    assert imports_of_the_package(tree) == imports_of_the_package(hook[0])
+    assert package_imports(ast.unparse(hook[0])) == {"matrix"}
+
+
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
-    """The value classes are NamedTuples and packed rows are struct cells, so
-    a fresh interpreter (without site, whose .pth files vary by install)
-    imports none of dataclasses, inspect and array."""
-    code = ("import sys, kummercodes.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'array'} & set(sys.modules)))")
+    """The value classes are NamedTuples, packed rows are struct cells and
+    row reduction is the lazy matrix module's, so a fresh interpreter
+    (without site, whose .pth files vary by install) imports none of
+    dataclasses, inspect, array and struct."""
+    code = ("import sys, kummercodes.cli; print(sorted({'dataclasses', 'inspect', 'array', "
+            "'struct', '_struct'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
     assert proc.stdout.strip() == "[]"
@@ -201,10 +232,11 @@ code = l
 
 @pytest.mark.parametrize("command,extra", [("places", set()),
                                            ("box-search", {"weierstrass"}),
-                                           ("check-distance", {"agcode"})])
+                                           ("check-distance", {"agcode", "matrix"})])
 def test_a_job_runs_only_the_modules_its_command_calls(tmp_path, command, extra):
     """`import kummercodes.cli` runs cli, curve, gf and rrlattice; each
-    command adds only the modules it calls (fresh interpreter without site)."""
+    command adds only the modules it calls, and only check-distance, which
+    reduces its generator matrix, runs matrix (fresh interpreter without site)."""
     config = tmp_path / "job.ini"
     config.write_text(TINY_JOB)
     argv = [sys.executable, "-S", "-c", RAN_MODULES, command, "--config", str(config)]
@@ -215,9 +247,11 @@ def test_a_job_runs_only_the_modules_its_command_calls(tmp_path, command, extra)
     assert (code, set(before.split(",")), set(after.split(","))) == ("0", start, start | extra)
 
 
-# The package's exports at the time its submodules became lazy, by home module.
+# The package's exports at the time its submodules became lazy, by home module
+# (Matrix moved from gf to matrix later).
 EXPORTS = {
-    "gf": ["FiniteField", "Matrix"],
+    "gf": ["FiniteField"],
+    "matrix": ["Matrix"],
     "curve": ["KummerCurve", "Place", "find_roots"],
     "rrlattice": ["Divisor", "LatticePoint", "RamificationData", "dimension", "omega_enumerate",
                   "monomial_divisor"],
