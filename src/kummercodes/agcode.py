@@ -10,8 +10,9 @@ verifies bounds where the codebook is small enough.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from collections import Counter
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, getitem, mul, sub
 from typing import Iterator, List, Optional, Sequence
 
@@ -38,10 +39,11 @@ def evaluation_places(curve: KummerCurve, G: Divisor,
     """Evaluation set: rational places outside supp(G), canonical order.
 
     With n given, places are dropped from the end of the canonical
-    ordering (highest codec order first); a seed instead selects a
-    reproducible pseudo-random subset.
+    ordering (highest codec order first), so only the first n are made;
+    a seed instead selects a reproducible pseudo-random subset.
     """
-    pool = [p for p in curve.places() if not in_support(G, p)]
+    pool = list(islice((p for p in curve.iter_places() if not in_support(G, p)),
+                       n if n is not None and n >= 0 and seed is None else None))
     if n is None:
         return pool
     if not 0 <= n <= len(pool):
@@ -71,29 +73,44 @@ class LinearCode:
     def k(self) -> int:
         return self.matrix.nrows if self.pivots is None else self.n - len(self.pivots)
 
+    def _free_columns(self) -> Iterator[tuple]:
+        """The sparse view of a null space: (fc, the RREF column fc) for each free
+        column fc in order.  Its row is 1 at fc, minus that column at the pivots
+        (where it is 0 right of fc) and 0 elsewhere."""
+        pivots = set(self.pivots)
+        for fc, column in enumerate(zip(*self.matrix.rows) if pivots else repeat((), self.n)):
+            if fc not in pivots:
+                yield fc, column
+
     def rows(self) -> Iterator[List[int]]:
-        """Generator rows; of a null space, one per free column fc in order: the
-        unit vector at fc, with the negated column fc of the RREF at the pivots."""
+        """Generator rows, dense; of a null space, made from its sparse view."""
         if self.pivots is None:
             yield from self.matrix.rows
             return
-        F, n, pivots = self.field, self.n, self.pivots
-        neg = [F.neg(a) for a in range(F.q)]
-        pivot_set, zero = set(pivots), [0] * n
-        for fc, column in enumerate(zip(*self.matrix.rows) if pivots else repeat((), n)):
-            if fc not in pivot_set:
-                row = zero[:]
-                row[fc] = 1
-                for pc, a in zip(pivots, column):
-                    row[pc] = neg[a]
-                yield row
+        for fc, column in self._free_columns():
+            row = [0] * self.n
+            for pc, a in zip(self.pivots, column):
+                row[pc] = self.field.neg(a)
+            row[fc] = 1
+            yield row
 
     def export(self) -> Iterator[str]:
-        """Wire format, a line at a time: header `n k q`, then k rows of n codec integers."""
-        text = [str(v) for v in range(self.field.q)]
-        yield f"{self.n} {self.k} {self.field.q}\n"
-        for row in self.rows():
-            yield " ".join(map(text.__getitem__, row)) + "\n"
+        """Wire format, a line at a time: header `n k q`, then k rows of n codec
+        integers; a null space writes each row from its sparse view."""
+        F, n, pivots = self.field, self.n, self.pivots
+        yield f"{n} {self.k} {F.q}\n"
+        if pivots is None:
+            text = [str(v) for v in range(F.q)]
+            for row in self.rows():
+                yield " ".join(map(text.__getitem__, row)) + "\n"
+            return
+        minus = [f"{F.neg(a)} " for a in range(F.q)]  # the text of -a, then a separator
+        after = [0] + [pc + 1 for pc in pivots]  # the first column after each pivot
+        runs = ["0 " * (pc - a) for pc, a in zip(pivots, after)]  # the zeros before it
+        for fc, column in self._free_columns():
+            k = bisect(pivots, fc)  # the pivots left of fc
+            yield ("".join(map(add, runs[:k], map(minus.__getitem__, column[:k])))
+                   + "0 " * (fc - after[k]) + "1" + " 0" * (n - fc - 1) + "\n")
 
 
 def null_space(matrix: Matrix) -> LinearCode:
@@ -109,23 +126,24 @@ def _check_evaluation_set(G: Divisor, places: Sequence[Place]) -> None:
             raise ValueError(f"place {p} lies in supp(G)")
 
 
-def _place_logs(curve: KummerCurve, place: Place) -> List[int]:
-    """Log vector L of a rational place over the exponents (i, j_2..j_r): a basis
-    monomial with no zero there takes the value g^<(i, j), L>.  At P_mu, z^m = f(x)
-    makes it z^{i + m j_mu} prod_{nu != mu} (x - alpha_nu)^{j_nu - j_mu}, j_1 = 0,
-    with i + m j_mu = 0; at P_inf its value is 1."""
-    F = curve.field
-    if place.kind == "affine":
-        L = [F.log(F.sub(place.x, alpha)) for alpha in curve.roots]
-        L[0] = curve.A * F.log(place.y) + curve.B * sum(L)  # z = y^A f(x)^B
-        return L
-    if place.kind == "infinity":
-        return [0] * curve.r
-    alpha_mu = curve.roots[place.mu - 1]
-    L = [F.log(F.sub(alpha_mu, alpha)) if alpha != alpha_mu else 0 for alpha in curve.roots]
-    L[place.mu - 1] = -sum(L)  # the exponent -j_mu of every factor
-    L[0] = 0  # i has weight 0; at P_1 this also drops the slot of j_1 = 0
-    return L
+def _place_logs(curve: KummerCurve, places: Sequence[Place]) -> Iterator[List[int]]:
+    """Log vectors L of rational places over the exponents (i, j_2..j_r): a basis
+    monomial with no zero at a place takes the value g^<(i, j), L> there.  At P_mu,
+    z^m = f(x) makes it z^{i + m j_mu} prod_{nu != mu} (x - alpha_nu)^{j_nu - j_mu},
+    j_1 = 0, with i + m j_mu = 0; at P_inf its value is 1.  log(x - alpha) is read
+    in one pass per root, at x = alpha_mu for P_mu, where log 0 reads as 0."""
+    F, roots = curve.field, curve.roots
+    xs = [roots[pl.mu - 1] if pl.mu else pl.x for pl in places]  # mu > 0 at P_mu alone
+    diffs = [map(F._log.__getitem__, map(F.add, xs, repeat(F.neg(alpha)))) for alpha in roots]
+    for pl, L in zip(places, map(list, zip(*diffs))):
+        if pl.kind == "affine":
+            L[0] = curve.A * F._log[pl.y] + curve.B * sum(L)  # z = y^A f(x)^B
+        elif pl.kind == "ramified":
+            L[pl.mu - 1] = -sum(L)  # the exponent -j_mu of every factor
+            L[0] = 0  # i has weight 0; at P_1 this also drops the slot of j_1 = 0
+        else:
+            L = [0] * curve.r
+        yield L
 
 
 def evaluation_matrix(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> Matrix:
@@ -135,7 +153,7 @@ def evaluation_matrix(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -
     _check_evaluation_set(G, places)
     F = curve.field
     order, exp = F.q - 1, F._exp
-    logs = [_place_logs(curve, pl) for pl in places]
+    logs = list(_place_logs(curve, places))
     # Only P_mu and P_inf can carry a coefficient of a monomial divisor.
     distinguished = [(col, pl) for col, pl in enumerate(places) if pl.kind != "affine"]
     # acc holds <(i, j), L> at every place for the last lattice point.  The next

@@ -140,7 +140,6 @@ class FiniteField:
         # log(-1): -1 = g^((q-1)/2) for odd q, and -1 = 1 in characteristic 2.
         self._log_minus_one = (q - 1) // 2 if p != 2 else 0
 
-        self._add_table = None
         if p == 2:
             self.add = operator.xor
         elif q <= 1 << 8:
@@ -150,7 +149,6 @@ class FiniteField:
             for _ in range(e):
                 table = [[lo + p * hi for hi in hi_row for lo in lo_row]
                          for hi_row in table for lo_row in digit]
-            self._add_table = table
             self.add = lambda a, b: table[a][b]
         else:
             self.add = self._add_digitwise
@@ -204,10 +202,10 @@ class FiniteField:
 
 # perfbench/traced_job.py, kept fixed so that runs of two revisions compare,
 # traces row reduction as ("kummercodes.gf", "Matrix.rref"), so gf resolves
-# these names from matrix on access; a job that reduces no matrix compiles
-# none.  This goes when ROADMAP item 1 replaces the tracer's wrappers.
+# Matrix from matrix on access; a job that reduces no matrix compiles none.
+# This goes when ROADMAP item 1 replaces the tracer's wrappers.
 def __getattr__(name: str):
-    if name in ("Matrix", "pack", "unpack"):
-        from . import matrix
-        return getattr(matrix, name)
+    if name == "Matrix":
+        from .matrix import Matrix
+        return Matrix
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

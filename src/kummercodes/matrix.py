@@ -1,46 +1,27 @@
 """Row reduction over GF(q), on the codec integers of a gf.FiniteField.
 
-A Matrix owns the row lists it is handed; row operations live in its
-methods.  pack puts entry j of a row in cell j of one int, a little-endian
-struct cell of 8 bits for q <= 256 and 16 above.  For p = 2, rref works
-on packed rows: a shift and a reduction of each cell's bit e - 1 multiply
-the whole row by x, so c times a row is one XOR of an x^k multiple per
-set bit of c.  For odd p, rref updates a working copy of the rows in
-place, adding g^(log c + log a) to each entry through the exp table and
-the field's adder.  Only the jobs that reduce a matrix run this module.
+A Matrix owns the row lists it is handed; rref reduces packed copies of
+them, one int per row, by one elimination loop for every p.  Entry j of a
+row is cell j of the int, and digit i of the entry (its coefficient of
+x^i) is slot i of the cell.  For p = 2 a slot is one bit of a byte-aligned
+cell of 8 bits (16 if q > 256), so a cell holds the codec integer itself
+and rows combine by XOR.  For odd p a slot is one byte, or as many bytes
+as e(p - 1)^2 + p - 1 needs, and rows add as Python ints: a slot may
+run past p - 1, and bytes.translate (per slot when a slot is wider than a
+byte) reduces every row mod p only when one more row operation could
+carry a slot past its width.  x times a row shifts each cell up one slot
+and adds its top digit times x^e = -(the modulus below x^e).  Each pivot
+keeps the sums of its x^i multiples over the low and over the high half
+of the digits in two tables, so row -= c * pivot is two int operations.
+Only the jobs that reduce a matrix run this module.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import List, Sequence, Tuple
+from operator import add, xor
+from typing import List, Tuple
 
 from .gf import FiniteField
-
-
-def _cell(F: FiniteField) -> str:
-    """The struct format of one packed entry: an unsigned byte, or 16 bits if q > 256."""
-    return "B" if F.q <= 1 << 8 else "H"
-
-
-def pack(F: FiniteField, row: Sequence[int]) -> int:
-    """A row over any GF(q) as one int: entry j in byte-aligned cell j (see _cell)."""
-    return int.from_bytes(struct.pack(f"<{len(row)}{_cell(F)}", *row), "little")
-
-
-def unpack(F: FiniteField, packed: int, n: int) -> List[int]:
-    """The n entries of a packed row."""
-    cell = _cell(F)
-    return list(struct.unpack(f"<{n}{cell}", packed.to_bytes(n * struct.calcsize(cell), "little")))
-
-
-def _scaled(multiples: Sequence[int], c: int) -> int:
-    """c times the packed row whose x^k multiples are given: one XOR per set bit."""
-    acc = 0
-    for k, v in enumerate(multiples):
-        if c >> k & 1:
-            acc ^= v
-    return acc
 
 
 class Matrix:
@@ -58,84 +39,86 @@ class Matrix:
             raise ValueError("ragged rows")
 
     def rref(self) -> Tuple["Matrix", List[int]]:
-        """Reduced row echelon form.
+        """Reduced row echelon form, on packed rows (see the module docstring).
 
         Pivot rule is fixed (scan columns left to right, rows top-down)
         so the result, and hence every derived basis, is deterministic.
         Returns (the nonzero rows of the RREF, their pivot columns).
         """
-        if self.field.p == 2:
-            return self._rref_packed()
-        F = self.field
-        exp, log, order = F._exp, F._log, F.q - 1
-        table, add = F._add_table, F.add  # the table when q <= 256
-        rows = [list(r) for r in self.rows]  # a working copy: self.rows stays as it is
-        nrows = len(rows)
-        pivots: List[int] = []
-        prow = 0
-        for col in range(self.ncols):
-            sel = next((r for r in range(prow, nrows) if rows[r][col]), None)
+        F, n = self.field, self.ncols
+        p, e, q, log, exp = F.p, F.e, F.q, F._log, F._exp
+        if p == 2:  # s bits a slot, cb bytes a cell
+            s, cb, combine = 1, 1 + (q > 256), xor
+        else:
+            w = ((e * (p - 1) ** 2 + p - 1).bit_length() + 7) // 8  # bytes a slot
+            s, cb, combine, table = 8 * w, e * w, add, bytes(i % p for i in range(256))
+        # Row operations a reduced row takes before a slot could overflow; for XOR, never
+        cap = (2 ** s - p) // (e * (p - 1) ** 2) or n + 1
+
+        def mod_p(b):  # byte by byte, or slot by slot for w > 1
+            return b.translate(table) if w == 1 else b"".join(
+                (int.from_bytes(b[i:i + w], "little") % p).to_bytes(w, "little")
+                for i in range(0, len(b), w))
+
+        def reduce(v):
+            return int.from_bytes(mod_p(v.to_bytes(n * cb, "little")), "little") if p > 2 else v
+
+        def read(v):  # the codec integer in cell col of v
+            c = v >> shift & cell
+            return codec[mod_p(c.to_bytes(cb, "little"))] if p > 2 else c
+
+        def sums(xs):  # sum of d_i xs[i] at index sum of d_i p^i
+            if len(xs) == 1:  # d xs[0], made on demand: p may be large
+                return range(0, p * xs[0], xs[0])
+            out = [0]
+            for x in xs:
+                out += [combine(a, m) for m in map(x.__mul__, range(1, p)) for a in out]
+            return out
+
+        slots = [0]
+        for i in range(e):  # the cell of each codec integer
+            slots = [c + (d << s * i) for d in range(p) for c in slots]
+        cells = [c.to_bytes(cb, "little") for c in slots]
+        codec, cell = dict(zip(cells, range(q))), 256 ** cb - 1
+        digit = int.from_bytes(cells[1] * n, "little") * (2 ** s - 1)  # slot 0 of every cell
+        minus_x_e = sum(-c % p << s * i for i, c in enumerate(F.modulus[:-1]))  # x^e, one cell
+        h = (e + 1) // 2
+        half = p ** h
+        rows = [int.from_bytes(bytes(r) if cb == 1 else b"".join(map(cells.__getitem__, r)),
+                               "little") for r in self.rows]
+        pivots = []
+        for col in range(n):
+            prow, shift = len(pivots), 8 * cb * col
+            if prow == len(rows):
+                break
+            sel = next((r for r in range(prow, len(rows)) if read(rows[r])), None)
             if sel is None:
                 continue
             rows[prow], rows[sel] = rows[sel], rows[prow]
-            shift = order - log[rows[prow][col]]
-            pivot = rows[prow] = [exp[shift + log[v]] if v else 0 for v in rows[prow]]
-            terms = [(j, log[v]) for j, v in enumerate(pivot) if v]
-            for r, row in enumerate(rows):
-                c = row[col]
-                if c and r != prow:
-                    # row -= c * pivot, as row[j] += g^(lc + l) for (j, l) in terms
-                    lc = (log[c] + F._log_minus_one) % order
-                    if table is not None:
-                        for j, l in terms:
-                            row[j] = table[row[j]][exp[lc + l]]
-                    else:
-                        for j, l in terms:
-                            row[j] = add(row[j], exp[lc + l])
-            pivots.append(col)
-            prow += 1
-            if prow == nrows:
-                break
-        return Matrix(F, rows[:prow], self.ncols), pivots
-
-    def _rref_packed(self) -> Tuple["Matrix", List[int]]:
-        """rref over GF(2^e) on packed rows (see the module docstring)."""
-        F, n, e = self.field, self.ncols, self.field.e
-        width, mask = 8 * struct.calcsize(_cell(F)), F.q - 1
-        high = pack(F, [1] * n) << e - 1  # bit e - 1 of every cell
-        low_modulus = F._encode(F.modulus[:-1])  # x^e in the basis 1, x, .., x^(e-1)
-
-        def x_multiples(v: int) -> List[int]:  # v, x v, .., x^(e-1) v
-            out = [v]
+            xs = [reduce(rows[prow])]  # x^k times the pivot row, k < e
             for _ in range(e - 1):
-                hi = v & high
-                v = ((v ^ hi) << 1) ^ ((hi >> e - 1) * low_modulus)
-                out.append(v)
-            return out
-
-        rows = [pack(F, r) for r in self.rows]
-        pivots: List[int] = []
-        while len(pivots) < len(rows):
-            prow = len(pivots)
-            # Rows from prow on are zero left of the next pivot column, so
-            # that column is the lowest nonzero cell among them.
-            lead = [((v & -v).bit_length() - 1) // width if v else n for v in rows[prow:]]
-            col = min(lead)
-            if col == n:
-                break
-            sel = prow + lead.index(col)
-            rows[prow], rows[sel] = rows[sel], rows[prow]
-            shift = width * col
-            inv = F._exp[mask - F._log[rows[prow] >> shift & mask]]
-            multiples = x_multiples(_scaled(x_multiples(rows[prow]), inv))
-            rows[prow] = multiples[0]
+                hi = xs[-1] & digit << s * (e - 1)  # the top slot of every cell
+                xs.append(reduce(combine(xs[-1] - hi << s, (hi >> s * (e - 1)) * minus_x_e)))
+            low, high = sums(xs[:h]), sums(xs[h:])
+            la = log[read(xs[0])]
+            inv, scale = exp[q - 1 - la], (F._log_minus_one - la) % (q - 1)
+            rows[prow] = reduce(combine(low[inv % half], high[inv // half]))
             for r, v in enumerate(rows):
-                c = v >> shift & mask
-                if c and r != prow:
-                    rows[r] = v ^ _scaled(multiples, c)  # row -= c * pivot
+                c = r != prow and read(v)
+                if c:  # row += t pivot, t = -c / a: cell col cancels
+                    t = exp[log[c] + scale]
+                    rows[r] = combine(combine(v, low[t % half]), high[t // half])
             pivots.append(col)
-        return Matrix(F, [unpack(F, v, n) for v in rows[:len(pivots)]], n), pivots
+            if len(pivots) % cap == 0:
+                rows = list(map(reduce, rows))
+        out = []
+        for v in map(reduce, rows[:len(pivots)]):
+            if p > 2:  # each codec integer to the foot of its cell
+                v = sum(p ** i * (v >> s * i & digit) for i in range(e))
+            b = v.to_bytes(n * cb, "little")
+            out.append(list(b[::cb]) if q <= 256
+                       else [lo | hi << 8 for lo, hi in zip(b[::cb], b[1::cb])])
+        return Matrix(F, out, n), pivots
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
-

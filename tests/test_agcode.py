@@ -90,6 +90,24 @@ def test_evaluation_places_selection():
         evaluation_places(c, G, n=9)
 
 
+def test_evaluation_places_without_seed_are_the_first_n():
+    # Without a seed the first n places of the canonical order are made, and
+    # the curve's full place list is not; the refusals keep their wording.
+    for make, G in ((herm, Divisor((0, 0), 3)), (herm, Divisor((1, 0), 0)),
+                    (curve_example_2, Divisor((26, 1, 0, 0, 0), 0))):
+        full = [p for p in make().places() if not in_support(G, p)]
+        for n in range(len(full) + 1):
+            c = make()
+            assert evaluation_places(c, G, n) == full[:n]
+            assert "_places" not in vars(c)
+    c = herm()
+    G = Divisor((0, 0), 3)
+    for n, seed in ((9, None), (9, 2), (-1, None)):
+        with pytest.raises(ValueError) as refusal:
+            evaluation_places(c, G, n, seed)
+        assert str(refusal.value) == f"asked for n={n} places; 0 to 8 are available"
+
+
 def test_build_cl_hermitian():
     # G = 3 P_inf over GF(4): [8, 3] with exact distance 5 = Goppa bound
     c = herm()
@@ -424,6 +442,33 @@ def test_export_text_format():
     assert len(lines) == 1 + code.k
     parsed = [[int(v) for v in row.split()] for row in lines[1:]]
     assert parsed == list(code.rows()) == code.matrix.rows
+
+
+def test_null_space_export_equals_its_dense_rows():
+    """A null space writes each line from its sparse view; every line must
+    equal the dense row of rows() joined, over p = 2 and odd p, rank-deficient
+    or not, with free columns before the first pivot, between pivots and after
+    the last."""
+    rng = random.Random(25)
+    seen = set()
+    for F in DISTANCE_FIELDS + PROPERTY_FIELDS:
+        for _ in range(12):
+            nrows, ncols, lead = rng.randint(1, 6), rng.randint(2, 14), rng.randrange(3)
+            rows = [[0] * lead + [rng.choice([0, 0, 1, rng.randrange(F.q)])
+                                  for _ in range(ncols - lead)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:
+                c = rng.randrange(1, F.q)
+                rows.append([F.add(a, F.mul(c, b)) for a, b in zip(rows[0], rows[1])])
+            code = null_space(Matrix(F, rows, ncols))
+            assert list(code.export()) == [f"{code.n} {code.k} {F.q}\n"] + [
+                " ".join(map(str, row)) + "\n" for row in code.rows()]
+            for fc in set(range(ncols)).difference(code.pivots):
+                if code.pivots:
+                    seen.add(("before" if fc < code.pivots[0] else "after"
+                              if fc > code.pivots[-1] else "between"))
+            if len(code.pivots) < nrows:
+                seen.add("rank-deficient")
+    assert seen == {"before", "between", "after", "rank-deficient"}
 
 
 def test_linear_codes_do_not_share_bounds():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from kummercodes import verify
-from kummercodes.cli import COMMANDS, EXAMPLE_RANGE, main
+from kummercodes.cli import COMMANDS, EXAMPLE_RANGE, build_curve, main
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
@@ -158,6 +158,18 @@ def test_refused_build_code_creates_no_out_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "build-code", "--config", str(cfg), "--out", str(target))
     assert (code, out, err) == (1, "", "error: asked for n=9 places; 0 to 8 are available\n")
     assert not target.exists()
+
+
+def test_build_code_with_n_makes_only_the_first_n_places():
+    # construct.ini keeps 384 of its curve's 4,113 places: the job makes
+    # those 384 and never the full place list.
+    cp = configparser.ConfigParser()
+    cp.read(WORKLOADS / "construct.ini")
+    curve = build_curve(cp)
+    lines, notes = COMMANDS["build-code"](curve, cp["job"].get)
+    assert sum(1 for _ in lines) == 1 + 313
+    assert notes[0] == "selection drop-highest n=384\n"
+    assert "_places" not in vars(curve)
 
 
 def test_empty_code_has_no_designed_bound(tmp_path, capsys):

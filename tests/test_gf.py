@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from kummercodes.agcode import null_space
 from kummercodes import gf
 from kummercodes.gf import FiniteField
-from kummercodes.matrix import Matrix, pack, unpack
+from kummercodes.matrix import Matrix
 
 
 def gf2():
@@ -27,9 +27,11 @@ def gf64():
     return FiniteField(2, 6, [1, 1, 0, 0, 0, 0, 1])
 
 
-# Fields for every path of the matrix kernel: packed rows for p = 2, with
-# 8-bit cells up to GF(256) and 16-bit cells for GF(2^10); for odd p the
-# q x q addition table (q <= 256) and digitwise addition (q > 256).
+# Fields for every layout of the packed rref: for p = 2 a digit is a bit of
+# an 8-bit cell up to GF(256) and of a 16-bit cell for GF(2^10); for odd p a
+# digit is a byte while e(p - 1)^2 + p - 1 <= 255 (GF(3^4), GF(5^2), GF(3^6),
+# with q > 256 in the last), 2 bytes for GF(13^2), where one row operation
+# adds up to e(p - 1)^2 = 288 to a digit, and 3 bytes for the prime GF(257).
 KERNEL_FIELDS = [
     FiniteField(2, 1, [0, 1]),
     FiniteField(2, 2, [1, 1, 1]),
@@ -39,6 +41,8 @@ KERNEL_FIELDS = [
     FiniteField(3, 4, [2, 1, 0, 0, 1]),
     FiniteField(5, 2, [2, 0, 1]),
     FiniteField(3, 6, [1, 0, 0, 0, 1, 1, 1]),
+    FiniteField(13, 2, [2, 0, 1]),  # x^2 + 2: -2 is not a square mod 13
+    FiniteField(257, 1, [0, 1]),
 ]
 
 
@@ -404,8 +408,9 @@ def test_matrix_identity_and_zero():
 
 def test_matrix_owns_its_rows():
     # The Matrix keeps the lists it is handed, and its methods leave them as
-    # they are: odd p with the addition table and digitwise, and GF(2^e).
-    for F in (gf9(), KERNEL_FIELDS[7], gf64()):
+    # they are: odd p with byte digits (q <= 256 and q > 256) and with wider
+    # digits, and GF(2^e).
+    for F in (gf9(), KERNEL_FIELDS[7], KERNEL_FIELDS[8], gf64()):
         rows = [[1, 2, 3, 0], [2, 4, 6, 1], [0, 5, 1, 1]]
         before = [list(r) for r in rows]
         M = Matrix(F, rows)
@@ -501,18 +506,31 @@ def test_kernel_matches_scalar_oracle_on_wide_rows():
             assert null_rows(M) == oracle_nullspace(F, rows, ncols)
 
 
-def test_pack_puts_entry_j_in_byte_aligned_cell_j():
-    for F, width in ((KERNEL_FIELDS[2], 8), (KERNEL_FIELDS[3], 8), (KERNEL_FIELDS[4], 16)):
-        row = [F.q - 1, 0, 1, F.q // 2]
-        packed = pack(F, row)
-        assert packed == sum(v << width * j for j, v in enumerate(row))
-        assert unpack(F, packed, len(row)) == row
-        assert unpack(F, 0, 3) == [0, 0, 0]
+def test_kernel_matches_scalar_oracle_past_the_reduction_cap():
+    """64 dependent rows of 64 columns, spanned by 60 random ones, so that a
+    row takes up to 60 eliminations: far more than the 15 (GF(3^4)) and 10
+    (GF(3^6)) row operations a byte digit holds between two reductions mod p.
+    Without those reductions a digit of this case passes 255."""
+    rng = random.Random(45)
+    for F in (KERNEL_FIELDS[5], KERNEL_FIELDS[7]):
+        base = [[rng.randrange(F.q) for _ in range(64)] for _ in range(60)]
+        rows = []
+        for _ in range(64):
+            row = [0] * 64
+            for b in base:
+                c = rng.randrange(F.q)
+                row = [F.add(a, F.mul(c, v)) for a, v in zip(row, b)]
+            rows.append(row)
+        M = Matrix(F, rows)
+        assert len(M.rref()[1]) == 60
+        assert_rref_matches_oracle(M)
 
 
 def test_gf_resolves_the_matrix_names_from_matrix():
     """perfbench/traced_job.py traces row reduction as ("kummercodes.gf",
-    "Matrix.rref"), so gf hands out the very objects of matrix."""
+    "Matrix.rref"), so gf hands out the very Matrix of matrix, and no more."""
     from kummercodes import matrix
-    assert gf.Matrix is matrix.Matrix and gf.pack is matrix.pack and gf.unpack is matrix.unpack
-    assert not {"Matrix", "pack", "unpack", "_cell", "_scaled", "struct"} & set(vars(gf))
+    assert gf.Matrix is matrix.Matrix
+    for name in ("pack", "unpack"):
+        assert not hasattr(gf, name) and not hasattr(matrix, name)
+    assert not {"Matrix", "_cell", "_scaled", "struct"} & set(vars(gf))

@@ -141,10 +141,20 @@ def test_only_agcode_imports_matrix():
             assert "matrix" not in package_imports(path.read_text(encoding="utf-8")), path.stem
 
 
+def test_matrix_adds_no_entry_by_the_field():
+    """rref is one packed loop for every p: matrix names neither the field's
+    q x q addition table nor its scalar add, so no per-entry path can return
+    beside the packed one."""
+    tree = ast.parse((PACKAGE / "matrix.py").read_text(encoding="utf-8"))
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not {"_add_table", "add"} & attributes and "_add_table" not in names
+
+
 def test_gf_imports_the_package_only_inside_its_getattr():
     """gf is the field alone: its one package import is the lazy `matrix`
     inside its module __getattr__, which runs only when gf is asked for
-    Matrix, pack or unpack."""
+    Matrix."""
     tree = ast.parse((PACKAGE / "gf.py").read_text(encoding="utf-8"))
     hook = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "__getattr__"]
 
