@@ -126,34 +126,14 @@ def _check_evaluation_set(G: Divisor, places: Sequence[Place]) -> None:
             raise ValueError(f"place {p} lies in supp(G)")
 
 
-def _place_logs(curve: KummerCurve, places: Sequence[Place]) -> Iterator[List[int]]:
-    """Log vectors L of rational places over the exponents (i, j_2..j_r): a basis
-    monomial with no zero at a place takes the value g^<(i, j), L> there.  At P_mu,
-    z^m = f(x) makes it z^{i + m j_mu} prod_{nu != mu} (x - alpha_nu)^{j_nu - j_mu},
-    j_1 = 0, with i + m j_mu = 0; at P_inf its value is 1.  log(x - alpha) is read
-    in one pass per root, at x = alpha_mu for P_mu, where log 0 reads as 0."""
-    F, roots = curve.field, curve.roots
-    xs = [roots[pl.mu - 1] if pl.mu else pl.x for pl in places]  # mu > 0 at P_mu alone
-    diffs = [map(F._log.__getitem__, map(F.add, xs, repeat(F.neg(alpha)))) for alpha in roots]
-    for pl, L in zip(places, map(list, zip(*diffs))):
-        if pl.kind == "affine":
-            L[0] = curve.A * F._log[pl.y] + curve.B * sum(L)  # z = y^A f(x)^B
-        elif pl.kind == "ramified":
-            L[pl.mu - 1] = -sum(L)  # the exponent -j_mu of every factor
-            L[0] = 0  # i has weight 0; at P_1 this also drops the slot of j_1 = 0
-        else:
-            L = [0] * curve.r
-        yield L
-
-
 def evaluation_matrix(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> Matrix:
     """Basis monomials of L(G) at places, one row each: 0 where the monomial's
-    divisor is positive at the place, g^<(i, j), L> with L = _place_logs otherwise.
+    divisor is positive at the place, g^<(i, j), L> with L = curve.place_logs otherwise.
     No basis monomial has a pole off supp(G), so the places must avoid it."""
     _check_evaluation_set(G, places)
     F = curve.field
     order, exp = F.q - 1, F._exp
-    logs = list(_place_logs(curve, places))
+    logs = list(curve.place_logs(places))
     # Only P_mu and P_inf can carry a coefficient of a monomial divisor.
     distinguished = [(col, pl) for col, pl in enumerate(places) if pl.kind != "affine"]
     # acc holds <(i, j), L> at every place for the last lattice point.  The next

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import repeat
-from operator import add
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .gf import FiniteField
@@ -121,14 +120,35 @@ class KummerCurve(RamificationData):
         period = order // d
         inv_m = pow(self.m // d, -1, period)
         xs = sorted(set(range(F.q)).difference(self.roots))
-        log_f = [0] * len(xs)
-        for alpha in self.roots:
-            diffs = map(F.add, xs, repeat(F.neg(alpha)))
-            log_f = list(map(add, log_f, map(F._log.__getitem__, diffs)))
-        for x0, log_fx in zip(xs, log_f):
+        for x0, log_fx in zip(xs, map(sum, zip(*self._root_logs(xs)))):
             log_c = log_fx * self.lam % order
             if log_c % d == 0:
                 yield x0, sorted(F._exp[log_c // d * inv_m % period:order:period])
+
+    def _root_logs(self, xs: Sequence[int]) -> List[Iterator[int]]:
+        """log(x - alpha) over xs for each root alpha, one lazy pass per root;
+        log 0 reads as 0."""
+        F = self.field
+        return [map(F._log.__getitem__, map(F.add, xs, repeat(F.neg(alpha))))
+                for alpha in self.roots]
+
+    def place_logs(self, places: Sequence[Place]) -> Iterator[List[int]]:
+        """Log vectors L of rational places over the exponents (i, j_2..j_r): a
+        monomial z^i prod (x - alpha_nu)^{j_nu} with no zero at a place takes the
+        value g^<(i, j), L> there.  At P_mu, z^m = f(x) makes it
+        z^{i + m j_mu} prod_{nu != mu} (x - alpha_nu)^{j_nu - j_mu}, j_1 = 0, with
+        i + m j_mu = 0; at P_inf its value is 1.  log(x - alpha) is read at
+        x = alpha_mu for P_mu."""
+        xs = [self.roots[pl.mu - 1] if pl.mu else pl.x for pl in places]  # mu > 0 at P_mu alone
+        for pl, L in zip(places, map(list, zip(*self._root_logs(xs)))):
+            if pl.kind == "affine":
+                L[0] = self.A * self.field._log[pl.y] + self.B * sum(L)  # z = y^A f(x)^B
+            elif pl.kind == "ramified":
+                L[pl.mu - 1] = -sum(L)  # the exponent -j_mu of every factor
+                L[0] = 0  # i has weight 0; at P_1 this also drops the slot of j_1 = 0
+            else:
+                L = [0] * self.r
+            yield L
 
     def principal_divisor(self, item: str, index: int = 0) -> Divisor:
         """Divisor of x - alpha_index, y, f, or z."""

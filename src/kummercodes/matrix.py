@@ -18,10 +18,29 @@ Only the jobs that reduce a matrix run this module.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add, xor
 from typing import List, Tuple
 
 from .gf import FiniteField
+
+
+@lru_cache(maxsize=8)  # a few fields at a time: an entry holds q cells
+def _layout(F: FiniteField) -> tuple:
+    """The packing of one field: bytes a slot and the byte table mod p (odd p),
+    bits a slot, bytes a cell, how rows combine, the cell of each codec
+    integer as bytes, and the codec integer of each reduced cell."""
+    p, e = F.p, F.e
+    if p == 2:
+        w, table, s, cb, combine = 0, None, 1, 1 + (F.q > 256), xor
+    else:
+        w = ((e * (p - 1) ** 2 + p - 1).bit_length() + 7) // 8
+        table, s, cb, combine = bytes(i % p for i in range(256)), 8 * w, e * w, add
+    slots = [0]
+    for i in range(e):  # digit i of each codec integer to slot i
+        slots = [c + (d << s * i) for d in range(p) for c in slots]
+    cells = tuple(c.to_bytes(cb, "little") for c in slots)
+    return w, table, s, cb, combine, cells, dict(zip(cells, range(F.q)))
 
 
 class Matrix:
@@ -47,11 +66,7 @@ class Matrix:
         """
         F, n = self.field, self.ncols
         p, e, q, log, exp = F.p, F.e, F.q, F._log, F._exp
-        if p == 2:  # s bits a slot, cb bytes a cell
-            s, cb, combine = 1, 1 + (q > 256), xor
-        else:
-            w = ((e * (p - 1) ** 2 + p - 1).bit_length() + 7) // 8  # bytes a slot
-            s, cb, combine, table = 8 * w, e * w, add, bytes(i % p for i in range(256))
+        w, table, s, cb, combine, cells, codec = _layout(F)
         # Row operations a reduced row takes before a slot could overflow; for XOR, never
         cap = (2 ** s - p) // (e * (p - 1) ** 2) or n + 1
 
@@ -75,11 +90,7 @@ class Matrix:
                 out += [combine(a, m) for m in map(x.__mul__, range(1, p)) for a in out]
             return out
 
-        slots = [0]
-        for i in range(e):  # the cell of each codec integer
-            slots = [c + (d << s * i) for d in range(p) for c in slots]
-        cells = [c.to_bytes(cb, "little") for c in slots]
-        codec, cell = dict(zip(cells, range(q))), 256 ** cb - 1
+        cell = 256 ** cb - 1
         digit = int.from_bytes(cells[1] * n, "little") * (2 ** s - 1)  # slot 0 of every cell
         minus_x_e = sum(-c % p << s * i for i, c in enumerate(F.modulus[:-1]))  # x^e, one cell
         h = (e + 1) // 2
