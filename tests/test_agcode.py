@@ -95,7 +95,8 @@ def test_evaluation_places_without_seed_are_the_first_n():
     # the curve's full place list is not; the refusals keep their wording.
     for make, G in ((herm, Divisor((0, 0), 3)), (herm, Divisor((1, 0), 0)),
                     (curve_example_2, Divisor((26, 1, 0, 0, 0), 0))):
-        full = [p for p in make().places() if not in_support(G, p)]
+        full = evaluation_places(make(), G)
+        assert full == [p for p in make().places() if not in_support(G, p)]
         for n in range(len(full) + 1):
             c = make()
             assert evaluation_places(c, G, n) == full[:n]
