@@ -15,10 +15,10 @@ print(curve)
 print(f"genus       g = {curve.g}")
 print(f"Bezout data A={curve.A} B={curve.B} a={curve.a} b={curve.b}")
 
-places = curve.places()
+places = list(curve.iter_places())
 print(f"\n{len(places)} rational places (q^3 + 1 for the Hermitian curve):")
 for p in places:
-    print(f"  {p.kind:9s} {p}")
+    print(f"  {p}")
 
 print("\nprincipal divisors (format: s_1 ... s_r t):")
 for item in ("x-alpha", "y", "f", "z"):

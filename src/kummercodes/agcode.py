@@ -23,9 +23,9 @@ from .rrlattice import DEFAULT_BUDGET, Divisor, monomial_divisor, omega_enumerat
 
 def coefficient_at(G: Divisor, place: Place) -> int:
     """Coefficient of the place in G; 0 at every affine place."""
-    if place.kind == "ramified":
+    if place.mu:
         return G.s[place.mu - 1]
-    if place.kind == "infinity":
+    if place.kind_rank == 0:
         return G.t
     return 0
 
@@ -135,7 +135,7 @@ def evaluation_matrix(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -
     order, exp = F.q - 1, F._exp
     logs = list(curve.place_logs(places))
     # Only P_mu and P_inf can carry a coefficient of a monomial divisor.
-    distinguished = [(col, pl) for col, pl in enumerate(places) if pl.kind != "affine"]
+    distinguished = [(col, pl) for col, pl in enumerate(places) if pl.kind_rank < 2]
     # acc holds <(i, j), L> at every place for the last lattice point.  The next
     # point adds d_i * L[0] plus the change of <j, L>, formed once for each
     # change of j (few occur: a unit step in i moves each j_mu by 0 or -1).

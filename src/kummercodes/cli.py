@@ -14,7 +14,7 @@ import configparser
 import os
 import sys
 from configparser import ConfigParser
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import agcode, verify, weierstrass  # lazy: each runs when a command first calls it
@@ -181,14 +181,13 @@ def cmd_curve_info(curve: KummerCurve, job: Job) -> Output:
 
 
 def cmd_places(curve: KummerCurve, job: Job) -> Output:
-    """P_inf and P_1..P_r (iter_places makes them before any fibre), then one
-    chunk of lines per x-fibre of affine points."""
-    text = [str(v) for v in range(curve.field.q)]
-    ends = [f"{v}\n" for v in text]
-    head = [f"{p.kind},{p.mu},{p.x},{p.y}\n" for p in islice(curve.iter_places(), curve.r + 1)]
-    fibres = ("".join(map(f"affine,0,{text[x0]},".__add__, map(ends.__getitem__, ys)))
+    """P_inf and P_1..P_r, as iter_places orders them, then one chunk of lines
+    per x-fibre of affine points."""
+    ends = [f"{v}\n" for v in range(curve.field.q)]
+    ramified = map("ramified,{},0,0\n".format, range(1, curve.r + 1))
+    fibres = ("".join(map(f"affine,0,{x0},".__add__, map(ends.__getitem__, ys)))
               for x0, ys in curve.fibres())
-    return chain(["kind,mu,x,y\n"], head, fibres), ()
+    return chain(["kind,mu,x,y\ninfinity,0,0,0\n"], ramified, fibres), ()
 
 
 def cmd_rr_basis(curve: KummerCurve, job: Job) -> Output:
@@ -216,9 +215,11 @@ def cmd_semigroup(curve: KummerCurve, job: Job) -> Output:
 def _search(curve: KummerCurve, job: Job,
             command: str) -> Tuple[weierstrass.PlaceTuple, int, int]:
     places = parse_places(curve, job("places"))
-    bound = _number(job, "bound", 0)
-    if bound < 1:
+    bound = _number(job, "bound", None)
+    if bound is None:
         raise ConfigError(f"{command} needs --bound or bound= in [job]")
+    if bound < 1:
+        raise ConfigError(f"bound must be >= 1, got {bound}")
     return places, bound, _budget(job)
 
 

@@ -24,7 +24,8 @@ class GcdViolationError(ValueError):
 
 
 class Place(NamedTuple):
-    """A rational place: P_inf, a ramified P_mu, or an affine point.
+    """A rational place: P_inf, a ramified P_mu, or an affine point, with
+    kind_rank 0, 1 and 2; mu is nonzero at P_mu alone.
 
     The sort order (infinity, then ramified by mu, then affine by the
     codec integers of x then y) is the canonical place ordering used by
@@ -36,10 +37,6 @@ class Place(NamedTuple):
     x: int = 0
     y: int = 0
 
-    @property
-    def kind(self) -> str:
-        return ("infinity", "ramified", "affine")[self.kind_rank]
-
     @staticmethod
     def infinity() -> "Place":
         return Place(0)
@@ -47,10 +44,6 @@ class Place(NamedTuple):
     @staticmethod
     def ramified(mu: int) -> "Place":
         return Place(1, mu=mu)
-
-    @staticmethod
-    def affine(x: int, y: int) -> "Place":
-        return Place(2, x=x, y=y)
 
     def __str__(self) -> str:
         if self.kind_rank == 0:
@@ -92,17 +85,11 @@ class KummerCurve(RamificationData):
     def num_places(self) -> int:
         return 1 + self.r + sum(len(ys) for _, ys in self.fibres())
 
-    def places(self) -> List[Place]:
-        """All rational places in canonical order (cached)."""
-        if "_places" not in vars(self):
-            self._places = list(self.iter_places())
-        return self._places
-
     def iter_places(self) -> Iterator[Place]:
         """The rational places in canonical order, made one at a time."""
         yield Place.infinity()
         yield from map(Place.ramified, range(1, self.r + 1))
-        new = tuple.__new__  # Place.affine without the per-call keyword handling
+        new = tuple.__new__  # Place(2, x=x0, y=y0) without the per-call keyword handling
         for x0, ys in self.fibres():
             for y0 in ys:
                 yield new(Place, (2, 0, x0, y0))
@@ -141,9 +128,9 @@ class KummerCurve(RamificationData):
         x = alpha_mu for P_mu."""
         xs = [self.roots[pl.mu - 1] if pl.mu else pl.x for pl in places]  # mu > 0 at P_mu alone
         for pl, L in zip(places, map(list, zip(*self._root_logs(xs)))):
-            if pl.kind == "affine":
+            if pl.kind_rank == 2:
                 L[0] = self.A * self.field._log[pl.y] + self.B * sum(L)  # z = y^A f(x)^B
-            elif pl.kind == "ramified":
+            elif pl.mu:
                 L[pl.mu - 1] = -sum(L)  # the exponent -j_mu of every factor
                 L[0] = 0  # i has weight 0; at P_1 this also drops the slot of j_1 = 0
             else:

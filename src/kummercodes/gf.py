@@ -7,14 +7,15 @@ irreducible modulus.  This integer form is the "codec integer" used in
 every file format, so encode/decode are near-trivial and round-trip by
 construction.
 
-FiniteField holds scalar arithmetic only.  Multiplication and negation
-use discrete log tables built once per field.  The generator is the
-first element, in codec order, whose powers reach every nonzero
-element; the walk over its powers is the exp table, doubled so that a
-sum of two logs indexes it directly.  This search is the irreducibility
-test too: GF(p)[x]/(f) has an element of order q - 1 exactly when f is
-irreducible.  The adder is chosen once: XOR for p = 2, a q x q table for
-odd q <= 256 and digitwise otherwise.  The supported range is q <= 2^16.
+FiniteField holds the scalar operations the package calls: neg, mul,
+check and add.  Multiplication and negation use discrete log tables
+built once per field.  The generator is the first element, in codec
+order, whose powers reach every nonzero element; the walk over its
+powers is the exp table, doubled so that a sum of two logs indexes it
+directly.  This search is the irreducibility test too: GF(p)[x]/(f) has
+an element of order q - 1 exactly when f is irreducible.  The adder is
+chosen once: XOR for p = 2, a q x q table for odd q <= 256 and digitwise
+otherwise.  The supported range is q <= 2^16.
 Row reduction over the field is the matrix module's.
 """
 
@@ -134,7 +135,6 @@ class FiniteField:
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self.generator = gen
         self._exp = exp + exp
         self._log = log
         # log(-1): -1 = g^((q-1)/2) for odd q, and -1 = 1 in characteristic 2.
@@ -182,19 +182,10 @@ class FiniteField:
     def neg(self, a: int) -> int:
         return self._exp[self._log[a] + self._log_minus_one] if a else 0
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
-
-    def log(self, a: int) -> int:
-        """The discrete log of a nonzero a to the base self.generator, in [0, q-1)."""
-        if a == 0:
-            raise ZeroDivisionError("log of 0")
-        return self._log[a]
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"

@@ -15,6 +15,7 @@ import pytest
 
 from kummercodes import verify
 from kummercodes.cli import COMMANDS, EXAMPLE_RANGE, build_curve, main
+from test_curve import count_made_places
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
@@ -161,15 +162,16 @@ def test_refused_build_code_creates_no_out_file(tmp_path, capsys):
 
 
 def test_build_code_with_n_makes_only_the_first_n_places():
-    # construct.ini keeps 384 of its curve's 4,113 places: the job makes
-    # those 384 and never the full place list.
+    # construct.ini keeps 384 of its curve's 4,113 places: the place stream
+    # makes those 384 and P_inf, the one place in supp(G), and stops there.
     cp = configparser.ConfigParser()
     cp.read(WORKLOADS / "construct.ini")
     curve = build_curve(cp)
+    made = count_made_places(curve)
     lines, notes = COMMANDS["build-code"](curve, cp["job"].get)
     assert sum(1 for _ in lines) == 1 + 313
     assert notes[0] == "selection drop-highest n=384\n"
-    assert "_places" not in vars(curve)
+    assert made[0] <= 384 + 1
 
 
 def test_empty_code_has_no_designed_bound(tmp_path, capsys):
@@ -379,9 +381,9 @@ def test_zero_flags_are_not_ignored(tmp_path, capsys):
     # An explicit 0 wins over the config value and the default.
     cfg = write_cfg(tmp_path, places="P1")
     for cmd in ("pure-gaps", "box-search"):
-        code, out, err = run_cli(capsys, cmd, "--config", cfg, "--bound", "0")
-        assert code == 2 and out == ""
-        assert "needs --bound" in err
+        for bound in ("0", "-3"):
+            code, out, err = run_cli(capsys, cmd, "--config", cfg, "--bound", bound)
+            assert (code, out, err) == (2, "", f"config error: bound must be >= 1, got {bound}\n")
     for cmd in ("check-distance", "pure-gaps", "box-search"):
         code, out, err = run_cli(capsys, cmd, "--config", cfg, "--budget", "0")
         assert code == 1 and out == ""

@@ -1,9 +1,10 @@
 """Source-level checks: the lattice and semigroup layers read only the
 (m, r) profile, agcode leaves the pure-gap and floor bounds to weierstrass
 and reads no characteristic, row reduction sits off the start-up path, every
-exception class the package defines is caught, the CLI writes its output
-along one path, and a CLI job runs only the package modules its command
-calls."""
+exception class the package defines is caught, every function in src is
+named in src or demos (test_every_function_in_src_is_named_in_src_or_demos),
+the CLI writes its output along one path, and a CLI job runs only the
+package modules its command calls."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ import pytest
 import kummercodes
 
 PACKAGE = Path(kummercodes.__file__).resolve().parent
+DEMOS = PACKAGE.parent.parent / "demos"
 FIELD_LEVEL = {"curve", "gf", "matrix", "agcode"}
 CALLED_LATE = {"agcode", "verify", "weierstrass"}  # run only by the commands that call them
 
@@ -72,6 +75,52 @@ def test_every_exception_class_is_caught_in_src():
                 types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                 caught.update(_name(t) for t in types)
     assert {"ConfigError", "GcdViolationError"} <= defined <= caught
+
+
+def _names(*nodes):
+    """(ast.Name ids and import aliases, ast.Attribute attrs) in the nodes, counted."""
+    names, attributes = Counter(), Counter()
+    for n in (n for node in nodes for n in ast.walk(node)):
+        if isinstance(n, ast.Attribute):
+            attributes[n.attr] += 1
+        elif isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.alias):
+            names[n.name.rpartition(".")[2]] += 1
+    return names, attributes
+
+
+def test_every_function_in_src_is_named_in_src_or_demos():
+    """Code that only tests call is deleted.  Every top-level function and
+    every method of a top-level class in src (dunders exempt) is named by some
+    node of src or demos outside its own body: a function by an ast.Name, an
+    ast.Attribute or an import alias, a method by an ast.Attribute alone, so
+    neither `operator.sub` nor a local `log = F._log` keeps FiniteField.sub or
+    .log alive.  A method is matched by its attribute name only, so a dead
+    method that shares its name with a live attribute, such as the field
+    GapBox.places, goes unseen: the check is a ratchet, not a proof."""
+    src, demos = ([ast.parse(path.read_text(encoding="utf-8")) for path in sorted(d.glob("*.py"))]
+                  for d in (PACKAGE, DEMOS))
+    assert src and demos
+    names, attributes = _names(*src, *demos)
+    defined = []  # (qualname, name, node, whether an ast.Name may name it)
+    for tree in src:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((node.name, node.name, node, True))
+            elif isinstance(node, ast.ClassDef):
+                defined.extend((f"{node.name}.{f.name}", f.name, f, False) for f in node.body
+                               if isinstance(f, ast.FunctionDef))
+    unnamed = []
+    for qualname, name, node, by_name in defined:
+        own_names, own_attributes = _names(node)
+        uses = attributes[name] - own_attributes[name]
+        if by_name:
+            uses += names[name] - own_names[name]
+        if not uses and not (name.startswith("__") and name.endswith("__")):
+            unnamed.append(qualname)
+    assert len(defined) > 100
+    assert unnamed == []
 
 
 def test_cli_output_goes_through_main():
