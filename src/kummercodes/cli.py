@@ -9,13 +9,10 @@ byte-identical output.
 
 from __future__ import annotations
 
-import argparse
-import configparser
 import os
 import sys
-from configparser import ConfigParser
 from itertools import chain
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import agcode, verify, weierstrass  # lazy: each runs when a command first calls it
 from .curve import KummerCurve, find_roots
@@ -27,11 +24,11 @@ class ConfigError(ValueError):
     pass
 
 
-def _int(text: str) -> int:
+def _int(text: str, where: str = "") -> int:
     try:
         return int(text)
     except ValueError as exc:
-        raise ConfigError(f"not an integer: {text.strip()!r}") from exc
+        raise ConfigError(f"{where}not an integer: {text.strip()!r}") from exc
 
 
 def _ints(text: str) -> List[int]:
@@ -41,21 +38,29 @@ def _ints(text: str) -> List[int]:
     return [_int(tok) for tok in text.split(",")]
 
 
-def load_config(path: str) -> ConfigParser:
+Config = Dict[str, Dict[str, str]]  # section -> key -> value
+
+
+def load_config(path: str) -> Config:
+    """The sections of the INI file as plain dicts, [DEFAULT] keys merged in and
+    every value interpolated here, so a malformed file or value is refused at
+    load.  Only the jobs that read a config import configparser."""
+    from configparser import ConfigParser, Error
     cp = ConfigParser()
     try:
-        read = cp.read(path, encoding="utf-8")
+        if not cp.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        return {name: dict(cp.items(name)) for name in cp.sections()}
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    return cp
+    except Error as exc:  # its messages span lines; a config error is one line
+        raise ConfigError(" ".join(line.strip() for line in str(exc).splitlines())) from exc
 
 
-def build_field(cp: ConfigParser) -> FiniteField:
-    if "field" not in cp:
+def build_field(config: Config) -> FiniteField:
+    if "field" not in config:
         raise ConfigError("missing [field] section")
-    sec = cp["field"]
+    sec = config["field"]
     try:
         p, e, modulus = _int(sec["p"]), _int(sec["e"]), _ints(sec["modulus"])
     except KeyError as exc:
@@ -63,11 +68,11 @@ def build_field(cp: ConfigParser) -> FiniteField:
     return FiniteField(p, e, modulus)
 
 
-def build_curve(cp: ConfigParser) -> KummerCurve:
-    field = build_field(cp)
-    if "curve" not in cp:
+def build_curve(config: Config) -> KummerCurve:
+    field = build_field(config)
+    if "curve" not in config:
         raise ConfigError("missing [curve] section")
-    sec = cp["curve"]
+    sec = config["curve"]
     try:
         m = _int(sec["m"])
         lam = _int(sec["lambda"])
@@ -88,12 +93,12 @@ Job = Callable[[str], Optional[str]]
 Output = Tuple[Iterable[str], Sequence[str]]  # (lines of the output, notes on it)
 
 
-def job_reader(args, cp: ConfigParser) -> Job:
+def job_reader(args: Dict[str, object], config: Config) -> Job:
     """The job's values: --key when given (0 included), else key= from [job], else None."""
-    section = cp["job"] if "job" in cp else {}
+    section = config.get("job", {})
 
     def read(key: str) -> Optional[str]:
-        flag = getattr(args, key, None)
+        flag = args.get(key)
         return section.get(key) if flag is None else str(flag)
     return read
 
@@ -286,41 +291,89 @@ COMMANDS = {
 
 # min-max of verify.EXAMPLES, written out so that parsing does not run verify
 EXAMPLE_RANGE = "1-4"
+FLAGS = ("config", "out", "budget", "seed", "bound")  # each takes one value
+INT_FLAGS = ("budget", "seed", "bound")
+_CHOICES = ", ".join(sorted(COMMANDS) + ["verify-example"])
+
+HELP = f"""\
+usage: kummer-codes [-h] [--config CONFIG] [--out OUT] [--budget BUDGET]
+                    [--seed SEED] [--bound BOUND]
+                    {{box-search,build-code,check-distance,curve-info,dim,floor,places,pure-gaps,rr-basis,semigroup,verify-example}}
+                    [example]
+
+Multi-point algebraic-geometric codes over Kummer extensions
+
+positional arguments:
+  {{box-search,build-code,check-distance,curve-info,dim,floor,places,pure-gaps,rr-basis,semigroup,verify-example}}
+  example               example number for verify-example ({EXAMPLE_RANGE})
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       path to the job config file
+  --out OUT             write primary output to this file
+  --budget BUDGET       work budget for exhaustive searches
+  --seed SEED           seed for evaluation-place selection
+  --bound BOUND         coordinate bound for gap searches
+"""
 
 
-def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="kummer-codes",
-        description="Multi-point algebraic-geometric codes over Kummer extensions")
-    ap.add_argument("command", choices=sorted(COMMANDS) + ["verify-example"])
-    ap.add_argument("example", nargs="?", type=int,
-                    help=f"example number for verify-example ({EXAMPLE_RANGE})")
-    ap.add_argument("--config", help="path to the job config file")
-    ap.add_argument("--out", help="write primary output to this file")
-    ap.add_argument("--budget", type=int, help="work budget for exhaustive searches")
-    ap.add_argument("--seed", type=int, help="seed for evaluation-place selection")
-    ap.add_argument("--bound", type=int, help="coordinate bound for gap searches")
-    return ap
+def _is_option(arg: str) -> bool:
+    return arg.startswith("-") and arg != "-" and not arg[1:].isdigit()
+
+
+def parse_args(argv: Sequence[str]) -> Optional[Dict[str, object]]:
+    """COMMAND [N] with --flag VALUE or --flag=VALUE anywhere, read left to right
+    into {"command", "example", flag: value}; None at -h or --help.  Flag names
+    are exact, and N and the integer flags are integers here."""
+    args: Dict[str, object] = {}
+    rest = iter(argv)
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return None
+        if _is_option(arg):
+            name, eq, value = arg.partition("=")
+            if not name.startswith("--") or name[2:] not in FLAGS:
+                raise ConfigError(f"unrecognized option {arg!r}")
+            if not eq:
+                value = next(rest, None)
+                if value is None or _is_option(value):
+                    raise ConfigError(f"argument {name}: expected one value")
+            args[name[2:]] = _int(value, f"argument {name}: ") if name[2:] in INT_FLAGS else value
+        elif "command" not in args:
+            if arg not in COMMANDS and arg != "verify-example":
+                raise ConfigError(f"invalid command {arg!r} (choose from {_CHOICES})")
+            args["command"] = arg
+        elif "example" not in args:
+            args["example"] = _int(arg, "argument example: ")
+        else:
+            raise ConfigError(f"unrecognized argument {arg!r}")
+    if "command" not in args:
+        raise ConfigError(f"missing command (choose from {_CHOICES})")
+    args.setdefault("example", None)
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
     try:
-        if args.command == "verify-example":
-            if args.example not in verify.EXAMPLES:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args, ok, output = {}, True, ([HELP], ())
+        elif args["command"] == "verify-example":
+            if args["example"] not in verify.EXAMPLES:
                 raise ConfigError(f"verify-example needs a number in {EXAMPLE_RANGE}")
-            ok, lines = verify.verify_example(args.example)
+            ok, lines = verify.verify_example(args["example"])
             output = [line + "\n" for line in lines], ()
-        elif args.example is not None:
-            raise ConfigError(f"{args.command} takes no example number, got {args.example}")
-        elif not args.config:
+        elif args["example"] is not None:
+            raise ConfigError(f"{args['command']} takes no example number, got {args['example']}")
+        elif not args.get("config"):
             raise ConfigError("this command needs --config")
         else:
-            cp = load_config(args.config)
-            ok, output = True, COMMANDS[args.command](build_curve(cp), job_reader(args, cp))
-        _emit(args.out, *output)
+            config = load_config(args["config"])
+            ok, output = True, COMMANDS[args["command"]](build_curve(config),
+                                                         job_reader(args, config))
+        _emit(args.get("out"), *output)
         return 0 if ok else 1
-    except (ConfigError, KeyError, configparser.Error) as exc:
+    except (ConfigError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, IndexError) as exc:

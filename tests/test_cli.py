@@ -5,6 +5,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,9 +13,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kummercodes import verify
-from kummercodes.cli import COMMANDS, EXAMPLE_RANGE, build_curve, main
+from kummercodes.cli import (COMMANDS, EXAMPLE_RANGE, FLAGS, HELP, build_curve, load_config,
+                             main, parse_args)
 from test_curve import count_made_places
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -164,11 +168,10 @@ def test_refused_build_code_creates_no_out_file(tmp_path, capsys):
 def test_build_code_with_n_makes_only_the_first_n_places():
     # construct.ini keeps 384 of its curve's 4,113 places: the place stream
     # makes those 384 and P_inf, the one place in supp(G), and stops there.
-    cp = configparser.ConfigParser()
-    cp.read(WORKLOADS / "construct.ini")
-    curve = build_curve(cp)
+    config = load_config(str(WORKLOADS / "construct.ini"))
+    curve = build_curve(config)
     made = count_made_places(curve)
-    lines, notes = COMMANDS["build-code"](curve, cp["job"].get)
+    lines, notes = COMMANDS["build-code"](curve, config["job"].get)
     assert sum(1 for _ in lines) == 1 + 313
     assert notes[0] == "selection drop-highest n=384\n"
     assert made[0] <= 384 + 1
@@ -269,6 +272,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("semigroup", herm.replace("coords = 1", "coords = 1,1"),
          "coords= needs one value per place in places= (1), got 2"),
         ("build-code", herm + "code = x\n", "code= must be 'l' or 'omega', got 'x'"),
+        ("curve-info", "[field\np = 2\n", "File contains no section headers. file: "),
+        ("curve-info", herm + "zz\n", "Source contains parsing errors: "),
         ("pure-gaps", herm + "budget = -1\n", "budget must be >= 0, got -1"),
         ("box-search", herm + "budget = -1\n", "budget must be >= 0, got -1"),
         ("check-distance", herm + "budget = -1\n", "budget must be >= 0, got -1"),
@@ -296,6 +301,114 @@ def test_config_errors_exit_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, cmd, "--config", seed_only, *extra)
         assert (code, out) == (2, "")
         assert err.startswith("config error:") and "n=" in err and err.count("\n") == 1
+
+
+CHOICES = ", ".join(sorted(COMMANDS) + ["verify-example"])
+
+# One row per way a command line can be malformed: each is refused before any
+# config is read, with one line on stderr and nothing on stdout.
+USAGE_ERRORS = [
+    ("unknown-command", ["bogus"],
+     f"invalid command 'bogus' (choose from {CHOICES})"),
+    ("missing-command", [], f"missing command (choose from {CHOICES})"),
+    ("missing-command-flags-only", ["--budget", "3"], f"missing command (choose from {CHOICES})"),
+    ("unknown-flag", ["dim", "--foo", "1"], "unrecognized option '--foo'"),
+    ("abbreviated-flag", ["dim", "--conf", "job.ini"], "unrecognized option '--conf'"),
+    ("single-dash-flag", ["dim", "-x"], "unrecognized option '-x'"),
+    ("flag-without-value", ["dim", "--config"], "argument --config: expected one value"),
+    ("flag-before-flag", ["dim", "--out", "--budget", "1"], "argument --out: expected one value"),
+    ("budget-not-int", ["dim", "--budget", "x"], "argument --budget: not an integer: 'x'"),
+    ("seed-not-int", ["build-code", "--seed=1.5"], "argument --seed: not an integer: '1.5'"),
+    ("bound-not-int", ["pure-gaps", "--bound", ""], "argument --bound: not an integer: ''"),
+    ("example-not-int", ["verify-example", "x"], "argument example: not an integer: 'x'"),
+    ("extra-positional", ["verify-example", "1", "2"], "unrecognized argument '2'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", [row[1:] for row in USAGE_ERRORS],
+                         ids=[row[0] for row in USAGE_ERRORS])
+def test_usage_errors_are_one_config_error_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"config error: {message}\n")
+
+
+def test_flags_take_a_value_either_way(tmp_path, capsys):
+    # --key=VALUE equals --key VALUE; the last of a repeated flag wins, and a
+    # negative number is a value, not a flag.
+    cfg = write_cfg(tmp_path, places="P1")
+    expected = run_cli(capsys, "pure-gaps", "--config", cfg, "--bound", "6")
+    assert expected == (0, "1\n", "")
+    for argv in (["pure-gaps", f"--config={cfg}", "--bound=6"],
+                 ["--bound", "-3", "--bound", "6", "pure-gaps", "--config", cfg]):
+        assert run_cli(capsys, *argv) == expected
+    assert parse_args(["dim", "--budget", "-1", "--seed=007"]) == {
+        "command": "dim", "example": None, "budget": -1, "seed": 7}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_command_line_exits_0_1_or_2(tmp_path, monkeypatch, capsys, data):
+    # Draws from the grammar, stray words, malformed values and help included;
+    # a bare --out takes the next word as its file, so the job runs in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path)
+    paths = st.sampled_from([cfg, str(tmp_path / "out.txt"), str(tmp_path / "no" / "x"), ""])
+    numbers = st.sampled_from(["0", "1", "3", "6", "19", "-1", "x", "", "2.5"])
+
+    def flag(name):
+        value = paths if name in ("config", "out") else numbers
+        return st.one_of(value.map(lambda v: [f"--{name}", v]),
+                         value.map(lambda v: [f"--{name}={v}"]),
+                         st.just([f"--{name}"]))
+
+    word = st.sampled_from(sorted(COMMANDS) + ["verify-example", "bogus", "1", "3", "7", "-1",
+                                               "x", "-", "--", "-h", "--help", "--conf"])
+    flags = st.sampled_from(FLAGS).flatmap(flag)
+    tokens = st.one_of(flags, flags, word.map(lambda w: [w]))
+    head = st.sampled_from([[], ["verify-example"], ["verify-example", "3"]]
+                           + [[c] for c in sorted(COMMANDS)])
+    config = st.sampled_from([[], ["--config", cfg]])
+    argv = data.draw(head) + data.draw(config) + sum(data.draw(st.lists(tokens, max_size=3)), [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("config error:") and err.count("\n") == 1, err
+
+
+def test_help_lists_every_command_and_flag():
+    # The help text is written out; it must name what parse_args accepts, and only that.
+    choices = re.findall(r"\{([^}]*)\}", HELP)
+    assert choices == [",".join(sorted(COMMANDS) + ["verify-example"])] * 2
+    assert f"({EXAMPLE_RANGE})" in HELP
+    named = set(re.findall(r"(?<![\w-])--?[a-z]+", HELP))
+    assert named == {"-h", "--help"} | {f"--{name}" for name in FLAGS}
+    for name in FLAGS:
+        value = "1" if name in ("budget", "seed", "bound") else "a"
+        assert parse_args(["dim", f"--{name}", value])[name] == (1 if value == "1" else "a")
+        for short in range(1, len(name)):  # no abbreviations
+            with pytest.raises(ValueError, match="unrecognized option"):
+                parse_args(["dim", f"--{name[:short]}", value])
+    assert parse_args(["dim", "-h"]) is parse_args(["--help", "bogus"]) is None
+    for name in ("--example", "--command", "--verbose"):
+        with pytest.raises(ValueError, match="unrecognized option"):
+            parse_args(["dim", name, "1"])
+
+
+def test_config_values_are_interpolated_at_load(tmp_path, capsys):
+    # %(x)s resolves from [DEFAULT]; a malformed % is one config error line,
+    # in a key the job reads and, since every value is read at load, in one
+    # that no command reads (note=).
+    herm = HERM_CFG.format(divisor="0,0,3", places="P1", coords="1", bound="6")
+    path = tmp_path / "job.ini"
+    path.write_text("[DEFAULT]\nx = 2\n" + herm.replace("p = 2", "p = %(x)s"))
+    assert run_cli(capsys, "dim", "--config", str(path)) == (0, "3\n", "")
+    for text in (herm.replace("divisor = 0,0,3", "divisor = 0,0,3%"), herm + "note = 50%\n"):
+        path.write_text(text)
+        assert run_cli(capsys, "dim", "--config", str(path)) == (
+            2, "", "config error: '%' must be followed by '%' or '(', found: '%'\n")
+    path.write_text(herm + "note = 50%%\n")
+    assert run_cli(capsys, "dim", "--config", str(path)) == (0, "3\n", "")
+    assert load_config(str(path))["job"]["note"] == "50%"
 
 
 def test_curve_from_roots_matches_curve_from_f(tmp_path, capsys):
@@ -530,12 +643,15 @@ def test_console_script_installed():
 
 
 def test_help_golden_hash():
-    # argparse wraps to $COLUMNS; 80 columns is also its fallback without a terminal.
+    # Pinned from argparse's help at 80 columns; the text is written out now,
+    # so $COLUMNS no longer changes it.
     argv, env = cli_command("--help")
-    proc = subprocess.run(argv, capture_output=True, text=True, env=dict(env, COLUMNS="80"))
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
-        "b59ec8fb16bdf6dee4c9d2596663b7d9c26bd07b036b0d35f9541323c0941f82")
+    for columns in ("80", "40"):
+        proc = subprocess.run(argv, capture_output=True, text=True,
+                              env=dict(env, COLUMNS=columns))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
+            "b59ec8fb16bdf6dee4c9d2596663b7d9c26bd07b036b0d35f9541323c0941f82")
 
 
 def test_closed_stdout_pipe_is_a_config_error():

@@ -217,12 +217,15 @@ def test_gf_imports_the_package_only_inside_its_getattr():
 
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
-    """The value classes are NamedTuples, packed rows are struct cells and
-    row reduction is the lazy matrix module's, so a fresh interpreter
-    (without site, whose .pth files vary by install) imports none of
-    dataclasses, inspect, array and struct."""
+    """The value classes are NamedTuples, packed rows are struct cells,
+    row reduction is the lazy matrix module's, the command line is parsed
+    by hand and only load_config imports configparser, so a fresh
+    interpreter (without site, whose .pth files vary by install) imports
+    none of dataclasses, inspect, array, struct, argparse, getopt, gettext,
+    locale and configparser."""
     code = ("import sys, kummercodes.cli; print(sorted({'dataclasses', 'inspect', 'array', "
-            "'struct', '_struct'} & set(sys.modules)))")
+            "'struct', '_struct', 'argparse', 'getopt', 'gettext', 'locale', 'configparser'} "
+            "& set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
     assert proc.stdout.strip() == "[]"
@@ -304,6 +307,26 @@ def test_a_job_runs_only_the_modules_its_command_calls(tmp_path, command, extra)
     code, before, after = proc.stderr.splitlines()[-1].split()
     start = {"cli", "curve", "gf", "rrlattice"}
     assert (code, set(before.split(",")), set(after.split(","))) == ("0", start, start | extra)
+
+
+LOADS_CONFIGPARSER = """
+import contextlib, io, sys, kummercodes.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = kummercodes.cli.main(sys.argv[1:])
+print(code, "configparser" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command,expected", [(["verify-example", "3"], "1 False"),
+                                              (["curve-info", "--config", "JOB"], "0 True")])
+def test_only_a_job_that_reads_a_config_loads_configparser(tmp_path, command, expected):
+    config = tmp_path / "job.ini"
+    config.write_text(TINY_JOB)
+    argv = [str(config) if arg == "JOB" else arg for arg in command]
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADS_CONFIGPARSER, *argv],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.stderr.splitlines()[-1] == expected
 
 
 # The package's exports at the time its submodules became lazy, by home module
