@@ -170,9 +170,7 @@ def _emit(out: Optional[str], lines: Iterable[str], notes: Sequence[str]) -> Non
     try:
         write(sys.stdout, notes if out else lines)
         sys.stdout.flush()
-    except OSError as exc:  # a closed pipe or a full disk: /dev/null takes the exit flush
-        with open(os.devnull, "w") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
+    except OSError as exc:  # a closed pipe or a full disk
         raise ConfigError(f"cannot write stdout: {exc.strerror or exc}") from exc
     if not out:
         sys.stderr.write("".join(notes))
@@ -354,6 +352,9 @@ def parse_args(argv: Sequence[str]) -> Optional[Dict[str, object]]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line and return its exit code, with both streams
+    flushed; after a failed write to stdout its leftovers may stay in the
+    buffer, for `run` to drop."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:
@@ -379,7 +380,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:  # stdout after the failed write that main reported
+                pass
+
+
+def run() -> None:
+    """The process's one exit: main's code, without the interpreter's teardown
+    (module clean-up and the final collection), since main has flushed."""
+    os._exit(main())
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

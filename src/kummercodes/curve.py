@@ -163,7 +163,7 @@ def find_roots(field: FiniteField, f_coeffs: Sequence[int]) -> Tuple[int, ...]:
     Rejects any other polynomial: the curve model requires all roots of
     f to be simple and rational.
     """
-    coeffs = list(f_coeffs)
+    coeffs = list(map(field.check, f_coeffs))
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) < 2:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -17,8 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kummercodes import verify
-from kummercodes.cli import (COMMANDS, EXAMPLE_RANGE, FLAGS, HELP, build_curve, load_config,
-                             main, parse_args)
+from kummercodes.cli import (COMMANDS, EXAMPLE_RANGE, FLAGS, HELP, build_curve, job_reader,
+                             load_config, main, parse_args)
 from test_curve import count_made_places
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -464,6 +465,7 @@ def test_math_errors_exit_1(tmp_path, capsys):
     field = "p = 2\ne = 2\nmodulus = 1,1,1"
     gf5 = herm.replace(field, "p = 5\ne = 1\nmodulus = 0,1")
     gf9 = herm.replace(field, "p = 3\ne = 2\nmodulus = 1,0,1")
+    gf16 = herm.replace(field, "p = 2\ne = 4\nmodulus = 1,1,0,0,1")
     refused = [
         (herm.replace("modulus = 1,1,1", "modulus = 1,0,1"),
          "modulus [1, 0, 1] is reducible over GF(2)"),
@@ -472,6 +474,8 @@ def test_math_errors_exit_1(tmp_path, capsys):
         (gf5.replace("f = 0,1,1", "f = 2,0,1"), "f has 0 distinct rational roots but degree 2"),
         (herm.replace("f = 0,1,1", "roots = 1,1"), "roots of f must be pairwise distinct"),
         (gf9.replace("f = 0,1,1", "roots = 1"), "characteristic 3 divides m=3"),
+        (gf16.replace("f = 0,1,1", "f = -1,1"), "-1 is not an element code of GF(16)"),
+        (gf16.replace("f = 0,1,1", "f = 0,99,0,0,1"), "99 is not an element code of GF(16)"),
     ]
     for text, message in refused:
         path = tmp_path / "math.ini"
@@ -626,13 +630,19 @@ def test_verify_example_golden_hashes(capsys, example, status, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def cli_command(*argv):
+# The two ways a CLI process starts, both ending in cli.run: `python -m` and
+# the `kummer-codes` console script, which pyproject.toml points at run.
+ENTRY_POINTS = {"module": ["-m", "kummercodes.cli"],
+                "run": ["-c", "from kummercodes.cli import run; run()"]}
+
+
+def cli_command(*argv, entry="module"):
     """A CLI process on src/ (first, as under pytest's pythonpath, so a checkout
     needs no install) with stdout block-buffered, as it is by default."""
     path = [str(WORKLOADS.parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     env.pop("PYTHONUNBUFFERED", None)
-    return [sys.executable, "-m", "kummercodes.cli", *argv], env
+    return [sys.executable, *ENTRY_POINTS[entry], *argv], env
 
 
 def test_console_script_installed():
@@ -654,10 +664,46 @@ def test_help_golden_hash():
             "b59ec8fb16bdf6dee4c9d2596663b7d9c26bd07b036b0d35f9541323c0941f82")
 
 
-def test_closed_stdout_pipe_is_a_config_error():
+def test_console_script_is_run():
+    text = (WORKLOADS.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^kummer-codes = "(.*)"$', text, re.M) == ["kummercodes.cli:run"]
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_fast_exit_drops_no_output(tmp_path, entry):
+    # run ends the process by os._exit, which flushes nothing: everything
+    # main wrote must be out by then, on block-buffered streams.
+    places = WORKLOADS / "places.ini"
+    argv, env = cli_command("places", "--config", str(places), entry=entry)
+    proc = subprocess.run(argv, capture_output=True, env=env)
+    golden = json.loads((WORKLOADS.parent / "golden.json").read_text(encoding="utf-8"))
+    assert (proc.returncode, proc.stderr, len(proc.stdout)) == (0, b"", 551_846)
+    assert hashlib.sha256(proc.stdout).hexdigest() == golden["places"]["sha256"]
+
+    # The construct job with G = 260 P_inf, past 2g - 2 = 238, so that a
+    # bound note follows the 236 KB file.
+    config_path, out = tmp_path / "construct.ini", tmp_path / "code.txt"
+    config_path.write_text((WORKLOADS / "construct.ini").read_text().replace(",180\n", ",260\n"))
+    argv, env = cli_command("build-code", "--config", str(config_path), "--out", str(out),
+                            entry=entry)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    config = load_config(str(config_path))
+    lines, notes = COMMANDS["build-code"](build_curve(config), job_reader({}, config))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "".join(notes) == "selection drop-highest n=384\nbound goppa_omega 22\n"
+    assert out.read_text(encoding="utf-8") == "".join(lines)
+
+    argv, env = cli_command("dim", entry=entry)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "config error: this command needs --config\n")
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_closed_stdout_pipe_is_a_config_error(entry):
     # The reader stops after the first of the 32,769 lines (551,846 bytes,
     # more than a pipe holds), as `| head -1` does: one line, no traceback.
-    argv, env = cli_command("places", "--config", str(WORKLOADS / "places.ini"))
+    argv, env = cli_command("places", "--config", str(WORKLOADS / "places.ini"), entry=entry)
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline() == b"kind,mu,x,y\n"
     proc.stdout.close()
@@ -667,9 +713,10 @@ def test_closed_stdout_pipe_is_a_config_error():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
-def test_full_stdout_is_a_config_error():
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_full_stdout_is_a_config_error(entry):
     # verify-example's 316 bytes sit in the stdout buffer until main flushes it.
-    argv, env = cli_command("verify-example", "2")
+    argv, env = cli_command("verify-example", "2", entry=entry)
     with open("/dev/full", "w", encoding="utf-8") as full:
         proc = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
     assert (proc.returncode, proc.stderr) == (

@@ -207,6 +207,11 @@ def test_find_roots():
         find_roots(F, [0, 1, 2])  # not monic
     with pytest.raises(ValueError, match="degree >= 1"):
         find_roots(F, [1])  # a constant
+    # Every coefficient is an element code: -1 is not read as the last element
+    # through negative indexing, and the check comes before the monic one.
+    for coeffs, bad in (([-1, 1], -1), ([0, 99, 0, 0, 1], 99), ([0, 1, 4], 4)):
+        with pytest.raises(ValueError, match=rf"^{bad} is not an element code of GF\(4\)$"):
+            find_roots(F, coeffs)
 
 
 def test_find_roots_sorted():

@@ -3,8 +3,8 @@
 and reads no characteristic, row reduction sits off the start-up path, every
 exception class the package defines is caught, every function in src is
 named in src or demos (test_every_function_in_src_is_named_in_src_or_demos),
-the CLI writes its output along one path, and a CLI job runs only the
-package modules its command calls."""
+the CLI writes its output along one path, nothing relies on interpreter
+teardown, and a CLI job runs only the package modules its command calls."""
 
 from __future__ import annotations
 
@@ -138,6 +138,28 @@ def test_cli_output_goes_through_main():
         if name not in ("main", "_emit"):
             named = {_name(n) for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
             assert not named & {"print", "stdout", "stderr"}, name
+
+
+def test_nothing_in_src_relies_on_interpreter_teardown():
+    """cli.run ends the process by os._exit once main has flushed, so no atexit
+    handler, weakref finalizer or __del__ would run: no module imports atexit
+    or weakref, no class defines __del__, and only cli.run names os._exit."""
+    imported, deleters, exits = set(), [], Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+            elif isinstance(node, ast.FunctionDef) and node.name == "__del__":
+                deleters.append(path.stem)
+        for node in tree.body:
+            uses = sum(counts["_exit"] for counts in _names(node))
+            if uses:
+                exits[path.stem, getattr(node, "name", None)] += uses
+    assert not imported & {"atexit", "weakref"} and deleters == []
+    assert exits == {("cli", "run"): 1}
 
 
 def test_weierstrass_imports_no_field_level_module():
