@@ -3,6 +3,9 @@
 The submodules are lazy (importlib.util.LazyLoader): each runs on the first
 access to one of its attributes, so a CLI job runs only the modules its
 command calls.  The exports below resolve through their home modules.
+ConfigError and _int live here, for cli and commands to share: under
+`python -m kummercodes.cli` the running cli is __main__, and a module that
+imported kummercodes.cli would run a second cli with its own ConfigError.
 """
 
 import sys
@@ -27,6 +30,17 @@ __all__ = list(_EXPORTS)
 __version__ = "0.1.0"
 
 
+class ConfigError(ValueError):
+    pass
+
+
+def _int(text: str, where: str = "") -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}not an integer: {text.strip()!r}") from exc
+
+
 def _lazy(name: str):
     spec = find_spec(f"{__name__}.{name}")
     spec.loader = LazyLoader(spec.loader)
@@ -37,8 +51,8 @@ def _lazy(name: str):
 
 
 # Every module but cli, which `python -m kummercodes.cli` runs as __main__.
-agcode, curve, gf, matrix, rrlattice, verify, weierstrass = map(
-    _lazy, ("agcode", "curve", "gf", "matrix", "rrlattice", "verify", "weierstrass"))
+agcode, commands, curve, gf, matrix, rrlattice, verify, weierstrass = map(_lazy, (
+    "agcode", "commands", "curve", "gf", "matrix", "rrlattice", "verify", "weierstrass"))
 
 
 def __getattr__(name: str):

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kummercodes import verify
-from kummercodes.cli import (COMMANDS, EXAMPLE_RANGE, FLAGS, HELP, build_curve, job_reader,
-                             load_config, main, parse_args)
+from kummercodes import cli, commands, verify
+from kummercodes.cli import EXAMPLE_RANGE, FLAGS, HELP, main, parse_args
+from kummercodes.commands import COMMANDS, build_curve, job_reader, load_config
 from test_curve import count_made_places
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -611,6 +611,15 @@ def test_example_range_text_matches_the_examples():
     assert EXAMPLE_RANGE == f"{min(verify.EXAMPLES)}-{max(verify.EXAMPLES)}"
 
 
+def test_cli_resolves_the_set_up_names_from_commands():
+    # perfbench/setup_probe.py calls cli.build_curve(cli.load_config(path)).
+    assert cli.load_config is commands.load_config
+    assert cli.build_curve is commands.build_curve
+    for name in ("job_reader", "COMMANDS", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(cli, name)
+
+
 # SHA-256 of verify-example stdout and its exit status, pinned from the
 # pair-scan box search that preceded top-corner ranking.  Examples 1 and 2
 # run box_search; example 3 reports the refuted published box and exits 1.
@@ -645,11 +654,24 @@ def cli_command(*argv, entry="module"):
     return [sys.executable, *ENTRY_POINTS[entry], *argv], env
 
 
-def test_console_script_installed():
-    argv, env = cli_command("verify-example", "1")
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_verify_example_runs_through_each_entry_point(entry):
+    # "run" is what the generated `kummer-codes` wrapper calls.
+    argv, env = cli_command("verify-example", "1", entry=entry)
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") >= 6
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_a_config_error_of_the_commands_exits_2_through_each_entry_point(tmp_path, entry):
+    # commands raises the package's one ConfigError: a module that imported
+    # kummercodes.cli would run a second cli beside `python -m`'s __main__,
+    # whose ConfigError main's except clause would not catch (exit 1).
+    argv, env = cli_command("dim", "--config", write_cfg(tmp_path, divisor="0,3"), entry=entry)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "config error: divisor needs 3 coefficients (s1..s2, t), got 2\n")
 
 
 def test_help_golden_hash():

@@ -4,7 +4,8 @@ and reads no characteristic, row reduction sits off the start-up path, every
 exception class the package defines is caught, every function in src is
 named in src or demos (test_every_function_in_src_is_named_in_src_or_demos),
 the CLI writes its output along one path, nothing relies on interpreter
-teardown, and a CLI job runs only the package modules its command calls."""
+teardown, no module imports cli, and a CLI job runs only the package modules
+its command calls."""
 
 from __future__ import annotations
 
@@ -23,11 +24,14 @@ import kummercodes
 PACKAGE = Path(kummercodes.__file__).resolve().parent
 DEMOS = PACKAGE.parent.parent / "demos"
 FIELD_LEVEL = {"curve", "gf", "matrix", "agcode"}
-CALLED_LATE = {"agcode", "verify", "weierstrass"}  # run only by the commands that call them
+CALLED_LATE = {"agcode", "commands", "verify", "weierstrass"}  # run only by jobs that call them
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
 def package_imports(source: str) -> set:
-    """Package modules the source imports anywhere, `if TYPE_CHECKING:` blocks included."""
+    """Package modules the source imports anywhere, `if TYPE_CHECKING:` blocks
+    included; a name imported from the package root (`from . import ConfigError`)
+    counts as __init__."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -40,7 +44,8 @@ def package_imports(source: str) -> set:
                 path = node.module.split(".")[1:]
             else:
                 continue
-            found.update(path[:1] or [alias.name for alias in node.names])
+            found.update(path[:1] or [alias.name if alias.name in MODULES else "__init__"
+                                      for alias in node.names])
     return found
 
 
@@ -52,10 +57,12 @@ def test_package_imports_sees_every_form():
         "import kummercodes.gf",
         "from kummercodes import agcode",
         "from . import verify",
+        "from . import ConfigError",
         "if TYPE_CHECKING:",
         "    from .curve import KummerCurve",
     ])
-    assert package_imports(source) == {"rrlattice", "gf", "agcode", "verify", "curve"}
+    assert package_imports(source) == {"rrlattice", "gf", "agcode", "verify", "curve",
+                                       "__init__"}
 
 
 def _name(node) -> str:
@@ -124,20 +131,27 @@ def test_every_function_in_src_is_named_in_src_or_demos():
 
 
 def test_cli_output_goes_through_main():
-    """main makes the one _emit call, and no other function in cli (no command
-    above all) names print, sys.stdout or sys.stderr: _emit writes, main reports."""
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    """cli's main makes the one _emit call; no other function in cli names
+    print, sys.stdout or sys.stderr, and commands, where every cmd_ function
+    lives, names none of them nor _emit anywhere: _emit writes, main reports."""
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+             for name in ("cli", "commands")}
+    functions = {name: {node.name: node for node in tree.body
+                        if isinstance(node, ast.FunctionDef)} for name, tree in trees.items()}
+
+    def named(node):
+        return {_name(n) for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
     def emit_calls(node):
         return sum(isinstance(n, ast.Call) and _name(n.func) == "_emit" for n in ast.walk(node))
 
-    assert emit_calls(tree) == emit_calls(functions["main"]) == 1
-    assert any(name.startswith("cmd_") for name in functions)
-    for name, node in functions.items():
+    assert emit_calls(trees["cli"]) == emit_calls(functions["cli"]["main"]) == 1
+    assert sum(name.startswith("cmd_") for name in functions["commands"]) == 10
+    assert not any(name.startswith("cmd_") for name in functions["cli"])
+    assert not named(trees["commands"]) & {"print", "stdout", "stderr", "_emit"}
+    for name, node in functions["cli"].items():
         if name not in ("main", "_emit"):
-            named = {_name(n) for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
-            assert not named & {"print", "stdout", "stderr"}, name
+            assert not named(node) & {"print", "stdout", "stderr"}, name
 
 
 def test_nothing_in_src_relies_on_interpreter_teardown():
@@ -160,6 +174,18 @@ def test_nothing_in_src_relies_on_interpreter_teardown():
                 exits[path.stem, getattr(node, "name", None)] += uses
     assert not imported & {"atexit", "weakref"} and deleters == []
     assert exits == {("cli", "run"): 1}
+
+
+def test_no_module_imports_cli():
+    """`python -m kummercodes.cli` runs cli as __main__: a module that imported
+    kummercodes.cli would run a second cli, with a ConfigError of its own that
+    main's except clause does not catch.  cli's and commands' shared names
+    live in the package root."""
+    imports = {path.stem: package_imports(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"cli", "commands"} <= set(imports)
+    assert [name for name, found in imports.items() if "cli" in found] == []
+    assert "__init__" in imports["cli"] & imports["commands"]
 
 
 def test_weierstrass_imports_no_field_level_module():
@@ -204,9 +230,9 @@ def test_matrix_imports_only_gf_from_the_package():
 
 
 def test_only_agcode_imports_matrix():
-    """The modules every job runs (cli, curve, gf, rrlattice) and verify name
-    no matrix, so only a command that reduces a matrix compiles it; gf's
-    lazy hook is checked below."""
+    """cli, the modules every config job runs (commands, curve, gf, rrlattice)
+    and verify name no matrix, so only a command that reduces a matrix
+    compiles it; gf's lazy hook is checked below."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem not in ("agcode", "gf", "matrix"):
             assert "matrix" not in package_imports(path.read_text(encoding="utf-8")), path.stem
@@ -265,20 +291,25 @@ def _imported_from(node: ast.ImportFrom):
 
 
 def test_cli_and_verify_import_late_modules_only_as_modules():
-    """cli and verify call agcode, weierstrass and verify through the module
-    (`agcode.build_cl(...)`), so a lazy module runs only when a call reaches
-    it; verify's EXAMPLES table, built of GapBox and PlaceTuple at import, is
-    the one exception."""
+    """cli calls commands and verify, and commands and verify call agcode and
+    weierstrass, through the module (`agcode.build_cl(...)`), so a lazy
+    module runs only when a call reaches it; verify's EXAMPLES table, built of
+    GapBox and PlaceTuple at import, is the one exception.  cli imports no
+    other module of the package, so importing it runs cli alone."""
     allowed = {("verify", "weierstrass"): {"GapBox", "PlaceTuple"}}
+    late = {"cli": {"commands", "verify"}, "commands": {"agcode", "weierstrass"},
+            "verify": {"agcode", "weierstrass"}}
     bound = {}
-    for name in ("cli", "verify"):
+    for name, called in late.items():
         source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
-        assert package_imports(source) >= CALLED_LATE - {name}, name
+        assert package_imports(source) & CALLED_LATE == called, name
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.ImportFrom) and _imported_from(node) in CALLED_LATE:
                 bound.setdefault((name, _imported_from(node)), set()).update(
                     alias.name for alias in node.names)
     assert bound == allowed
+    assert package_imports((PACKAGE / "cli.py").read_text(encoding="utf-8")) == {
+        "__init__", "commands", "verify"}
 
 
 RAN_MODULES = """
@@ -314,41 +345,59 @@ code = l
 """
 
 
-@pytest.mark.parametrize("command,extra", [("places", set()),
-                                           ("box-search", {"weierstrass"}),
-                                           ("check-distance", {"agcode", "matrix"})])
+CONFIG_JOB = {"commands", "curve", "gf", "rrlattice"}  # run by every config command
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("places", CONFIG_JOB),
+    ("box-search", CONFIG_JOB | {"weierstrass"}),
+    ("check-distance", CONFIG_JOB | {"agcode", "matrix"}),
+    ("verify-example 3", {"verify", "weierstrass", "curve", "gf", "rrlattice"}),
+    ("--help", set()),
+])
 def test_a_job_runs_only_the_modules_its_command_calls(tmp_path, command, extra):
-    """`import kummercodes.cli` runs cli, curve, gf and rrlattice; each
-    command adds only the modules it calls, and only check-distance, which
-    reduces its generator matrix, runs matrix (fresh interpreter without site)."""
+    """`import kummercodes.cli` runs cli alone; each job adds only the
+    modules it calls: a config command runs commands, curve, gf and
+    rrlattice, and only check-distance, which reduces its generator matrix,
+    runs matrix; verify-example 3 runs what verify calls before the curve is
+    rejected, without commands, and --help runs nothing more (fresh
+    interpreter without site)."""
     config = tmp_path / "job.ini"
     config.write_text(TINY_JOB)
-    argv = [sys.executable, "-S", "-c", RAN_MODULES, command, "--config", str(config)]
-    proc = subprocess.run(argv, capture_output=True, text=True, check=True,
+    argv = command.split()
+    if not command.startswith(("verify-example", "--")):
+        argv += ["--config", str(config)]
+    proc = subprocess.run([sys.executable, "-S", "-c", RAN_MODULES, *argv],
+                          capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
     code, before, after = proc.stderr.splitlines()[-1].split()
-    start = {"cli", "curve", "gf", "rrlattice"}
-    assert (code, set(before.split(",")), set(after.split(","))) == ("0", start, start | extra)
+    status = "1" if command == "verify-example 3" else "0"
+    assert (code, before, set(after.split(","))) == (status, "cli", {"cli"} | extra)
 
 
 LOADS_CONFIGPARSER = """
-import contextlib, io, sys, kummercodes.cli
+import contextlib, io, sys, types, kummercodes.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = kummercodes.cli.main(sys.argv[1:])
+print(type(sys.modules["kummercodes.commands"]) is types.ModuleType, file=sys.stderr)
 print(code, "configparser" in sys.modules, file=sys.stderr)
 """
 
 
 @pytest.mark.parametrize("command,expected", [(["verify-example", "3"], "1 False"),
-                                              (["curve-info", "--config", "JOB"], "0 True")])
+                                              (["curve-info", "--config", "JOB"], "0 True"),
+                                              (["--help"], "0 False")])
 def test_only_a_job_that_reads_a_config_loads_configparser(tmp_path, command, expected):
+    """configparser is loaded, and the commands module run, by the jobs that
+    read a config and by no other: neither by verify-example nor by --help."""
     config = tmp_path / "job.ini"
     config.write_text(TINY_JOB)
     argv = [str(config) if arg == "JOB" else arg for arg in command]
     proc = subprocess.run([sys.executable, "-S", "-c", LOADS_CONFIGPARSER, *argv],
                           capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
-    assert proc.stderr.splitlines()[-1] == expected
+    ran_commands, last = proc.stderr.splitlines()[-2:]
+    assert (ran_commands, last) == (expected.split()[1], expected)
 
 
 # The package's exports at the time its submodules became lazy, by home module
