@@ -113,11 +113,6 @@ class LinearCode:
                    + "0 " * (fc - after[k]) + "1" + " 0" * (n - fc - 1) + "\n")
 
 
-def null_space(matrix: Matrix) -> LinearCode:
-    """The code {v : matrix v^T = 0}, held as the RREF of matrix and its pivots."""
-    return LinearCode(*matrix.rref())
-
-
 def _check_evaluation_set(G: Divisor, places: Sequence[Place]) -> None:
     if len(set(places)) != len(places):
         raise ValueError("evaluation places must be pairwise distinct")
@@ -172,7 +167,7 @@ def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearC
 def build_comega(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearCode:
     """C_Omega(D, G) = C_L(D, G)^perp, the null space of the evaluation matrix;
     checks the dimension law when it applies."""
-    code = null_space(evaluation_matrix(curve, G, places))
+    code = LinearCode(*evaluation_matrix(curve, G, places).rref())
     n, k = code.n, code.k
     if 2 * curve.g - 2 < G.degree < n:
         expected = n + curve.g - 1 - G.degree

@@ -83,12 +83,8 @@ Output = Tuple[Iterable[str], Sequence[str]]  # (lines of the output, notes on i
 
 def job_reader(args: Dict[str, object], config: Config) -> Job:
     """The job's values: --key when given (0 included), else key= from [job], else None."""
-    section = config.get("job", {})
-
-    def read(key: str) -> Optional[str]:
-        flag = args.get(key)
-        return section.get(key) if flag is None else str(flag)
-    return read
+    given = {key: str(value) for key, value in args.items() if value is not None}
+    return {**config.get("job", {}), **given}.get
 
 
 def _number(job: Job, key: str, default: Optional[int]) -> Optional[int]:
@@ -116,7 +112,9 @@ def parse_divisor(curve: KummerCurve, text: Optional[str]) -> Divisor:
 def parse_places(curve: KummerCurve, text: Optional[str]) -> weierstrass.PlaceTuple:
     if text is None:
         raise ConfigError("this command needs places=P1,...,Pl[,Pinf] in [job]")
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    names = [tok.strip() for tok in text.split(",")]
+    if not any(names):
+        raise ConfigError("places= names no place")
     include_inf, l = False, 0
     for idx, name in enumerate(names):
         if name.lower() in ("pinf", "infinity"):
@@ -127,8 +125,6 @@ def parse_places(curve: KummerCurve, text: Optional[str]) -> weierstrass.PlaceTu
             l += 1
         else:
             raise ConfigError(f"places must be P1,P2,...,Pl[,Pinf]; got {name!r}")
-    if not names:
-        raise ConfigError("places= names no place")
     if l > curve.r:
         raise ConfigError(f"places= names {l} finite places, curve has r={curve.r}")
     return weierstrass.PlaceTuple(l, include_inf)

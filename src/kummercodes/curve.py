@@ -141,8 +141,6 @@ class KummerCurve(RamificationData):
         """Divisor of x - alpha_index, y, f, or z."""
         r, m, lam = self.r, self.m, self.lam
         if item == "x-alpha":
-            if not 1 <= index <= r:
-                raise IndexError(f"index {index} out of [1, {r}]")
             return Divisor.make(r, {index: m}, -m)
         if item == "y":
             return Divisor(tuple([lam] * r), -r * lam)

@@ -78,6 +78,7 @@ EXAMPLES: Dict[int, Example] = {
                floor=({1: 14}, 4), distance=16, code=(254, 228)),
 }
 
+# Only perfbench/setup_probe.py calls these; the tests call EXAMPLES[n].curve().
 curve_example_1 = EXAMPLES[1].curve  # y^5 = x^9 + x over GF(81): quotient of the Hermitian curve
 curve_example_2 = EXAMPLES[2].curve  # y^6 = x^5 + x over GF(25): the Hermitian curve for q = 5
 curve_example_4 = EXAMPLES[4].curve  # y^9 = x^4 + x^2 + x over GF(64): a maximal curve

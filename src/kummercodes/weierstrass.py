@@ -202,19 +202,12 @@ def box_search(curve, places: PlaceTuple, search_bound: int,
 
 
 def floor_divisor(curve, H: Divisor) -> Divisor:
-    """The unique minimum-degree divisor with the same Riemann-Roch space.
-
-    Coordinate-wise maxima of pole orders over the enumerated basis;
-    defined only when ell(H) > 0.
-    """
-    pts = omega_enumerate(curve, H)
-    if not pts:
+    """The unique minimum-degree divisor with the same Riemann-Roch space: minus the
+    gcd (coordinate-wise minimum) of the basis monomials' divisors; needs ell(H) > 0."""
+    divs = [monomial_divisor(curve, pt) for pt in omega_enumerate(curve, H)]
+    if not divs:
         raise ValueError("ell(H) = 0; floor undefined")
-    m, r = curve.m, curve.r
-    s1 = max(-p.i for p in pts)
-    s_rest = [max(-p.i - m * p.j[mu] for p in pts) for mu in range(r - 1)]
-    t = max(r * p.i + m * sum(p.j) for p in pts)
-    return Divisor(tuple([s1] + s_rest), t)
+    return -Divisor(tuple(map(min, zip(*(d.s for d in divs)))), min(d.t for d in divs))
 
 
 def floor_pair_bound(curve, H: Divisor) -> int:
@@ -222,13 +215,3 @@ def floor_pair_bound(curve, H: Divisor) -> int:
     if not H.is_effective():
         raise ValueError("H must be effective")
     return 2 * H.degree - (2 * curve.g - 2)
-
-
-def floor_via_gcd(curve, H: Divisor) -> Divisor:
-    """Floor as minus the gcd of the basis monomial divisors (oracle route)."""
-    divs = [monomial_divisor(curve, pt) for pt in omega_enumerate(curve, H)]
-    if not divs:
-        raise ValueError("ell(H) = 0; floor undefined")
-    s = tuple(-min(d.s[mu] for d in divs) for mu in range(curve.r))
-    t = -min(d.t for d in divs)
-    return Divisor(s, t)

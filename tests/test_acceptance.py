@@ -22,9 +22,9 @@ from kummercodes.agcode import brute_force_distance, build_cl, build_comega, eva
 from kummercodes.cli import main
 from kummercodes.rrlattice import (Divisor, RamificationData, dimension,
                                    omega_enumerate)
-from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
+from kummercodes.verify import EXAMPLES
 from kummercodes.weierstrass import (GapBox, PlaceTuple, box_bound_value,
-                                     floor_divisor, floor_pair_bound, floor_via_gcd,
+                                     floor_divisor, floor_pair_bound,
                                      pure_gap, pure_gap_box_bound, semigroup_member)
 from test_agcode import orthogonal
 from test_curve import curve_hermitian_gf4
@@ -33,11 +33,11 @@ PROFILES = [(3, 2), (5, 9), (6, 5), (9, 4)]
 
 
 def test_criterion_1_genus_and_place_counts():
-    c1 = curve_example_1()
+    c1 = EXAMPLES[1].curve()
     assert (c1.g, c1.num_places()) == (16, 370)
-    c2 = curve_example_2()
+    c2 = EXAMPLES[2].curve()
     assert (c2.g, c2.num_places()) == (10, 126)
-    c4 = curve_example_4()
+    c4 = EXAMPLES[4].curve()
     assert (c4.g, c4.num_places()) == (12, 257)
 
 
@@ -79,7 +79,7 @@ def test_criterion_2_counting_law():
 
 
 def test_criterion_3_example4_basis_listing():
-    c = curve_example_4()
+    c = EXAMPLES[4].curve()
     H = Divisor.make(c.r, {1: 14, 2: 1}, 4)
     pts = omega_enumerate(c, H)
     m, r = c.m, c.r
@@ -99,12 +99,12 @@ def test_criterion_3_example4_basis_listing():
 
 
 def test_criterion_4_floor():
-    c4 = curve_example_4()
+    c4 = EXAMPLES[4].curve()
     H = Divisor.make(c4.r, {1: 14, 2: 1}, 4)
     assert floor_divisor(c4, H) == Divisor.make(c4.r, {1: 14}, 4)
 
     rng = random.Random(103)
-    for c in (curve_example_2(), curve_hermitian_gf4()):
+    for c in (EXAMPLES[2].curve(), curve_hermitian_gf4()):
         done = 0
         while done < 50:
             H = Divisor(tuple(rng.randrange(-2, 14) for _ in range(c.r)),
@@ -113,18 +113,26 @@ def test_criterion_4_floor():
                 continue
             done += 1
             flo = floor_divisor(c, H)
-            assert flo == floor_via_gcd(c, H)
+            assert (H - flo).is_effective()
             assert floor_divisor(c, flo) == flo
             assert dimension(c, flo) == dimension(c, H)
+            assert_minimal(c, flo, H)
+
+
+def assert_minimal(c, flo, H):
+    """Lowering any one coefficient of flo (each P_mu, then P_inf) loses a function of L(H)."""
+    for k in range(c.r + 1):
+        lower = Divisor(tuple(v - (mu == k) for mu, v in enumerate(flo.s)), flo.t - (k == c.r))
+        assert dimension(c, lower) < dimension(c, H), (H, k)
 
 
 def test_criterion_5_pure_gaps():
-    c1 = curve_example_1()
+    c1 = EXAMPLES[1].curve()
     pl1 = PlaceTuple(1, include_infinity=True)
     assert pure_gap(c1, pl1, (26, 1))
     assert not pure_gap(c1, pl1, (27, 1))
 
-    c2 = curve_example_2()
+    c2 = EXAMPLES[2].curve()
     assert pure_gap(c2, PlaceTuple(2), (13, 1))
     assert pure_gap(c2, PlaceTuple(2), (14, 1))
 
@@ -165,7 +173,7 @@ def test_criterion_5_pure_gaps():
 
 def test_criterion_6_oracle_equivalence():
     rng = random.Random(107)
-    for c in (curve_hermitian_gf4(), curve_example_2()):
+    for c in (curve_hermitian_gf4(), EXAMPLES[2].curve()):
         tuples_checked = 0
         while tuples_checked < 300:
             l = rng.randrange(0, min(c.r, 3) + 1)
@@ -210,7 +218,7 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_code_parameters():
-    c4 = curve_example_4()
+    c4 = EXAMPLES[4].curve()
     H = Divisor.make(c4.r, {1: 14, 2: 1}, 4)
     G4 = H + floor_divisor(c4, H)
     D4 = evaluation_places(c4, G4)
@@ -219,7 +227,7 @@ def test_criterion_7_code_parameters():
     assert floor_pair_bound(c4, H) == 16
     assert code4.k == code4.n + c4.g - 1 - G4.degree
 
-    c2 = curve_example_2()
+    c2 = EXAMPLES[2].curve()
     G2 = Divisor.make(c2.r, {1: 26, 2: 1})
     D2 = evaluation_places(c2, G2)
     assert len(D2) == 124
@@ -229,7 +237,7 @@ def test_criterion_7_code_parameters():
     assert box2.induced_divisor(c2.r) == G2
     assert pure_gap_box_bound(c2, box2) == 12
 
-    c1 = curve_example_1()
+    c1 = EXAMPLES[1].curve()
     G1 = Divisor.make(c1.r, {1: 51}, 1)
     D1 = evaluation_places(c1, G1)
     assert len(D1) == 368

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kummercodes.agcode import (LinearCode, brute_force_distance, build_cl, build_comega,
-                                evaluation_matrix, evaluation_places, in_support, null_space)
+                                evaluation_matrix, evaluation_places, in_support)
 from kummercodes.curve import KummerCurve, Place
 from kummercodes.gf import FiniteField
 from kummercodes.matrix import Matrix
 from kummercodes.rrlattice import Divisor, dimension, omega_enumerate
-from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
+from kummercodes.verify import EXAMPLES
 from kummercodes.weierstrass import (GapBox, PlaceTuple, floor_divisor, floor_pair_bound,
-                                     floor_via_gcd, pure_gap_box_bound)
+                                     pure_gap_box_bound)
 from test_curve import count_made_places, curve_hermitian_gf4, f_at
 from test_gf import oracle_dot, oracle_nullspace, power
 
@@ -43,7 +43,7 @@ def test_streamed_comega_rows_equal_oracle_nullspace():
             nrows, ncols = rng.randint(1, 6), rng.randint(1, 12)
             rows = [[rng.choice([0, 1, rng.randrange(F.q)]) for _ in range(ncols)]
                     for _ in range(nrows)]
-            streamed = null_space(Matrix(F, rows, ncols))
+            streamed = LinearCode(*Matrix(F, rows, ncols).rref())
             assert list(streamed.rows()) == oracle_nullspace(F, rows, ncols)
             assert streamed.k == len(oracle_nullspace(F, rows, ncols))
     c = herm()
@@ -94,7 +94,7 @@ def test_evaluation_places_without_seed_are_the_first_n():
     # Without a seed the place stream stops at the n-th place off supp(G),
     # having made at most n + |supp(G)| places; the refusals keep their wording.
     for make, G in ((herm, Divisor((0, 0), 3)), (herm, Divisor((1, 0), 0)),
-                    (curve_example_2, Divisor((26, 1, 0, 0, 0), 0))):
+                    (EXAMPLES[2].curve, Divisor((26, 1, 0, 0, 0), 0))):
         full = evaluation_places(make(), G)
         assert full == [p for p in make().iter_places() if not in_support(G, p)]
         support = sum(map(bool, G.s + (G.t,)))
@@ -199,18 +199,18 @@ def evaluation_curves():
     (alpha_mu - alpha_nu) = f'(alpha_mu) = 1 and the exponent -j_mu of
     those factors never shows at P_mu; the other roots are chosen freely.
     """
-    ex2, ex4 = curve_example_2(), curve_example_4()
-    return [curve_example_1(), ex2, ex4, herm(),
+    ex2, ex4 = EXAMPLES[2].curve(), EXAMPLES[4].curve()
+    return [EXAMPLES[1].curve(), ex2, ex4, herm(),
             KummerCurve(ex4.field, 9, 2, (1, 2, 3, 5)),
             KummerCurve(ex2.field, 8, 3, (0, 1, 2, 3, 7)),
             KummerCurve(ex4.field, 7, 3, (0, 4, 9, 17))]
 
 
 def test_evaluation_matrix_matches_evaluate_monomial():
-    ex4 = curve_example_4()
+    ex4 = EXAMPLES[4].curve()
     fixed = [
-        (curve_example_1(), Divisor.make(9, {1: 51}, 1)),
-        (curve_example_2(), Divisor.make(5, {1: 26, 2: 1})),
+        (EXAMPLES[1].curve(), Divisor.make(9, {1: 51}, 1)),
+        (EXAMPLES[2].curve(), Divisor.make(5, {1: 26, 2: 1})),
         (ex4, Divisor.make(4, {1: 28, 2: 1}, 8)),
         (KummerCurve(ex4.field, 9, 2, ex4.roots), Divisor.make(4, {1: 9, 3: 2}, 5)),
     ]
@@ -410,7 +410,7 @@ def test_singleton_bound():
 
 
 def test_designed_bounds():
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     G = Divisor.make(c.r, {1: 26, 2: 1})
     D = evaluation_places(c, G)
     assert len(D) == 124
@@ -423,7 +423,7 @@ def test_designed_bounds():
 
 
 def test_designed_bound_refusals():
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     with pytest.raises(ValueError, match=r"^\(14, 2\) in the box is not a pure gap$"):
         pure_gap_box_bound(c, GapBox(PlaceTuple(2), (13, 2), (1, 0)))
     with pytest.raises(ValueError, match="not a pure gap"):
@@ -462,7 +462,7 @@ def test_null_space_export_equals_its_dense_rows():
             if nrows > 1 and rng.random() < 0.5:
                 c = rng.randrange(1, F.q)
                 rows.append([F.add(a, F.mul(c, b)) for a, b in zip(rows[0], rows[1])])
-            code = null_space(Matrix(F, rows, ncols))
+            code = LinearCode(*Matrix(F, rows, ncols).rref())
             assert list(code.export()) == [f"{code.n} {code.k} {F.q}\n"] + [
                 " ".join(map(str, row)) + "\n" for row in code.rows()]
             for fc in set(range(ncols)).difference(code.pivots):
@@ -528,7 +528,8 @@ def test_random_curve_code_properties(case):
     assert cl.k + co.k == len(D)
     assert orthogonal(cl, co)
     if dimension(c, G) > 0:
-        assert floor_divisor(c, G) == floor_via_gcd(c, G)
+        flo = floor_divisor(c, G)
+        assert dimension(c, flo) == dimension(c, G) and (G - flo).is_effective()
     for code in (cl, co):
         if code.k and c.field.q ** code.k <= 4096:
             d = brute_force_distance(code)

@@ -263,6 +263,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("semigroup", herm.replace("places = P1", "places = P2"), "got 'P2'"),
         ("semigroup", herm.replace("places = P1", "places ="), "places= names no place"),
         ("semigroup", herm.replace("places = P1", "places = ,"), "places= names no place"),
+        ("semigroup", herm.replace("places = P1", "places = P1,P2,").replace(
+            "coords = 1", "coords = 1,1"), "places must be P1,P2,...,Pl[,Pinf]; got ''"),
+        ("semigroup", herm.replace("places = P1", "places = P1,,P2").replace(
+            "coords = 1", "coords = 1,1"), "places must be P1,P2,...,Pl[,Pinf]; got ''"),
         ("semigroup", herm.replace("places = P1", "places = P1,P2,P3"),
          "places= names 3 finite places, curve has r=2"),
         ("pure-gaps", herm.replace("places = P1", "places = P1,P2,P3,Pinf"),

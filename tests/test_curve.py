@@ -9,7 +9,7 @@ import pytest
 from kummercodes.curve import GcdViolationError, KummerCurve, Place, find_roots
 from kummercodes.gf import FiniteField
 from kummercodes.rrlattice import Divisor
-from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
+from kummercodes.verify import EXAMPLES
 from test_gf import poly_eval, power
 
 
@@ -21,9 +21,9 @@ def curve_hermitian_gf4():
 
 
 def test_genus_values():
-    assert curve_example_1().g == 16     # (m,r) = (5,9)
-    assert curve_example_2().g == 10     # (6,5)
-    assert curve_example_4().g == 12     # (9,4)
+    assert EXAMPLES[1].curve().g == 16     # (m,r) = (5,9)
+    assert EXAMPLES[2].curve().g == 10     # (6,5)
+    assert EXAMPLES[4].curve().g == 12     # (9,4)
     assert curve_hermitian_gf4().g == 1  # (3,2)
 
 
@@ -65,7 +65,7 @@ def test_curve_parameters_validated():
 
 
 def test_bezout_data():
-    for c in (curve_example_1(), curve_example_2(), curve_example_4()):
+    for c in (EXAMPLES[1].curve(), EXAMPLES[2].curve(), EXAMPLES[4].curve()):
         assert c.A * c.lam + c.B * c.m == 1
         assert c.a * c.r + c.b * c.m == 1
         assert 0 <= c.A < c.m and 0 <= c.a < c.m
@@ -85,8 +85,8 @@ def count_made_places(curve):
 
 
 def test_place_counts():
-    for curve, count in ((curve_example_1(), 370), (curve_example_2(), 126),
-                         (curve_example_4(), 257), (curve_hermitian_gf4(), 9)):
+    for curve, count in ((EXAMPLES[1].curve(), 370), (EXAMPLES[2].curve(), 126),
+                         (EXAMPLES[4].curve(), 257), (curve_hermitian_gf4(), 9)):
         made = count_made_places(curve)
         assert curve.num_places() == count and made == [0]  # counted from the fibres
         assert len(list(curve.iter_places())) == count == made[0]
@@ -122,7 +122,7 @@ def test_place_ordering_and_revalidation():
 
 
 def test_affine_places_satisfy_equation():
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     F = c.field
     for p in c.iter_places():
         if p.kind_rank == 2:
@@ -154,7 +154,7 @@ def scan_curves():
         KummerCurve(gf7, 5, 1, [1, 2]),                   # gcd(5, 6) = 1
         KummerCurve(gf16, 5, 1, find_roots(gf16, [0, 1, 0, 0, 1])),  # gcd(5, 15) = 5
         curve_hermitian_gf4(),                            # gcd(3, 3) = 3
-        curve_example_2(),                                # gcd(6, 24) = 6
+        EXAMPLES[2].curve(),                                # gcd(6, 24) = 6
     ]
 
 
@@ -179,7 +179,7 @@ def test_fibres_match_brute_force_scan():
 
 
 def test_principal_divisors():
-    c = curve_example_1()
+    c = EXAMPLES[1].curve()
     y = c.principal_divisor("y")
     assert y == Divisor(tuple([1] * 9), -9)
     xa = c.principal_divisor("x-alpha", 1)

@@ -23,7 +23,7 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
     if demo.name == "03_pure_gaps_and_floor.py":
         assert "designed distance >= 12" in proc.stdout
-        assert "gcd route gives the same: True" in proc.stdout
+        assert "same Riemann-Roch space: True" in proc.stdout
 
 
 def test_demos_found():

@@ -4,8 +4,8 @@ and reads no characteristic, row reduction sits off the start-up path, every
 exception class the package defines is caught, every function in src is
 named in src or demos (test_every_function_in_src_is_named_in_src_or_demos),
 the CLI writes its output along one path, nothing relies on interpreter
-teardown, no module imports cli, and a CLI job runs only the package modules
-its command calls."""
+teardown, no module imports cli, importing cli registers every other module
+unrun, and a CLI job runs only the package modules its command calls."""
 
 from __future__ import annotations
 
@@ -373,6 +373,25 @@ def test_a_job_runs_only_the_modules_its_command_calls(tmp_path, command, extra)
     code, before, after = proc.stderr.splitlines()[-1].split()
     status = "1" if command == "verify-example 3" else "0"
     assert (code, before, set(after.split(","))) == (status, "cli", {"cli"} | extra)
+
+
+REGISTERED = """
+import sys, types, kummercodes.cli
+print(sorted((name.split(".", 1)[1], type(module) is types.ModuleType)
+             for name, module in sys.modules.items() if name.startswith("kummercodes.")))
+"""
+
+
+def test_import_of_cli_registers_every_module_unrun():
+    """perfbench/traced_job.py finds the layers it wraps in sys.modules right
+    after `import kummercodes.cli`, so the package root must register every
+    module but cli there, as a lazy module that has not run (fresh
+    interpreter without site)."""
+    proc = subprocess.run([sys.executable, "-S", "-c", REGISTERED], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    expected = [(name, name == "cli") for name in sorted(MODULES - {"__init__"})]
+    assert proc.stdout.strip() == repr(expected)
 
 
 LOADS_CONFIGPARSER = """

@@ -10,7 +10,7 @@ from kummercodes.agcode import evaluation_matrix
 from kummercodes.curve import KummerCurve, Place
 from kummercodes.rrlattice import (DEFAULT_BUDGET, Divisor, LatticePoint, RamificationData,
                                    ceil_div, dimension, monomial_divisor, omega_enumerate)
-from kummercodes.verify import curve_example_1, curve_example_2, curve_example_4
+from kummercodes.verify import EXAMPLES
 from kummercodes.weierstrass import _member_conditions
 from test_curve import curve_hermitian_gf4, f_at
 from test_gf import power
@@ -35,7 +35,7 @@ def test_ceil_div():
 
 
 def test_zero_divisor_gives_constants():
-    for c in (curve_example_2(), curve_hermitian_gf4()):
+    for c in (EXAMPLES[2].curve(), curve_hermitian_gf4()):
         pts = omega_enumerate(c, Divisor.make(c.r))
         assert len(pts) == 1
         assert pts[0].i == 0 and all(j == 0 for j in pts[0].j)
@@ -67,19 +67,19 @@ def test_divisor_must_match_the_profile():
 
 def test_example1_45pinf():
     # s = 0, t = 45 = rm: count is 1 - g + t = 30
-    c = curve_example_1()
+    c = EXAMPLES[1].curve()
     assert dimension(c, Divisor.make(c.r, t=45)) == 30
 
 
 def test_example2_26p1_p2():
     # deg 27 > 2g - 2 = 18, so ell = 27 + 1 - 10
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     assert dimension(c, Divisor.make(c.r, {1: 26, 2: 1})) == 18
 
 
 def test_membership_window():
     # every enumerated point satisfies 0 <= i + m j_mu + s_mu < m
-    c = curve_example_4()
+    c = EXAMPLES[4].curve()
     rng = random.Random(5)
     for _ in range(50):
         G = random_divisor(rng, c.r)
@@ -123,7 +123,7 @@ def test_divisor_make_indices():
 
 def test_monotonicity():
     rng = random.Random(13)
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     for _ in range(40):
         G = random_divisor(rng, c.r)
         base = dimension(c, G)
@@ -134,7 +134,7 @@ def test_monotonicity():
 
 def test_increment_predicate_oracle():
     rng = random.Random(19)
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     p1 = Divisor.make(c.r, {1: 1})
     pinf = Divisor.make(c.r, t=1)
     for _ in range(200):
@@ -146,19 +146,19 @@ def test_increment_predicate_oracle():
 
 
 def test_increment_zero_divisor():
-    c = curve_example_1()
+    c = EXAMPLES[1].curve()
     assert increment_predicate(c, Divisor.make(c.r), "P1")
 
 
 def test_increment_pure_gap_point():
     # (26,1) is a pure gap at (P1, Pinf) on the Example-1 curve, so the
     # dimension does not drop when P1 is removed
-    c = curve_example_1()
+    c = EXAMPLES[1].curve()
     assert not increment_predicate(c, Divisor.make(c.r, {1: 26}, 1), "P1")
 
 
 def test_monomial_divisors():
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     pts = omega_enumerate(c, Divisor.make(c.r, {1: 6}, 12))
     for pt in pts:
         d = monomial_divisor(c, pt)
@@ -175,14 +175,14 @@ def row_of(c, G, i):
 
 def test_evaluate_constant():
     # L(0) holds the constants, and no rational place lies in supp(0)
-    for c in (curve_hermitian_gf4(), curve_example_4()):
+    for c in (curve_hermitian_gf4(), EXAMPLES[4].curve()):
         G = Divisor.make(c.r)
         assert evaluation_matrix(c, G, list(c.iter_places())).rows == [[1] * c.num_places()]
 
 
 def test_evaluate_z_power_is_f():
     # z^m = f(x) at every affine place; lambda = 2 makes z = y^A f(x)^B with B = -1
-    ex4 = curve_example_4()
+    ex4 = EXAMPLES[4].curve()
     for c in (curve_hermitian_gf4(), KummerCurve(ex4.field, 9, 2, ex4.roots)):
         F = c.field
         G = Divisor.make(c.r, t=c.r)

@@ -12,17 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from kummercodes import weierstrass
 from kummercodes.rrlattice import Divisor, RamificationData, ceil_div, dimension
-from kummercodes.verify import (EXAMPLES, Example, curve_example_1, curve_example_2,
-                               curve_example_4)
+from kummercodes.verify import EXAMPLES, Example
 from kummercodes.weierstrass import (GapBox, PlaceTuple, box_search, floor_divisor,
-                                     floor_via_gcd, one_point_gaps, pure_gap, pure_gaps,
-                                     semigroup_member)
-from test_acceptance import PROFILES
+                                     one_point_gaps, pure_gap, pure_gaps, semigroup_member)
+from test_acceptance import PROFILES, assert_minimal
 from test_curve import curve_hermitian_gf4
 
 
 def test_place_tuple_validation():
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     with pytest.raises(ValueError, match="^at least one place must be selected$"):
         PlaceTuple(0).validate(c.r)
     with pytest.raises(ValueError, match=r"^l=6 out of \[0, 5\]$"):
@@ -33,7 +31,7 @@ def test_place_tuple_validation():
 
 
 def test_zero_is_member():
-    for c in (curve_example_1(), curve_example_2()):
+    for c in (EXAMPLES[1].curve(), EXAMPLES[2].curve()):
         assert semigroup_member(c, PlaceTuple(1), (0,))
         assert semigroup_member(c, PlaceTuple(2, True), (0, 0, 0))
         # pole orders are never negative
@@ -41,7 +39,7 @@ def test_zero_is_member():
 
 
 def test_example1_gap_pair():
-    c = curve_example_1()
+    c = EXAMPLES[1].curve()
     pl = PlaceTuple(1, include_infinity=True)
     assert not semigroup_member(c, pl, (26, 1))
     assert pure_gap(c, pl, (26, 1))
@@ -50,25 +48,25 @@ def test_example1_gap_pair():
 
 def test_example1_pinf_member():
     # 9 = r*1 with j=1, k=0: in H(Pinf)
-    c = curve_example_1()
+    c = EXAMPLES[1].curve()
     assert semigroup_member(c, PlaceTuple(0, include_infinity=True), (9,))
 
 
 def test_example2_pure_gaps():
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     pl = PlaceTuple(2)
     assert pure_gap(c, pl, (13, 1))
     assert pure_gap(c, pl, (14, 1))
 
 
 def test_pure_gap_needs_positive_coords():
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     with pytest.raises(ValueError, match="^pure gap coordinates must be >= 1$"):
         pure_gap(c, PlaceTuple(2), (0, 1))
 
 
 def test_one_point_gap_counts():
-    for c in (curve_example_1(), curve_example_2(), curve_example_4()):
+    for c in (EXAMPLES[1].curve(), EXAMPLES[2].curve(), EXAMPLES[4].curve()):
         bound = 3 * c.m * c.r
         assert len(one_point_gaps(c, PlaceTuple(1), bound)) == c.g
         assert len(one_point_gaps(c, PlaceTuple(0, True), bound)) == c.g
@@ -76,7 +74,7 @@ def test_one_point_gap_counts():
 
 def test_one_point_gaps_vs_membership():
     # gap lists agree with the semigroup predicate elementwise
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     bound = 3 * c.m * c.r
     g_p1 = set(one_point_gaps(c, PlaceTuple(1), bound))
     g_inf = set(one_point_gaps(c, PlaceTuple(0, True), bound))
@@ -87,7 +85,7 @@ def test_one_point_gaps_vs_membership():
 
 
 def test_one_point_gaps_refusals():
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     with pytest.raises(ValueError, match="limit must be >= 1"):
         one_point_gaps(c, PlaceTuple(1), 0)
     with pytest.raises(ValueError, match="^expected 2 coordinates, got 1$"):
@@ -95,14 +93,14 @@ def test_one_point_gaps_refusals():
 
 
 def test_one_point_smallest_gap():
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     assert 1 in one_point_gaps(c, PlaceTuple(1), 5)
     assert 1 in one_point_gaps(c, PlaceTuple(0, True), 5)
 
 
 def test_h_p1_closed_form():
     # the l=1 specialization equals the classical one-point characterization
-    c = curve_example_4()
+    c = EXAMPLES[4].curve()
     m, r = c.m, c.r
     for alpha in range(0, 3 * m * r + 1):
         closed = -r * alpha + m * (r - 1) * ceil_div(alpha, m) <= 0
@@ -111,7 +109,7 @@ def test_h_p1_closed_form():
 
 def test_two_point_closed_forms():
     # l=2 specialization against the published two-point sets
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     m, r, a, b = c.m, c.r, c.a, c.b
     for k in range(0, 3 * m):
         for l in range(0, 3 * m):
@@ -220,8 +218,8 @@ def test_pure_gap_symmetric_in_finite_coordinates(case):
 
 
 PRUNING_CASES = ([(f"profile{m}_{r}", RamificationData(m, r)) for m, r in PROFILES]
-                 + [("example1", curve_example_1()), ("example2", curve_example_2()),
-                    ("example4", curve_example_4())])
+                 + [("example1", EXAMPLES[1].curve()), ("example2", EXAMPLES[2].curve()),
+                    ("example4", EXAMPLES[4].curve())])
 
 
 @pytest.mark.parametrize("curve", [c for _, c in PRUNING_CASES],
@@ -245,7 +243,7 @@ def test_pure_gaps_equal_exhaustive_scan(curve):
 def test_pure_gaps_equal_exhaustive_scan_at_arity_4(pl):
     # Four places, three or four of them finite, so the nondecreasing scan
     # expands hits with up to 4! orderings; the box passes 2g - 1 by one.
-    curve = curve_example_2()
+    curve = EXAMPLES[2].curve()
     bound = 2 * curve.g
     full = [pt for pt in itertools.product(range(1, bound + 1), repeat=4)
             if pure_gap(curve, pl, pt)]
@@ -277,7 +275,7 @@ def test_one_point_gaps_at_every_place_match_ell_counts():
 
 
 def test_pure_gaps_clamp_and_budget():
-    c = curve_example_2()  # g = 10, so every axis has 10 gaps up to 2g - 1 = 19
+    c = EXAMPLES[2].curve()  # g = 10, so every axis has 10 gaps up to 2g - 1 = 19
     pl = PlaceTuple(3, include_infinity=True)
     with pytest.raises(ValueError, match="10000 candidate tuples exceed budget 9999"):
         pure_gaps(c, pl, 100, budget=9999)
@@ -296,7 +294,7 @@ def test_refused_pure_gaps_tests_nothing(monkeypatch):
         original = getattr(weierstrass, name)
         monkeypatch.setattr(weierstrass, name,
                             lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
-    c = curve_example_2()  # g = 10, so min(bound, g)^4 = 10000 tuples
+    c = EXAMPLES[2].curve()  # g = 10, so min(bound, g)^4 = 10000 tuples
     pl = PlaceTuple(3, include_infinity=True)
     for search in (pure_gaps, box_search):
         with pytest.raises(ValueError, match="^10000 candidate tuples exceed budget 9999$"):
@@ -319,7 +317,7 @@ def test_oracle_membership_and_pure_gap():
 
 
 def test_single_place_pure_gap_is_gap():
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     for alpha in range(1, 30):
         assert pure_gap(c, PlaceTuple(1), (alpha,)) == (
             not semigroup_member(c, PlaceTuple(1), (alpha,)))
@@ -342,12 +340,12 @@ def test_gap_box_geometry():
 
 
 def test_box_search_example_curves():
-    c2 = curve_example_2()
+    c2 = EXAMPLES[2].curve()
     box, G = box_search(c2, PlaceTuple(2), 40)
     assert box.base == (13, 1) and box.widths == (1, 0)
     assert G == Divisor.make(c2.r, {1: 26, 2: 1})
 
-    c1 = curve_example_1()
+    c1 = EXAMPLES[1].curve()
     box, G = box_search(c1, PlaceTuple(1, include_infinity=True), 40)
     assert box.base == (26, 1) and box.widths == (0, 0)
     assert G == Divisor.make(c1.r, {1: 51}, 1)
@@ -431,18 +429,17 @@ def test_box_search_genus_zero():
 
 
 def test_floor_example4():
-    c = curve_example_4()
+    c = EXAMPLES[4].curve()
     H = Divisor.make(c.r, {1: 14, 2: 1}, 4)
     assert floor_divisor(c, H) == Divisor.make(c.r, {1: 14}, 4)
 
 
 def test_floor_zero_and_empty():
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     zero = Divisor.make(c.r)
     assert floor_divisor(c, zero) == zero
-    for floor in (floor_divisor, floor_via_gcd):
-        with pytest.raises(ValueError, match=r"^ell\(H\) = 0; floor undefined$"):
-            floor(c, Divisor.make(c.r, {1: -1}))
+    with pytest.raises(ValueError, match=r"^ell\(H\) = 0; floor undefined$"):
+        floor_divisor(c, Divisor.make(c.r, {1: -1}))
 
 
 def leq(D, E):
@@ -452,7 +449,7 @@ def leq(D, E):
 
 def test_floor_properties_random():
     rng = random.Random(37)
-    for c in (curve_example_2(), curve_hermitian_gf4()):
+    for c in (EXAMPLES[2].curve(), curve_hermitian_gf4()):
         done = 0
         while done < 60:
             H = Divisor(tuple(rng.randrange(-2, 12) for _ in range(c.r)),
@@ -464,17 +461,13 @@ def test_floor_properties_random():
             assert leq(flo, H)
             assert dimension(c, flo) == dimension(c, H)
             assert floor_divisor(c, flo) == flo
-            assert flo == floor_via_gcd(c, H)
-            # Minimality: lowering any one coefficient (each P_mu, then P_inf) loses a function.
-            for k in range(c.r + 1):
-                lower = Divisor(tuple(v - (mu == k) for mu, v in enumerate(flo.s)), flo.t - (k == c.r))
-                assert dimension(c, lower) < dimension(c, H), (H, k)
+            assert_minimal(c, flo, H)
 
 
 def test_floor_fixed_iff_member():
     # an effective divisor on the distinguished places equals its floor
     # exactly when its coordinates lie in the Weierstrass semigroup
-    c = curve_example_2()
+    c = EXAMPLES[2].curve()
     pl = PlaceTuple(2, include_infinity=True)
     rng = random.Random(41)
     for _ in range(60):
