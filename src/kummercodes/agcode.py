@@ -18,7 +18,8 @@ from typing import Iterator, List, Optional, Sequence
 
 from .curve import KummerCurve, Place
 from .matrix import Matrix
-from .rrlattice import DEFAULT_BUDGET, Divisor, monomial_divisor, omega_enumerate
+from .rrlattice import (DEFAULT_BUDGET, Divisor, check_budget, monomial_divisor,
+                        omega_enumerate)
 
 
 def coefficient_at(G: Divisor, place: Place) -> int:
@@ -30,10 +31,6 @@ def coefficient_at(G: Divisor, place: Place) -> int:
     return 0
 
 
-def in_support(G: Divisor, place: Place) -> bool:
-    return coefficient_at(G, place) != 0
-
-
 def evaluation_places(curve: KummerCurve, G: Divisor,
                       n: Optional[int] = None, seed: Optional[int] = None) -> List[Place]:
     """Evaluation set: rational places outside supp(G), canonical order.
@@ -42,7 +39,7 @@ def evaluation_places(curve: KummerCurve, G: Divisor,
     ordering (highest codec order first), so only the first n are made;
     a seed instead selects a reproducible pseudo-random subset.
     """
-    pool = list(islice((p for p in curve.iter_places() if not in_support(G, p)),
+    pool = list(islice((p for p in curve.iter_places() if not coefficient_at(G, p)),
                        n if n is not None and n >= 0 and seed is None else None))
     if n is None:
         return pool
@@ -117,7 +114,7 @@ def _check_evaluation_set(G: Divisor, places: Sequence[Place]) -> None:
     if len(set(places)) != len(places):
         raise ValueError("evaluation places must be pairwise distinct")
     for p in places:
-        if in_support(G, p):
+        if coefficient_at(G, p):
             raise ValueError(f"place {p} lies in supp(G)")
 
 
@@ -195,8 +192,8 @@ def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Opti
     q, k = F.q, code.k
     if k == 0:
         return None
-    if q ** k - 1 > budget:  # q^k can pass the int-to-str digit limit, so print it as a power
-        raise ValueError(f"{q}^{k} - 1 codewords exceed budget {budget}")
+    # q^k can pass the int-to-str digit limit, so the count is printed as a power
+    check_budget(q ** k - 1, "codewords", budget, shown=f"{q}^{k} - 1")
     if k > 64:  # a recursion level per row, and over 64 rows is at least 2^65 - 1 codewords
         raise ValueError(f"{k} rows exceed the search depth 64")
     n = code.n

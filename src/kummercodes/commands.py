@@ -115,6 +115,8 @@ def parse_places(curve: KummerCurve, text: Optional[str]) -> weierstrass.PlaceTu
     names = [tok.strip() for tok in text.split(",")]
     if not any(names):
         raise ConfigError("places= names no place")
+    if "" in names:  # before the position check: in `Pinf,` P_inf is the last place named
+        raise ConfigError("places must be P1,P2,...,Pl[,Pinf]; got ''")
     include_inf, l = False, 0
     for idx, name in enumerate(names):
         if name.lower() in ("pinf", "infinity"):

@@ -137,8 +137,8 @@ class FiniteField:
             log[v] = i
         self._exp = exp + exp
         self._log = log
-        # log(-1): -1 = g^((q-1)/2) for odd q, and -1 = 1 in characteristic 2.
-        self._log_minus_one = (q - 1) // 2 if p != 2 else 0
+        # log(-1): -1 is the codec integer p - 1 in every characteristic.
+        self._log_minus_one = log[p - 1]
 
         if p == 2:
             self.add = operator.xor

@@ -18,6 +18,13 @@ from typing import List, NamedTuple, Tuple
 DEFAULT_BUDGET = 1 << 24
 
 
+def check_budget(work: int, what: str, budget: int = DEFAULT_BUDGET, shown: str = "") -> None:
+    """The one refusal of every search: its estimated work, of units `what`, over
+    the budget; `shown` prints a count whose digits would not do (a power)."""
+    if work > budget:
+        raise ValueError(f"{shown or work} {what} exceed budget {budget}")
+
+
 def ceil_div(a: int, b: int) -> int:
     """ceil(a/b) for integers, b > 0."""
     return -((-a) // b)
@@ -99,9 +106,7 @@ def omega_enumerate(curve: RamificationData, G: Divisor) -> List[LatticePoint]:
     s, t = G.s, G.t
     if len(s) != r:
         raise ValueError(f"divisor has {len(s)} finite coefficients, curve has r={r}")
-    work = max(G.degree, 0) + m + 1
-    if work > DEFAULT_BUDGET:
-        raise ValueError(f"{work} lattice candidates exceed budget {DEFAULT_BUDGET}")
+    check_budget(max(G.degree, 0) + m + 1, "lattice candidates")
     points = []
     i = -s[0]
     misses = 0

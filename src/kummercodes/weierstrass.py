@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .rrlattice import (DEFAULT_BUDGET, Divisor, ceil_div, monomial_divisor,
-                        omega_enumerate)
+from .rrlattice import (DEFAULT_BUDGET, Divisor, ceil_div, check_budget,
+                        monomial_divisor, omega_enumerate)
 
 
 class PlaceTuple(NamedTuple):
@@ -126,9 +126,7 @@ def pure_gaps(curve, places: PlaceTuple, bound: int,
     limit = min(bound, 2 * curve.g - 1)
     if limit < 1:
         return []
-    work = min(limit, curve.g) ** places.arity()
-    if work > budget:
-        raise ValueError(f"{work} candidate tuples exceed budget {budget}")
+    check_budget(min(limit, curve.g) ** places.arity(), "candidate tuples", budget)
     finite_axis = one_point_gaps(curve, PlaceTuple(1), limit)
     tails = ([(t,) for t in one_point_gaps(curve, PlaceTuple(0, True), limit)]
              if places.include_infinity else [()])
@@ -150,9 +148,7 @@ def one_point_gaps(curve, places: PlaceTuple, limit: int) -> List[int]:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     work = min(limit, 2 * curve.g - 1)
-    if work > DEFAULT_BUDGET:
-        raise ValueError(
-            f"{work} one-point gap candidates exceed budget {DEFAULT_BUDGET}")
+    check_budget(work, "one-point gap candidates")
     return [s for s in range(1, work + 1) if pure_gap(curve, places, (s,))]
 
 
@@ -190,9 +186,7 @@ def box_search(curve, places: PlaceTuple, search_bound: int,
         return None
     top = max(map(sum, gaps))
     corners = [hi for hi in gaps if sum(hi) == top]
-    work = len(corners) * len(gaps)
-    if work > budget:
-        raise ValueError(f"{work} candidate boxes exceed budget {budget}")
+    check_budget(len(corners) * len(gaps), "candidate boxes", budget)
     gap_set = set(gaps)
     for lo in sorted(reversed(gaps), key=sum):  # gaps and corners are in product order
         for hi in reversed(corners):

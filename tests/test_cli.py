@@ -14,12 +14,14 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kummercodes import cli, commands, verify
+from kummercodes import ConfigError, cli, commands, verify
 from kummercodes.cli import EXAMPLE_RANGE, FLAGS, HELP, main, parse_args
 from kummercodes.commands import COMMANDS, build_curve, job_reader, load_config
+from kummercodes.rrlattice import RamificationData
+from kummercodes.weierstrass import PlaceTuple
 from test_curve import count_made_places
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -267,6 +269,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
             "coords = 1", "coords = 1,1"), "places must be P1,P2,...,Pl[,Pinf]; got ''"),
         ("semigroup", herm.replace("places = P1", "places = P1,,P2").replace(
             "coords = 1", "coords = 1,1"), "places must be P1,P2,...,Pl[,Pinf]; got ''"),
+        ("semigroup", herm.replace("places = P1", "places = Pinf,"),
+         "places must be P1,P2,...,Pl[,Pinf]; got ''"),
         ("semigroup", herm.replace("places = P1", "places = P1,P2,P3"),
          "places= names 3 finite places, curve has r=2"),
         ("pure-gaps", herm.replace("places = P1", "places = P1,P2,P3,Pinf"),
@@ -306,6 +310,42 @@ def test_config_errors_exit_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, cmd, "--config", seed_only, *extra)
         assert (code, out) == (2, "")
         assert err.startswith("config error:") and "n=" in err and err.count("\n") == 1
+
+
+PLACE_NAMES = ["P1", "P2", "P3", "P4", "p2", " P1 ", "Pinf", "infinity", "", "P9", "x"]
+INFINITY = ("pinf", "infinity")
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.sampled_from(PLACE_NAMES), min_size=1, max_size=6),
+       r=st.integers(1, 4))
+@example(tokens=["Pinf", ""], r=2)
+def test_parse_places_accepts_exactly_p1_to_pl_then_pinf(tokens, r):
+    # Accepted exactly when the names read P1..Pl, then at most one Pinf, with
+    # l <= r.  A refusal is one line; a name it quotes, or a Pinf it says must
+    # come last, is out of place.
+    names = [tok.strip() for tok in tokens]
+    include_inf = names[-1].lower() in INFINITY
+    l = len(names) - include_inf
+    valid = l <= r and all(name.upper() == f"P{i}" for i, name in enumerate(names[:l], 1))
+
+    def out_of_place(i, name):
+        return name.upper() != f"P{i + 1}" and not (name.lower() in INFINITY
+                                                     and i == len(names) - 1)
+
+    try:
+        places = commands.parse_places(RamificationData(5, r), ",".join(tokens))
+    except ConfigError as exc:
+        message = str(exc)
+        assert not valid and "\n" not in message, message
+        for quoted in re.findall(r"'([^']*)'", message):
+            assert any(name == quoted and out_of_place(i, name)
+                       for i, name in enumerate(names)), message
+        if message.startswith("Pinf must come last"):
+            first = min(i for i, name in enumerate(names) if name.lower() in INFINITY)
+            assert any(names[first + 1:]), message  # a place is named after it
+    else:
+        assert valid and places == PlaceTuple(l, include_inf)
 
 
 CHOICES = ", ".join(sorted(COMMANDS) + ["verify-example"])

@@ -170,6 +170,13 @@ def test_char2_self_inverse():
         assert F.neg(a) == a
 
 
+def test_neg_is_the_additive_inverse_in_every_characteristic():
+    # neg multiplies by -1, the codec integer p - 1 for every p (1 for p = 2).
+    for F in KERNEL_FIELDS + [FiniteField(7, 1, [0, 1]), FiniteField(7, 2, [1, 0, 1])]:
+        assert F.neg(1) == F.p - 1
+        assert all(F.add(a, F.neg(a)) == 0 for a in range(F.q)), F
+
+
 def test_multiplicative_order():
     for F in (gf9(), gf64()):
         for a in range(1, F.q):

@@ -1,6 +1,7 @@
 """Source-level checks: the lattice and semigroup layers read only the
 (m, r) profile, agcode leaves the pure-gap and floor bounds to weierstrass
-and reads no characteristic, row reduction sits off the start-up path, every
+and reads no characteristic, every search refuses over its budget through
+rrlattice.check_budget alone, row reduction sits off the start-up path, every
 exception class the package defines is caught, every function in src is
 named in src or demos (test_every_function_in_src_is_named_in_src_or_demos),
 the CLI writes its output along one path, nothing relies on interpreter
@@ -219,6 +220,29 @@ def test_ceil_div_is_named_only_in_member_conditions():
               if isinstance(n, ast.FunctionDef) and n.name == "_member_conditions"]
     assert len(member) == 1
     assert uses(tree) == uses(member[0]) > 0
+
+
+SEARCHES = [("rrlattice", "omega_enumerate"), ("weierstrass", "one_point_gaps"),
+            ("weierstrass", "pure_gaps"), ("weierstrass", "box_search"),
+            ("agcode", "brute_force_distance")]
+
+
+def test_every_search_refuses_over_budget_through_check_budget():
+    """Exactly one raise in src builds an `exceed budget` message, the one in
+    rrlattice.check_budget, and each of the five searches calls that helper."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    sites = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and any(isinstance(sub, ast.Constant) and "exceed budget" in str(sub.value)
+                     for sub in ast.walk(node.exc))]
+    functions = {(module, node.name): node for module, tree in trees.items()
+                 for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert len(sites) == 1
+    assert any(node is sites[0] for node in ast.walk(functions["rrlattice", "check_budget"]))
+    for search in SEARCHES:
+        assert "check_budget" in {_name(node.func) for node in ast.walk(functions[search])
+                                  if isinstance(node, ast.Call)}, search
 
 
 def test_rrlattice_imports_nothing_from_the_package():
