@@ -141,12 +141,19 @@ def cmd_curve_info(curve: KummerCurve, job: Job) -> Output:
 
 def cmd_places(curve: KummerCurve, job: Job) -> Output:
     """P_inf and P_1..P_r, as iter_places orders them, then one chunk of lines
-    per x-fibre of affine points."""
-    ends = [f"{v}\n" for v in range(curve.field.q)]
+    per x-fibre of affine points.  fibres() yields one tuple per coset of ys, so
+    each coset's "y\n" texts are made once and each fibre is one join."""
+    def fibres():
+        texts = {}
+        for x0, ys in curve.fibres():
+            ends = texts.get(ys)
+            if ends is None:
+                ends = texts[ys] = [f"{y}\n" for y in ys]
+            prefix = f"affine,0,{x0},"
+            yield prefix + prefix.join(ends)
+
     ramified = map("ramified,{},0,0\n".format, range(1, curve.r + 1))
-    fibres = ("".join(map(f"affine,0,{x0},".__add__, map(ends.__getitem__, ys)))
-              for x0, ys in curve.fibres())
-    return chain(["kind,mu,x,y\ninfinity,0,0,0\n"], ramified, fibres), ()
+    return chain(["kind,mu,x,y\ninfinity,0,0,0\n"], ramified, fibres()), ()
 
 
 def cmd_rr_basis(curve: KummerCurve, job: Job) -> Output:

@@ -11,9 +11,8 @@ divisor P_1 + ... + P_r - r*P_inf.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from itertools import repeat
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gf import FiniteField
 from .rrlattice import Divisor, RamificationData
@@ -94,23 +93,36 @@ class KummerCurve(RamificationData):
             for y0 in ys:
                 yield new(Place, (2, 0, x0, y0))
 
-    def fibres(self) -> Iterator[Tuple[int, List[int]]]:
+    def fibres(self) -> Iterator[Tuple[int, Tuple[int, ...]]]:
         """The affine points as (x0, sorted ys) by increasing x0, for each x0
         off the roots with a point over it: the one rule for affine points.
 
-        y^m = c has d = gcd(m, q-1) roots, with logs (log c / d) * (m/d)^-1
-        mod (q-1)/d plus multiples of (q-1)/d, when d | log c, and none otherwise;
-        log f(x) = sum of log(x - alpha) over the roots, one pass per root."""
+        log f(x) is read from the t nonzero terms of f = prod (x - alpha),
+        expanded here in O(r^2): f(g^k) is the sum of c_i g^(i k), O(q t) in
+        all, and f(0) is c_0.  y^m = c has d = gcd(m, q-1) roots, with logs
+        (log c / d) * (m/d)^-1 mod (q-1)/d plus multiples of (q-1)/d, when
+        d | log c, and none otherwise: one coset of the d-th roots of unity.
+        Each of the (q-1)/d cosets is sorted once, the first time a fibre
+        needs it, and every fibre in it gets that same tuple."""
         F = self.field
-        order = F.q - 1
+        order, exp, log = F.q - 1, F._exp, F._log
+        coeffs = [1]  # f, low degree first: times (x - alpha) for each root
+        for alpha in self.roots:
+            neg = F.neg(alpha)
+            coeffs = list(map(F.add, [F.mul(neg, c) for c in coeffs] + [0], [0] + coeffs))
+        log_f_at = [log[v] for v in _at_powers(F, coeffs)]
         d = math.gcd(self.m, order)
         period = order // d
         inv_m = pow(self.m // d, -1, period)
-        xs = sorted(set(range(F.q)).difference(self.roots))
-        for x0, log_fx in zip(xs, map(sum, zip(*self._root_logs(xs)))):
-            log_c = log_fx * self.lam % order
+        cosets: List[Optional[Tuple[int, ...]]] = [None] * period
+        for x0 in sorted(set(range(F.q)).difference(self.roots)):
+            log_c = (log_f_at[log[x0]] if x0 else log[coeffs[0]]) * self.lam % order
             if log_c % d == 0:
-                yield x0, sorted(F._exp[log_c // d * inv_m % period:order:period])
+                k = log_c // d * inv_m % period
+                ys = cosets[k]
+                if ys is None:
+                    ys = cosets[k] = tuple(sorted(exp[k:order:period]))
+                yield x0, ys
 
     def _root_logs(self, xs: Sequence[int]) -> List[Iterator[int]]:
         """log(x - alpha) over xs for each root alpha, one lazy pass per root;
@@ -155,6 +167,16 @@ class KummerCurve(RamificationData):
         return f"KummerCurve(y^{self.m} = f(x){lam}, r={self.r}, g={self.g} over {self.field!r})"
 
 
+def _at_powers(field: FiniteField, coeffs: Sequence[int]) -> List[int]:
+    """f(g^k) for k = 0..q-2: the sum of c_i g^(i k) over the t nonzero
+    coefficients c_i of f, low degree first; O(q t)."""
+    order, exp, log = field.q - 1, field._exp, field._log
+    values = [0] * order
+    for i, lc in [(i, log[c]) for i, c in enumerate(coeffs) if c]:
+        values = list(map(field.add, values, [exp[lc + i * k % order] for k in range(order)]))
+    return values
+
+
 def find_roots(field: FiniteField, f_coeffs: Sequence[int]) -> Tuple[int, ...]:
     """Roots of a monic f that splits with distinct roots, sorted by codec.
 
@@ -169,12 +191,8 @@ def find_roots(field: FiniteField, f_coeffs: Sequence[int]) -> Tuple[int, ...]:
     if coeffs[-1] != 1:
         raise ValueError("f must be monic")
     deg = len(coeffs) - 1
-    log, exp, order = field._log, field._exp, field.q - 1
-    terms = [(i, log[c]) for i, c in enumerate(coeffs) if c]
-    # f(g^k) is the sum of c_i g^(i k) over the nonzero c_i; f(0) is c_0.
-    roots = [exp[k] for k in range(order)
-             if reduce(field.add, [exp[(lc + i * k) % order] for i, lc in terms]) == 0]
-    roots += [0] if coeffs[0] == 0 else []
+    roots = [field._exp[k] for k, v in enumerate(_at_powers(field, coeffs)) if v == 0]
+    roots += [0] if coeffs[0] == 0 else []  # f(0) is c_0
     if len(roots) != deg:
         raise ValueError(f"f has {len(roots)} distinct rational roots but degree {deg}")
     return tuple(sorted(roots))

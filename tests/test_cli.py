@@ -5,6 +5,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,9 +21,11 @@ from hypothesis import strategies as st
 from kummercodes import ConfigError, cli, commands, verify
 from kummercodes.cli import EXAMPLE_RANGE, FLAGS, HELP, main, parse_args
 from kummercodes.commands import COMMANDS, build_curve, job_reader, load_config
+from kummercodes.curve import KummerCurve
+from kummercodes.gf import FiniteField
 from kummercodes.rrlattice import RamificationData
 from kummercodes.weierstrass import PlaceTuple
-from test_curve import count_made_places
+from test_curve import brute_force_places, count_made_places
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
@@ -886,6 +889,33 @@ EXAMPLE_2_PURE_GAPS_CFG = EXAMPLE_2_CFG.replace(
 EXAMPLE_2_DISTANCE_CFG = EXAMPLE_2_CFG.replace(
     "divisor = 26,1,0,0,0,0", "divisor = 0,0,0,0,0,10\ncode = l")
 
+# ROADMAP's W5: the 262,145 places of y^65 = x^64 + x over GF(4096).
+W5_CFG = """
+[field]
+p = 2
+e = 12
+modulus = 1,0,0,1,0,0,0,0,0,0,0,0,1
+
+[curve]
+m = 65
+lambda = 1
+f = 0,1,{}1
+""".format("0," * 62)
+
+# Odd p, lambda = 3 and d = gcd(4, 24) = 4 points in a full fibre; 0 is not a
+# root, and f(0)^3 = -1 is a 4th power, so x = 0 has a fibre.
+ODD_LAMBDA_CFG = """
+[field]
+p = 5
+e = 2
+modulus = 2,0,1
+
+[curve]
+m = 4
+lambda = 3
+roots = 1,2,3
+"""
+
 # SHA-256 of stdout, pinned from the exhaustive searches that preceded
 # gap-axis pruning and scalar-normalised distance enumeration.  Bound 25
 # lies above 2g - 1 = 19 on example 2, so the clamp is exercised.
@@ -912,6 +942,17 @@ GOLDEN_SEARCHES = [
     pytest.param("curve-info", (WORKLOADS / "places.ini").read_text(),
                  "114f6c866d7a8e0c3bd0db22ef29ce62c7449f8343b7cadf05ad4731541b71a2",
                  id="curve-info"),
+    # Pinned from the per-root log sums and per-fibre sorts that preceded
+    # the term-wise f and the coset tuples shared by the fibres.
+    pytest.param("places", W5_CFG,
+                 "6e776204b116a8cd382e649eb411b8500e5f6922df79bf181ff26cd44057524f",
+                 id="places-w5"),
+    pytest.param("places", EXAMPLE_1_CFG,
+                 "456994f5936a732472097dd6bf51df79d718c8ebfa276f725656f5ce3430c388",
+                 id="places-example1"),
+    pytest.param("places", ODD_LAMBDA_CFG,
+                 "d39021c69def498aeba6977d8814bba81e5b6eff2ffb095db5a7bc0e48fa5e38",
+                 id="places-odd-lambda3"),
 ]
 
 
@@ -922,3 +963,57 @@ def test_search_golden_hashes(tmp_path, capsys, command, text, digest):
     code, out, _ = run_cli(capsys, command, "--config", str(path))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# (p, e, modulus) of GF(q), q <= 27, for the q^2 scan of test_curve.
+SCAN_FIELDS = [(2, 1, [0, 1]), (2, 2, [1, 1, 1]), (2, 3, [1, 1, 0, 1]), (2, 4, [1, 1, 0, 0, 1]),
+               (3, 1, [0, 1]), (3, 2, [1, 0, 1]), (3, 3, [1, 2, 0, 1]), (5, 1, [0, 1]),
+               (7, 1, [0, 1]), (5, 2, [2, 0, 1])]
+
+
+@st.composite
+def scan_configs(draw):
+    """A valid curve y^m = f(x)^lambda over a field of SCAN_FIELDS: its field,
+    m, lambda, the roots of f, and whether the config gives f= or roots=."""
+    p, e, modulus = draw(st.sampled_from(SCAN_FIELDS))
+    roots = draw(st.lists(st.integers(0, p ** e - 1), min_size=1, max_size=min(p ** e, 6),
+                          unique=True))
+    lam = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([m for m in range(2, 13)
+                              if m % p and math.gcd(m, len(roots) * lam) == 1]))
+    return (p, e, modulus), m, lam, roots, draw(st.booleans())
+
+
+def places_csv(places):
+    """The places command's CSV of a list of places."""
+    kinds = ("infinity", "ramified", "affine")
+    return "kind,mu,x,y\n" + "".join(f"{kinds[pl.kind_rank]},{pl.mu},{pl.x},{pl.y}\n"
+                                      for pl in places)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_configs())
+@example(((2, 4, [1, 1, 0, 0, 1]), 5, 1, [0, 1], True))  # p = 2, 0 a root, f=
+@example(((5, 2, [2, 0, 1]), 4, 3, [1, 2, 3], False))  # odd p, x = 0 on the curve
+@example(((7, 1, [0, 1]), 3, 4, [0, 2], True))
+@example(((2, 3, [1, 1, 0, 1]), 7, 2, [3, 5], True))
+def test_places_text_matches_the_scan(case):
+    (p, e, modulus), m, lam, roots, by_f = case
+    F = FiniteField(p, e, modulus)
+    curve_sec = {"m": str(m), "lambda": str(lam)}
+    if by_f:
+        coeffs = [1]  # prod (x - alpha), low degree first
+        for alpha in roots:
+            shifted = [0] + coeffs
+            coeffs = [F.add(hi, F.mul(F.neg(alpha), lo)) for hi, lo in zip(shifted, coeffs + [0])]
+        curve_sec["f"] = ",".join(map(str, coeffs))
+    else:
+        curve_sec["roots"] = ",".join(map(str, roots))
+    config = {"field": {"p": str(p), "e": str(e), "modulus": ",".join(map(str, modulus))},
+              "curve": curve_sec}
+    curve = build_curve(config)
+    lines, notes = COMMANDS["places"](curve, job_reader({}, config))
+    text = "".join(lines)
+    scan = brute_force_places(KummerCurve(F, m, lam, roots))
+    assert (text, notes) == (places_csv(scan), ())
+    assert curve.num_places() == text.count("\n") - 1

@@ -171,7 +171,7 @@ def test_fibres_match_brute_force_scan():
         xs = [x0 for x0, _ in fibres]
         assert xs == sorted(set(xs)) and not set(xs) & set(c.roots), c
         for _, ys in fibres:
-            assert ys and ys == sorted(set(ys)), c
+            assert ys and list(ys) == sorted(set(ys)), c
         places = list(c.iter_places())
         affine = [Place(2, x=x0, y=y0) for x0, ys in fibres for y0 in ys]
         assert affine == brute_force_places(c)[1 + c.r:] == places[1 + c.r:], c
