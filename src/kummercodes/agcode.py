@@ -18,8 +18,8 @@ from typing import Iterator, List, Optional, Sequence
 
 from .curve import KummerCurve, Place
 from .matrix import Matrix
-from .rrlattice import (DEFAULT_BUDGET, Divisor, check_budget, monomial_divisor,
-                        omega_enumerate)
+from .rrlattice import (DEFAULT_BUDGET, Divisor, check_budget, dimension,
+                        monomial_divisor, omega_enumerate)
 
 
 def coefficient_at(G: Divisor, place: Place) -> int:
@@ -163,11 +163,11 @@ def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearC
 
 def build_comega(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearCode:
     """C_Omega(D, G) = C_L(D, G)^perp, the null space of the evaluation matrix;
-    checks the dimension law when it applies."""
+    checks k = n - ell(G) when deg G < n, where evaluation is injective on L(G)."""
     code = LinearCode(*evaluation_matrix(curve, G, places).rref())
     n, k = code.n, code.k
-    if 2 * curve.g - 2 < G.degree < n:
-        expected = n + curve.g - 1 - G.degree
+    if G.degree < n:
+        expected = n - dimension(curve, G)
         if k != expected:
             raise AssertionError(
                 f"dimension law violated: k_omega={k}, expected {expected}")

@@ -3,10 +3,10 @@
 For a divisor supported on the distinguished places P_1..P_r, P_inf of
 the curve y^m = f(x)^lambda, the space L(G) has a monomial basis indexed
 by integer tuples (i, j_2..j_r): the exponents of z and of the linear
-factors x - alpha_mu.  Enumerating those tuples gives the dimension, the
-basis and the divisor of each basis monomial, with exact integer
-arithmetic on the (m, r) profile alone; the field-level evaluation of the
-monomials at rational places lives in agcode.
+factors x - alpha_mu.  The tuples fall into m runs, one per residue
+class of i mod m; those give the dimension, the basis and the divisor of
+each basis monomial, with exact integer arithmetic on the (m, r) profile
+alone; the field-level evaluation of the monomials lives in agcode.
 """
 
 from __future__ import annotations
@@ -91,39 +91,9 @@ class LatticePoint(NamedTuple):
     i: int
     j: Tuple[int, ...]
 
-
-def omega_enumerate(curve: RamificationData, G: Divisor) -> List[LatticePoint]:
-    """All lattice points of the basis index set for L(G), sorted by i.
-
-    For each i >= -s_1 the remaining exponents are forced by
-    j_mu = ceil((-i - s_mu)/m); the point survives iff the pole order at
-    infinity, r*i + m*sum(j), is at most t.  That pole order gains
-    exactly m over any m consecutive values of i, so the scan stops once
-    m consecutive candidates fail, after at most max(deg G, 0) + m + 1
-    of them; it is refused when that exceeds DEFAULT_BUDGET.
-    """
-    m, r = curve.m, curve.r
-    s, t = G.s, G.t
-    if len(s) != r:
-        raise ValueError(f"divisor has {len(s)} finite coefficients, curve has r={r}")
-    check_budget(max(G.degree, 0) + m + 1, "lattice candidates")
-    points = []
-    i = -s[0]
-    misses = 0
-    while misses < m:
-        js = tuple(ceil_div(-i - s[mu], m) for mu in range(1, r))
-        if r * i + m * sum(js) <= t:
-            points.append(LatticePoint(i, js))
-            misses = 0
-        else:
-            misses += 1
-        i += 1
-    return points
-
-
-def dimension(curve: RamificationData, G: Divisor) -> int:
-    """ell(G) = number of basis lattice points."""
-    return len(omega_enumerate(curve, G))
+    def shift(self, m: int, u: int) -> "LatticePoint":
+        """The point u steps on along its residue class of i mod m: (i + m*u, j - u)."""
+        return LatticePoint(self.i + m * u, tuple(jm - u for jm in self.j))
 
 
 def monomial_divisor(curve: RamificationData, pt: LatticePoint) -> Divisor:
@@ -131,3 +101,31 @@ def monomial_divisor(curve: RamificationData, pt: LatticePoint) -> Divisor:
     m, r = curve.m, curve.r
     s = [pt.i] + [pt.i + m * j for j in pt.j]
     return Divisor(tuple(s), -(r * pt.i + m * sum(pt.j)))
+
+
+def residue_classes(curve: RamificationData, G: Divisor) -> List[Tuple[LatticePoint, int]]:
+    """The basis index set of L(G) by class of i mod m (Maharaj's m Riemann-Roch spaces
+    of the rational function field): for each i0 in [-s_1, -s_1 + m), the point (i0, c),
+    c_mu = ceil((-i0 - s_mu)/m), and the number n of its class's points (i0 + m*u, c - u),
+    none if n <= 0.  A step in u adds m to the pole order at P_inf, which stays <= t."""
+    m, s = curve.m, G.s
+    if len(s) != curve.r:
+        raise ValueError(f"divisor has {len(s)} finite coefficients, curve has r={curve.r}")
+    firsts = [LatticePoint(i0, tuple(ceil_div(-i0 - sm, m) for sm in s[1:]))
+              for i0 in range(-s[0], -s[0] + m)]
+    return [(pt, (G.t + monomial_divisor(curve, pt).t) // m + 1) for pt in firsts]
+
+
+def omega_enumerate(curve: RamificationData, G: Divisor) -> List[LatticePoint]:
+    """All lattice points of the basis index set for L(G), sorted by i; refused when
+    max(deg G, 0) + m + 1, the candidates of a scan over i, exceeds DEFAULT_BUDGET."""
+    classes = residue_classes(curve, G)
+    check_budget(max(G.degree, 0) + curve.m + 1, "lattice candidates")
+    # i0 rises across the classes, so taking them u by u lists i in order.
+    return [pt.shift(curve.m, u) for u in range(max(n for _, n in classes))
+            for pt, n in classes if u < n]
+
+
+def dimension(curve: RamificationData, G: Divisor) -> int:
+    """ell(G): the sizes of the residue classes summed, O(m*r) at any degree."""
+    return sum(max(n, 0) for _, n in residue_classes(curve, G))

@@ -11,7 +11,7 @@ import itertools
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rrlattice import (DEFAULT_BUDGET, Divisor, ceil_div, check_budget,
-                        monomial_divisor, omega_enumerate)
+                        monomial_divisor, residue_classes)
 
 
 class PlaceTuple(NamedTuple):
@@ -197,11 +197,13 @@ def box_search(curve, places: PlaceTuple, search_bound: int,
 
 def floor_divisor(curve, H: Divisor) -> Divisor:
     """The unique minimum-degree divisor with the same Riemann-Roch space: minus the
-    gcd (coordinate-wise minimum) of the basis monomials' divisors; needs ell(H) > 0."""
-    divs = [monomial_divisor(curve, pt) for pt in omega_enumerate(curve, H)]
-    if not divs:
+    gcd (coordinate-wise minimum) of the basis monomials' divisors; needs ell(H) > 0.
+    Each residue class attains it at its first point, at P_inf at its last one."""
+    ends = [(monomial_divisor(curve, pt), monomial_divisor(curve, pt.shift(curve.m, n - 1)))
+            for pt, n in residue_classes(curve, H) if n > 0]
+    if not ends:
         raise ValueError("ell(H) = 0; floor undefined")
-    return -Divisor(tuple(map(min, zip(*(d.s for d in divs)))), min(d.t for d in divs))
+    return -Divisor(tuple(map(min, zip(*(a.s for a, _ in ends)))), min(b.t for _, b in ends))
 
 
 def floor_pair_bound(curve, H: Divisor) -> int:

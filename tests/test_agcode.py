@@ -277,6 +277,19 @@ def test_comega_duality_and_dimensions():
     assert brute_force_distance(co) >= G.degree - (2 * c.g - 2)
 
 
+def test_comega_checks_its_dimension_on_special_divisors(monkeypatch):
+    # Evaluation is injective on L(G) whenever deg G < n, so build_comega checks
+    # k = n - ell(G) there, deg G <= 2g - 2 included, where ell(G) > deg G + 1 - g.
+    c = EXAMPLES[2].curve()  # g = 10; the pole orders at Pinf up to 6 are 0, 5 and 6
+    G = Divisor.make(c.r, t=6)
+    D = evaluation_places(c, G)
+    assert (len(D), build_comega(c, G, D).k) == (125, 122)
+    monkeypatch.setattr("kummercodes.agcode.dimension", lambda curve, G: 4)
+    with pytest.raises(AssertionError,
+                       match="^dimension law violated: k_omega=122, expected 121$"):
+        build_comega(c, G, D)
+
+
 def test_column_permutation_invariance():
     c = herm()
     G = Divisor((0, 0), 3)

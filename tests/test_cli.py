@@ -628,12 +628,16 @@ def test_gap_axis_scan_refuses_over_budget(tmp_path, capsys):
 
 
 def test_lattice_scan_refuses_over_budget(tmp_path, capsys):
-    # deg G = 10^9 would mean about 10^9 lattice candidates: refused before the scan.
+    # deg G = 10^9: listing the basis would mean about 10^9 lattice points, refused
+    # before any is made; ell and the floor are read off the residue classes.
     cfg = write_cfg(tmp_path, divisor="0,0,1000000000")
-    for cmd in ("dim", "rr-basis", "floor"):
-        code, out, err = run_cli(capsys, cmd, "--config", cfg)
-        assert (code, out) == (1, "")
-        assert err == "error: 1000000004 lattice candidates exceed budget 16777216\n"
+    assert run_cli(capsys, "rr-basis", "--config", cfg) == (
+        1, "", "error: 1000000004 lattice candidates exceed budget 16777216\n")
+    # Riemann-Roch: deg G > 2g - 2 gives ell(G) = deg G + 1 - g, and deg G >= 2g
+    # leaves L(G) without base points, so G is its own floor.
+    g = RamificationData(3, 2).g
+    assert run_cli(capsys, "dim", "--config", cfg) == (0, f"{10 ** 9 + 1 - g}\n", "")
+    assert run_cli(capsys, "floor", "--config", cfg) == (0, "0 0 1000000000\n", "")
 
 
 def test_verify_example_exit_codes(capsys):

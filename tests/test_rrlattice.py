@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kummercodes.agcode import evaluation_matrix
 from kummercodes.curve import KummerCurve, Place
 from kummercodes.rrlattice import (DEFAULT_BUDGET, Divisor, LatticePoint, RamificationData,
                                    ceil_div, dimension, monomial_divisor, omega_enumerate)
 from kummercodes.verify import EXAMPLES
-from kummercodes.weierstrass import _member_conditions
+from kummercodes.weierstrass import _member_conditions, floor_divisor
 from test_curve import curve_hermitian_gf4, f_at
 from test_gf import power
 
@@ -25,6 +27,56 @@ def increment_predicate(curve, G, at):
 def random_divisor(rng, r, lo=-6, hi=20):
     return Divisor(tuple(rng.randrange(lo, hi) for _ in range(r)),
                    rng.randrange(lo, hi))
+
+
+def scan_basis(prof, G):
+    """The candidate scan that listed the basis before the residue classes, kept as
+    their oracle: for each i >= -s_1 the j_mu are forced, the point survives when
+    its pole order at infinity is at most t, and m misses in a row end the scan."""
+    m, r, s = prof.m, prof.r, G.s
+    points, i, misses = [], -s[0], 0
+    while misses < m:
+        js = tuple(ceil_div(-i - s[mu], m) for mu in range(1, r))
+        if r * i + m * sum(js) <= G.t:
+            points.append(LatticePoint(i, js))
+            misses = 0
+        else:
+            misses += 1
+        i += 1
+    return points
+
+
+@st.composite
+def profile_and_divisor(draw, t_max=200):
+    """A coprime profile with m <= 14, r <= 9 and a divisor with s in [-40, 60]."""
+    m = draw(st.integers(2, 14))
+    r = draw(st.integers(1, 9).filter(lambda r: math.gcd(m, r) == 1))
+    s = tuple(draw(st.lists(st.integers(-40, 60), min_size=r, max_size=r)))
+    return RamificationData(m, r), Divisor(s, draw(st.integers(-60, t_max)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_and_divisor())
+def test_residue_classes_equal_the_scan(case):
+    prof, G = case
+    pts = scan_basis(prof, G)
+    assert omega_enumerate(prof, G) == pts
+    assert dimension(prof, G) == len(pts)
+    if pts:
+        divs = [monomial_divisor(prof, pt) for pt in pts]
+        assert floor_divisor(prof, G) == -Divisor(tuple(map(min, zip(*(d.s for d in divs)))),
+                                                  min(d.t for d in divs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_and_divisor(t_max=10 ** 9))
+def test_riemann_roch_with_the_divisor_of_dx(case):
+    # K = (m - 1)(P_1 + ... + P_r) - (m + 1) P_inf, the divisor of dx, is canonical:
+    # ell(G) - ell(K - G) = deg G + 1 - g at every degree, far past the old scan's budget.
+    prof, G = case
+    K = Divisor((prof.m - 1,) * prof.r, -(prof.m + 1))
+    assert K.degree == 2 * prof.g - 2
+    assert dimension(prof, G) - dimension(prof, K - G) == G.degree + 1 - prof.g
 
 
 def test_ceil_div():

@@ -186,6 +186,24 @@ def test_profile_gaps_and_members_match_ell_counts(case):
         assert semigroup_member(prof, pl, pt) == all(dr)
 
 
+@pytest.mark.parametrize("m,r", [(17, 16), (33, 32), (65, 64)])
+def test_large_profile_gaps_and_members_match_ell_counts(m, r):
+    # The Hermitian profiles past the m <= 12 of the property above: ell is a sum
+    # over m residue classes, so the ell-count oracles stay cheap at g = 2016.
+    prof = RamificationData(m, r)
+    rng = random.Random(m)
+    for pl in (PlaceTuple(2), PlaceTuple(1, True)):
+        seen = set()
+        for _ in range(60):
+            pt = (rng.randrange(2 * prof.g), rng.randrange(2 * prof.g))
+            member = semigroup_member(prof, pl, pt)
+            assert member == dimension_member(prof, pl, pt), pt
+            gap = min(pt) >= 1 and pure_gap(prof, pl, pt)
+            assert gap == (min(pt) >= 1 and dimension_pure_gap(prof, pl, pt)), pt
+            seen.add((member, gap))
+        assert seen == {(True, False), (False, True), (False, False)}, (m, pl)
+
+
 @st.composite
 def profile_places_limit(draw):
     """A coprime profile with 2 <= m <= 12, 2 <= r <= 8, a 2- or 3-place
