@@ -135,10 +135,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ok, output = True, commands.run_job(args)
         _emit(args.get("out"), *output)
         return 0 if ok else 1
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

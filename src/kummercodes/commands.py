@@ -45,27 +45,27 @@ def load_config(path: str) -> Config:
         raise ConfigError(" ".join(line.strip() for line in str(exc).splitlines())) from exc
 
 
+def _key(config: Config, section: str, key: str) -> str:
+    """The value of key= in [section]; a config error when the section or key is missing."""
+    if section not in config:
+        raise ConfigError(f"missing [{section}] section")
+    value = config[section].get(key)
+    if value is None:
+        raise ConfigError(f"[{section}] missing key {key!r}")
+    return value
+
+
 def build_field(config: Config) -> FiniteField:
-    if "field" not in config:
-        raise ConfigError("missing [field] section")
-    sec = config["field"]
-    try:
-        p, e, modulus = _int(sec["p"]), _int(sec["e"]), _ints(sec["modulus"])
-    except KeyError as exc:
-        raise ConfigError(f"[field] missing key {exc}") from exc
-    return FiniteField(p, e, modulus)
+    p = _int(_key(config, "field", "p"))
+    e = _int(_key(config, "field", "e"))
+    return FiniteField(p, e, _ints(_key(config, "field", "modulus")))
 
 
 def build_curve(config: Config) -> KummerCurve:
     field = build_field(config)
-    if "curve" not in config:
-        raise ConfigError("missing [curve] section")
+    m = _int(_key(config, "curve", "m"))
+    lam = _int(_key(config, "curve", "lambda"))
     sec = config["curve"]
-    try:
-        m = _int(sec["m"])
-        lam = _int(sec["lambda"])
-    except KeyError as exc:
-        raise ConfigError(f"[curve] missing key {exc}") from exc
     if "roots" in sec and "f" in sec:
         raise ConfigError("[curve] takes roots= or f=, not both")
     if "roots" in sec:

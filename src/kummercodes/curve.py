@@ -15,7 +15,7 @@ from itertools import repeat
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gf import FiniteField
-from .rrlattice import Divisor, RamificationData
+from .rrlattice import RamificationData
 
 
 class GcdViolationError(ValueError):
@@ -148,19 +148,6 @@ class KummerCurve(RamificationData):
             else:
                 L = [0] * self.r
             yield L
-
-    def principal_divisor(self, item: str, index: int = 0) -> Divisor:
-        """Divisor of x - alpha_index, y, f, or z."""
-        r, m, lam = self.r, self.m, self.lam
-        if item == "x-alpha":
-            return Divisor.make(r, {index: m}, -m)
-        if item == "y":
-            return Divisor(tuple([lam] * r), -r * lam)
-        if item == "f":
-            return Divisor(tuple([m] * r), -r * m)
-        if item == "z":
-            return Divisor(tuple([1] * r), -r)
-        raise ValueError(f"unknown function {item!r}")
 
     def __repr__(self) -> str:
         lam = f"^{self.lam}" if self.lam != 1 else ""

@@ -61,7 +61,7 @@ class Divisor(NamedTuple):
         s = [0] * r
         for mu, c in (coeffs or {}).items():
             if not 1 <= mu <= r:
-                raise IndexError(f"place index {mu} out of range [1, {r}]")
+                raise ValueError(f"place index {mu} out of range [1, {r}]")
             s[mu - 1] = c
         return Divisor(tuple(s), t)
 
@@ -118,9 +118,9 @@ def residue_classes(curve: RamificationData, G: Divisor) -> List[Tuple[LatticePo
 
 def omega_enumerate(curve: RamificationData, G: Divisor) -> List[LatticePoint]:
     """All lattice points of the basis index set for L(G), sorted by i; refused when
-    max(deg G, 0) + m + 1, the candidates of a scan over i, exceeds DEFAULT_BUDGET."""
+    ell(G), the number of points it would make, exceeds DEFAULT_BUDGET."""
+    check_budget(dimension(curve, G), "basis monomials")
     classes = residue_classes(curve, G)
-    check_budget(max(G.degree, 0) + curve.m + 1, "lattice candidates")
     # i0 rises across the classes, so taking them u by u lists i in order.
     return [pt.shift(curve.m, u) for u in range(max(n for _, n in classes))
             for pt, n in classes if u < n]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -459,6 +460,19 @@ def test_config_values_are_interpolated_at_load(tmp_path, capsys):
     assert load_config(str(path))["job"]["note"] == "50%"
 
 
+def test_readme_job_config_runs(tmp_path, capsys):
+    # configparser keeps an inline `; ...` as part of the value, so each comment
+    # of the README's example config stands on a line of its own.
+    readme = (WORKLOADS.parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "job.ini"
+    path.write_text(blocks[0])
+    for command in ("curve-info", "box-search"):
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, err) == (0, "") and out, command
+
+
 def test_curve_from_roots_matches_curve_from_f(tmp_path, capsys):
     # roots = 0,1 names the roots of f = x^2 + x, so every output is the same.
     by_f = write_cfg(tmp_path)
@@ -628,11 +642,11 @@ def test_gap_axis_scan_refuses_over_budget(tmp_path, capsys):
 
 
 def test_lattice_scan_refuses_over_budget(tmp_path, capsys):
-    # deg G = 10^9: listing the basis would mean about 10^9 lattice points, refused
+    # deg G = 10^9: listing the basis would make its ell(G) = 10^9 points, refused
     # before any is made; ell and the floor are read off the residue classes.
     cfg = write_cfg(tmp_path, divisor="0,0,1000000000")
     assert run_cli(capsys, "rr-basis", "--config", cfg) == (
-        1, "", "error: 1000000004 lattice candidates exceed budget 16777216\n")
+        1, "", "error: 1000000000 basis monomials exceed budget 16777216\n")
     # Riemann-Roch: deg G > 2g - 2 gives ell(G) = deg G + 1 - g, and deg G >= 2g
     # leaves L(G) without base points, so G is its own floor.
     g = RamificationData(3, 2).g
@@ -738,8 +752,14 @@ def test_help_golden_hash():
 
 
 def test_console_script_is_run():
+    # The one [project.scripts] entry resolves to cli.run; pyproject.toml is read
+    # as text, since Python 3.10 has no tomllib.
     text = (WORKLOADS.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
-    assert re.findall(r'^kummer-codes = "(.*)"$', text, re.M) == ["kummercodes.cli:run"]
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    entries = re.findall(r'^([\w-]+) = "([\w.]+):(\w+)"$', section, re.M)
+    assert [name for name, _, _ in entries] == ["kummer-codes"]
+    _, module, attribute = entries[0]
+    assert getattr(importlib.import_module(module), attribute) is cli.run
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kummercodes.curve import GcdViolationError, KummerCurve, Place, find_roots
 from kummercodes.gf import FiniteField
-from kummercodes.rrlattice import Divisor
+from kummercodes.rrlattice import Divisor, LatticePoint, monomial_divisor
 from kummercodes.verify import EXAMPLES
 from test_gf import poly_eval, power
 
@@ -178,20 +180,48 @@ def test_fibres_match_brute_force_scan():
         assert c.num_places() == len(places), c
 
 
-def test_principal_divisors():
-    c = EXAMPLES[1].curve()
-    y = c.principal_divisor("y")
-    assert y == Divisor(tuple([1] * 9), -9)
-    xa = c.principal_divisor("x-alpha", 1)
-    assert xa == Divisor.make(9, {1: 5}, -5)
-    z = c.principal_divisor("z")
-    f = c.principal_divisor("f")
-    for d in (y, xa, z, f):
-        assert d.degree == 0
-    # m*(z) = (f)
-    assert Divisor(tuple(c.m * v for v in z.s), c.m * z.t) == f
-    with pytest.raises(IndexError):
-        c.principal_divisor("x-alpha", 10)
+SMALL_FIELDS = [FiniteField(2, 1, [0, 1]), FiniteField(2, 2, [1, 1, 1]), FiniteField(5, 1, [0, 1]),
+                FiniteField(7, 1, [0, 1]), FiniteField(2, 3, [1, 1, 0, 1]),
+                FiniteField(3, 2, [1, 0, 1]), FiniteField(2, 4, [1, 1, 0, 0, 1]),
+                FiniteField(5, 2, [2, 0, 1])]
+
+
+@st.composite
+def kummer_curves(draw):
+    """y^m = f(x)^lambda over a field of at most 25 elements, with any r roots,
+    m <= 13 prime to p and r, and lambda >= 1 prime to m."""
+    F = draw(st.sampled_from(SMALL_FIELDS))
+    roots = draw(st.lists(st.integers(0, F.q - 1), min_size=1, max_size=F.q, unique=True))
+    m = draw(st.sampled_from([m for m in range(2, 14) if m % F.p and math.gcd(m, len(roots)) == 1]))
+    lam = draw(st.sampled_from([lam for lam in range(1, 7) if math.gcd(m, lam) == 1]))
+    return KummerCurve(F, m, lam, roots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kummer_curves())
+def test_principal_divisors(c):
+    """z, y = z^lambda, f = z^m and x - alpha_mu are the basis monomials at the
+    lattice points (1, 0), (lambda, 0), (m, 0), (m, -1) for mu = 1 and (0, e_mu)
+    for mu >= 2: monomial_divisor there gives the paper's divisors, and the
+    monomials take the functions' own values at every affine place."""
+    F, m, r, lam = c.field, c.m, c.r, c.lam
+    zero, ones = (0,) * (r - 1), (1,) * r
+    x_minus = [LatticePoint(m, (-1,) * (r - 1))] + [
+        LatticePoint(0, tuple(int(nu == mu) for nu in range(2, r + 1))) for mu in range(2, r + 1)]
+    # (point, its divisor in the paper, its value at the affine place (x0, y0))
+    functions = [(LatticePoint(1, zero), Divisor(ones, -r),
+                  lambda x0, y0: F.mul(power(F, y0, c.A), power(F, f_at(c, x0), c.B))),
+                 (LatticePoint(lam, zero), Divisor((lam,) * r, -r * lam), lambda x0, y0: y0),
+                 (LatticePoint(m, zero), Divisor((m,) * r, -r * m), lambda x0, y0: f_at(c, x0))]
+    functions += [(pt, Divisor.make(r, {mu: m}, -m),
+                   lambda x0, y0, alpha=alpha: F.add(x0, F.neg(alpha)))
+                  for mu, (pt, alpha) in enumerate(zip(x_minus, c.roots), 1)]
+    affine = list(c.iter_places())[1 + r:]
+    for pt, divisor, value in functions:
+        assert monomial_divisor(c, pt) == divisor, pt
+        for place, L in zip(affine, c.place_logs(affine)):
+            log = pt.i * L[0] + sum(j * l for j, l in zip(pt.j, L[1:]))
+            assert F._exp[log % (F.q - 1)] == value(place.x, place.y), (pt, place)
 
 
 def test_find_roots():

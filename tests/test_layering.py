@@ -2,7 +2,8 @@
 (m, r) profile, agcode leaves the pure-gap and floor bounds to weierstrass
 and reads no characteristic, every search refuses over its budget through
 rrlattice.check_budget alone, row reduction sits off the start-up path, every
-exception class the package defines is caught, every function in src is
+exception class the package defines is caught, cli.main catches exactly
+ConfigError and ValueError and src raises nothing else, every function in src is
 named in src or demos (test_every_function_in_src_is_named_in_src_or_demos),
 the CLI writes its output along one path, nothing relies on interpreter
 teardown, no module imports cli, importing cli registers every other module
@@ -83,6 +84,46 @@ def test_every_exception_class_is_caught_in_src():
                 types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                 caught.update(_name(t) for t in types)
     assert {"ConfigError", "GcdViolationError"} <= defined <= caught
+
+
+def _raises(tree):
+    """(innermost enclosing function or None, raise statement) for each raise in tree."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                found.append((function, child))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_cli_catches_exactly_the_two_error_types_that_src_raises():
+    """cli.main maps ConfigError to exit 2 and ValueError to exit 1 and catches
+    nothing else, so every raise in src raises one of them or GcdViolationError,
+    a ValueError.  Two kinds of raise are exempt, and main catches neither: the
+    AssertionError of build_comega's dimension law, an internal invariant, and
+    the AttributeError of a module __getattr__, which attribute lookup requires."""
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(n for n in cli.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    (outer,) = [n for n in main.body if isinstance(n, ast.Try)]
+    assert [_name(handler.type) for handler in outer.handlers] == ["ConfigError", "ValueError"]
+    allowed = {"ConfigError", "ValueError", "GcdViolationError"}
+    exempt, raised = Counter(), Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, node in _raises(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            kind = _name(exc) if exc is not None else "bare raise"
+            if kind in allowed:
+                raised[kind] += 1
+            else:
+                exempt[path.stem, function, kind] += 1
+    assert set(raised) == allowed and sum(raised.values()) > 50
+    assert exempt == {("agcode", "build_comega", "AssertionError"): 1,
+                      **{(module, "__getattr__", "AttributeError"): 1
+                         for module in ("__init__", "cli", "gf")}}
 
 
 def _names(*nodes):

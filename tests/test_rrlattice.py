@@ -100,12 +100,13 @@ def test_negative_degree_is_empty():
 
 
 def test_scan_refused_over_budget():
-    # The scan visits at most max(deg G, 0) + m + 1 candidates; one over the
-    # budget is refused before any is tried.
+    # The listing makes ell(G) points; one over the budget is refused before any
+    # is made.  deg G > 2g - 2 = 0 gives ell(G) = deg G + 1 - g = deg G.
     prof = RamificationData(3, 2)
-    over = Divisor((0, 0), DEFAULT_BUDGET - 3)
+    over = Divisor((0, 0), DEFAULT_BUDGET + 1)
+    assert dimension(prof, over) == DEFAULT_BUDGET + 1
     with pytest.raises(ValueError,
-                       match=f"^{DEFAULT_BUDGET + 1} lattice candidates exceed budget "):
+                       match=f"^{DEFAULT_BUDGET + 1} basis monomials exceed budget "):
         omega_enumerate(prof, over)
     assert omega_enumerate(prof, Divisor((0, 0), -10 ** 12)) == []
     # minus the divisor of z^i (x - alpha_2)^j with i = -3 * 10^11, j = 10^11: principal
@@ -169,7 +170,7 @@ def test_divisor_make_indices():
     # Place indices run over 1..r; P_inf has its own argument t.
     assert Divisor.make(5, {1: 3, 5: 2}, 4) == Divisor((3, 0, 0, 0, 2), 4)
     for mu in (0, -1, 6):
-        with pytest.raises(IndexError, match=r"place index -?\d+ out of range \[1, 5\]"):
+        with pytest.raises(ValueError, match=r"place index -?\d+ out of range \[1, 5\]"):
             Divisor.make(5, {mu: 3})
 
 
