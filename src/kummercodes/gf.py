@@ -8,14 +8,15 @@ every file format, so encode/decode are near-trivial and round-trip by
 construction.
 
 FiniteField holds the scalar operations the package calls: neg, mul,
-check and add.  Multiplication and negation use discrete log tables
-built once per field.  The generator is the first element, in codec
-order, whose powers reach every nonzero element; the walk over its
+check and add.  Multiplication, negation and odd-p addition use discrete
+log tables built once per field.  The generator is the first element, in
+codec order, whose powers reach every nonzero element; the walk over its
 powers is the exp table, doubled so that a sum of two logs indexes it
 directly.  This search is the irreducibility test too: GF(p)[x]/(f) has
 an element of order q - 1 exactly when f is irreducible.  The adder is
-chosen once: XOR for p = 2, a q x q table for odd q <= 256 and digitwise
-otherwise.  The supported range is q <= 2^16.
+chosen by p once: XOR for p = 2, and for odd p the Zech logarithms
+Z(k) = log(1 + g^k), one table of q - 1 entries.  The supported range is
+q <= 2^16.
 Row reduction over the field is the matrix module's.
 """
 
@@ -142,16 +143,20 @@ class FiniteField:
 
         if p == 2:
             self.add = operator.xor
-        elif q <= 1 << 8:
-            # Digitwise sums, one base-p digit per pass: a = a0 + p*a', b = b0 + p*b'.
-            digit = [[(a + b) % p for b in range(p)] for a in range(p)]
-            table = [[0]]
-            for _ in range(e):
-                table = [[lo + p * hi for hi in hi_row for lo in lo_row]
-                         for hi_row in table for lo_row in digit]
-            self.add = lambda a, b: table[a][b]
-        else:
-            self.add = self._add_digitwise
+            return
+        # Zech logarithms, a + b = a (1 + b/a) = g^(log a + Z(log b - log a)) with
+        # Z(k) = log(1 + g^k): adding 1 changes only digit 0 of a codec integer.
+        # 1 + g^k = 0 at k = log(-1), whose Z points at q - 1 zeros past exp.
+        zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
+        zech[self._log_minus_one] = 2 * q - 2
+        sums = self._exp + [0] * (q - 1)
+
+        def add(a: int, b: int) -> int:
+            if a and b:
+                la = log[a]
+                return sums[la + zech[log[b] - la]]  # a negative index wraps mod q - 1
+            return a or b
+        self.add = add
 
     # -- codec ----------------------------------------------------------
 
@@ -167,17 +172,6 @@ class FiniteField:
         return a
 
     # -- arithmetic ------------------------------------------------------
-
-    def _add_digitwise(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += (a + b) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
 
     def neg(self, a: int) -> int:
         return self._exp[self._log[a] + self._log_minus_one] if a else 0

@@ -107,10 +107,12 @@ def residue_classes(curve: RamificationData, G: Divisor) -> List[Tuple[LatticePo
     """The basis index set of L(G) by class of i mod m (Maharaj's m Riemann-Roch spaces
     of the rational function field): for each i0 in [-s_1, -s_1 + m), the point (i0, c),
     c_mu = ceil((-i0 - s_mu)/m), and the number n of its class's points (i0 + m*u, c - u),
-    none if n <= 0.  A step in u adds m to the pole order at P_inf, which stays <= t."""
+    none if n <= 0.  A step in u adds m to the pole order at P_inf, which stays <= t.
+    The m*r ceilings are refused over DEFAULT_BUDGET before the first class."""
     m, s = curve.m, G.s
     if len(s) != curve.r:
         raise ValueError(f"divisor has {len(s)} finite coefficients, curve has r={curve.r}")
+    check_budget(m * curve.r, "residue-class terms")
     firsts = [LatticePoint(i0, tuple(ceil_div(-i0 - sm, m) for sm in s[1:]))
               for i0 in range(-s[0], -s[0] + m)]
     return [(pt, (G.t + monomial_divisor(curve, pt).t) // m + 1) for pt in firsts]

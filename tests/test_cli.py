@@ -471,6 +471,15 @@ def test_readme_job_config_runs(tmp_path, capsys):
     for command in ("curve-info", "box-search"):
         code, out, err = run_cli(capsys, command, "--config", str(path))
         assert (code, err) == (0, "") and out, command
+    # The [124, 106] C_Omega has too many codewords to search; the README's
+    # variant, the [125, 3] C_L at G = 6 P_inf, meets n - deg G.
+    assert run_cli(capsys, "check-distance", "--config", str(path)) == (
+        1, "", "error: 25^106 - 1 codewords exceed budget 16777216\n")
+    lines = [line for line in blocks[0].splitlines() if not line.startswith(("n = ", "seed = "))]
+    variant = "\n".join(lines).replace("code = omega", "code = l").replace(
+        "divisor = 26,1,0,0,0,0", "divisor = 0,0,0,0,0,6")
+    path.write_text(variant + "\n")
+    assert run_cli(capsys, "check-distance", "--config", str(path)) == (0, "119\n", "")
 
 
 def test_curve_from_roots_matches_curve_from_f(tmp_path, capsys):
@@ -652,6 +661,20 @@ def test_lattice_scan_refuses_over_budget(tmp_path, capsys):
     g = RamificationData(3, 2).g
     assert run_cli(capsys, "dim", "--config", cfg) == (0, f"{10 ** 9 + 1 - g}\n", "")
     assert run_cli(capsys, "floor", "--config", cfg) == (0, "0 0 1000000000\n", "")
+
+    # y^(10^9 + 1) = x(x + 1) over GF(4): the m residue classes would take
+    # 2 * (10^9 + 1) ceilings, refused before the first in well under a second
+    # by every job that reads them, whatever --budget says.
+    huge_m = tmp_path / "huge_m.ini"
+    huge_m.write_text("\n".join([
+        "[field]", "p = 2", "e = 2", "modulus = 1,1,1",
+        "[curve]", "m = 1000000001", "lambda = 1", "roots = 0,1",
+        "[job]", "divisor = 0,0,10", ""]))
+    for cmd in ("dim", "floor", "rr-basis", "build-code", "check-distance"):
+        start = time.perf_counter()
+        assert run_cli(capsys, cmd, "--config", str(huge_m), "--budget", str(10 ** 17)) == (
+            1, "", "error: 2000000002 residue-class terms exceed budget 16777216\n"), cmd
+        assert time.perf_counter() - start < 1.0
 
 
 def test_verify_example_exit_codes(capsys):

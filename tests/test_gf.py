@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,24 +199,40 @@ def test_field_axioms_random():
 
 
 def test_add_is_digitwise():
-    # Each adder against coefficient addition: XOR for GF(2^e), the q x q
-    # table (built one digit at a time) for odd q <= 256, and digitwise
-    # addition for odd q > 256 on a seeded sample of pairs.
+    # Each adder against coefficient addition: XOR for GF(2^e) and the Zech
+    # logarithms for odd p, whose table is built by adding 1 to digit 0 alone.
+    # Exhaustive up to GF(3^5) and for GF(257), where digit 0 is the whole
+    # element; GF(7^3) and GF(3^6), with q > 256, on a seeded sample of pairs.
     def coefficient_sum(F, a, b):
         return from_coeffs(F, [x + y for x, y in zip(coeffs(F, a), coeffs(F, b))])
 
     for p, e, modulus in ((2, 6, [1, 1, 0, 0, 0, 0, 1]), (3, 2, [1, 0, 1]), (5, 2, [2, 0, 1]),
                           (3, 3, [1, 2, 0, 1]), (7, 2, [1, 0, 1]), (3, 4, [2, 1, 0, 0, 1]),
-                          (5, 3, [2, 3, 0, 1])):
+                          (5, 3, [2, 3, 0, 1]), (3, 5, [1, 2, 0, 0, 0, 1]), (257, 1, [0, 1])):
         F = FiniteField(p, e, modulus)
         for a in range(F.q):
             for b in range(F.q):
                 assert F.add(a, b) == coefficient_sum(F, a, b)
-    F, rng = FiniteField(3, 6, [1, 0, 0, 0, 1, 1, 1]), random.Random(29)
-    assert F.q > 256
-    for _ in range(2000):
-        a, b = rng.randrange(F.q), rng.randrange(F.q)
-        assert F.add(a, b) == coefficient_sum(F, a, b)
+    rng = random.Random(29)
+    for F in (FiniteField(7, 3, [5, 0, 0, 1]), FiniteField(3, 6, [1, 0, 0, 0, 1, 1, 1])):
+        assert F.q > 256
+        for _ in range(2000):
+            a, b = rng.randrange(F.q), rng.randrange(F.q)
+            assert F.add(a, b) == coefficient_sum(F, a, b)
+
+
+def test_field_tables_grow_linearly_in_q():
+    # Every table has O(q) entries (the exp and log tables and, for odd p,
+    # the Zech logarithms), so GF(3^5) retains well under 256 bytes an
+    # element; a q x q addition table would hold 531 KiB.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        F = FiniteField(3, 5, [1, 2, 0, 0, 0, 1])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * F.q, retained
 
 
 def sympy_poly(sympy, coeffs, p):

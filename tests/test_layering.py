@@ -263,14 +263,15 @@ def test_ceil_div_is_named_only_in_member_conditions():
     assert uses(tree) == uses(member[0]) > 0
 
 
-SEARCHES = [("rrlattice", "omega_enumerate"), ("weierstrass", "one_point_gaps"),
+SEARCHES = [("rrlattice", "residue_classes"), ("rrlattice", "omega_enumerate"),
+            ("weierstrass", "one_point_gaps"),
             ("weierstrass", "pure_gaps"), ("weierstrass", "box_search"),
             ("agcode", "brute_force_distance")]
 
 
 def test_every_search_refuses_over_budget_through_check_budget():
     """Exactly one raise in src builds an `exceed budget` message, the one in
-    rrlattice.check_budget, and each of the five searches calls that helper."""
+    rrlattice.check_budget, and each of the six searches calls that helper."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     sites = [node for tree in trees.values() for node in ast.walk(tree)
@@ -304,8 +305,8 @@ def test_only_agcode_imports_matrix():
 
 
 def test_matrix_adds_no_entry_by_the_field():
-    """rref is one packed loop for every p: matrix names neither the field's
-    q x q addition table nor its scalar add, so no per-entry path can return
+    """rref is one packed loop for every p: matrix names neither an addition
+    table of the field nor its scalar add, so no per-entry path can return
     beside the packed one."""
     tree = ast.parse((PACKAGE / "matrix.py").read_text(encoding="utf-8"))
     attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}

@@ -113,6 +113,16 @@ def test_scan_refused_over_budget():
     assert dimension(prof, Divisor((3 * 10 ** 11, 0), -3 * 10 ** 11)) == 1
 
 
+def test_residue_classes_refused_over_budget():
+    # Each of the m classes of i mod m takes r ceilings; m * r over the budget is
+    # refused before the first class, by ell(G), the floor and the listing alike.
+    prof, G = RamificationData(2 ** 24 + 1, 2), Divisor((0, 0), 10)
+    message = f"^{2 ** 25 + 2} residue-class terms exceed budget {DEFAULT_BUDGET}$"
+    for job in (dimension, floor_divisor, omega_enumerate):
+        with pytest.raises(ValueError, match=message):
+            job(prof, G)
+
+
 def test_divisor_must_match_the_profile():
     with pytest.raises(ValueError, match="has 1 finite coefficients, curve has r=2"):
         omega_enumerate(curve_hermitian_gf4(), Divisor((0,), 3))
