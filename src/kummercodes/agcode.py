@@ -152,9 +152,37 @@ def evaluation_matrix(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -
     return Matrix(F, rows, len(places))
 
 
+def dimension_law(curve: KummerCurve, G: Divisor, n: int, dual: bool) -> Optional[int]:
+    """k of C_L(D, G), or of C_Omega(D, G) if dual, on n places, where deg G < n makes
+    evaluation injective on L(G): ell(G), or n - ell(G).  None where deg G >= n."""
+    if G.degree >= n:
+        return None
+    ell = dimension(curve, G)
+    return n - ell if dual else ell
+
+
+def check_search(curve: KummerCurve, G: Divisor, n: int, dual: bool, budget: int) -> None:
+    """Refuse the distance search of the code on n places before it is built, where
+    dimension_law fixes k, with brute_force_distance's message for its q^k - 1 words."""
+    k = dimension_law(curve, G, n, dual)
+    if k is not None:
+        q = curve.field.q
+        check_budget(q ** k - 1, "codewords", budget, shown=f"{q}^{k} - 1")
+
+
+def _check_dimension(curve: KummerCurve, G: Divisor, code: LinearCode, dual: bool) -> None:
+    """k against dimension_law, an internal invariant: no job can make them differ."""
+    expected = dimension_law(curve, G, code.n, dual)
+    if expected is not None and code.k != expected:
+        raise AssertionError(f"dimension law violated: k_{'omega' if dual else 'L'}="
+                             f"{code.k}, expected {expected}")
+
+
 def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearCode:
-    """The evaluation code C_L(D, G) with a canonical RREF generator."""
+    """The evaluation code C_L(D, G) with a canonical RREF generator; checks k = ell(G)
+    when deg G < n."""
     code = LinearCode(evaluation_matrix(curve, G, places).rref()[0])
+    _check_dimension(curve, G, code, False)
     # The empty code has no nonzero word, so no distance bound applies.
     if code.k and G.degree < code.n:
         code.bounds.append(("goppa_L", code.n - G.degree))
@@ -163,16 +191,11 @@ def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearC
 
 def build_comega(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearCode:
     """C_Omega(D, G) = C_L(D, G)^perp, the null space of the evaluation matrix;
-    checks k = n - ell(G) when deg G < n, where evaluation is injective on L(G)."""
+    checks k = n - ell(G) when deg G < n."""
     code = LinearCode(*evaluation_matrix(curve, G, places).rref())
-    n, k = code.n, code.k
-    if G.degree < n:
-        expected = n - dimension(curve, G)
-        if k != expected:
-            raise AssertionError(
-                f"dimension law violated: k_omega={k}, expected {expected}")
+    _check_dimension(curve, G, code, True)
     bound = G.degree - (2 * curve.g - 2)
-    if k and bound > 0:
+    if code.k and bound > 0:
         code.bounds.append(("goppa_omega", bound))
     return code
 

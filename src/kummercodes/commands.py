@@ -209,7 +209,9 @@ def cmd_floor(curve: KummerCurve, job: Job) -> Output:
     return [f"{weierstrass.floor_divisor(curve, parse_divisor(curve, job('divisor')))}\n"], ()
 
 
-def _build_code(curve: KummerCurve, job: Job):
+def _build_code(curve: KummerCurve, job: Job, budget: Optional[int] = None):
+    """The code the job names and its evaluation-set selection; given a distance
+    search's budget, agcode.check_search may refuse the search before the build."""
     G = parse_divisor(curve, job("divisor"))
     n, seed = _number(job, "n", None), _number(job, "seed", None)
     if seed is not None and n is None:
@@ -219,6 +221,8 @@ def _build_code(curve: KummerCurve, job: Job):
     build = {"l": agcode.build_cl, "omega": agcode.build_comega}.get(kind)
     if build is None:
         raise ConfigError(f"code= must be 'l' or 'omega', got {kind!r}")
+    if budget is not None:
+        agcode.check_search(curve, G, len(D), kind == "omega", budget)
     code = build(curve, G, D)
     selection = "all" if n is None else ("drop-highest" if seed is None else f"seed={seed}")
     return code, selection
@@ -232,7 +236,7 @@ def cmd_build_code(curve: KummerCurve, job: Job) -> Output:
 
 def cmd_check_distance(curve: KummerCurve, job: Job) -> Output:
     budget = _budget(job)
-    d = agcode.brute_force_distance(_build_code(curve, job)[0], budget)
+    d = agcode.brute_force_distance(_build_code(curve, job, budget)[0], budget)
     return [("undefined" if d is None else str(d)) + "\n"], ()
 
 

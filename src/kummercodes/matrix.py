@@ -6,13 +6,14 @@ row is cell j of the int, and digit i of the entry (its coefficient of
 x^i) is slot i of the cell.  For p = 2 a slot is one bit of a byte-aligned
 cell of 8 bits (16 if q > 256), so a cell holds the codec integer itself
 and rows combine by XOR.  For odd p a slot is one byte, or as many bytes
-as e(p - 1)^2 + p - 1 needs, and rows add as Python ints: a slot may
-run past p - 1, and bytes.translate (per slot when a slot is wider than a
-byte) reduces every row mod p only when one more row operation could
-carry a slot past its width.  x times a row shifts each cell up one slot
-and adds its top digit times x^e = -(the modulus below x^e).  Each pivot
-keeps the sums of its x^i multiples over the low and over the high half
-of the digits in two tables, so row -= c * pivot is two int operations.
+as e(p - 1)^2 + p - 1 needs (one more where those hold only one row
+operation), and rows add as Python ints: a slot may run past p - 1, and
+bytes.translate (per slot when a slot is wider than a byte) reduces every
+row mod p only when one more row operation could carry a slot past its
+width.  x times a row shifts each cell up one slot and adds its top digit
+times x^e = -(the modulus below x^e).  Each pivot keeps the sums of its
+x^i multiples over the low and over the high half of the digits in two
+tables, so row -= c * pivot is two int operations.
 Only the jobs that reduce a matrix run this module.
 """
 
@@ -35,6 +36,9 @@ def _layout(F: FiniteField) -> tuple:
         w, table, s, cb, combine = 0, None, 1, 1 + (F.q > 256), xor
     else:
         w = ((e * (p - 1) ** 2 + p - 1).bit_length() + 7) // 8
+        # A wider slot with room for one row operation would reduce every row, slot
+        # by slot, at every pivot; one byte more makes room for 256 of them.
+        w += w > 1 and 256 ** w - p < 2 * e * (p - 1) ** 2
         table, s, cb, combine = bytes(i % p for i in range(256)), 8 * w, e * w, add
     slots = [0]
     for i in range(e):  # digit i of each codec integer to slot i

@@ -1,12 +1,11 @@
 """Riemann-Roch spaces as lattice point sets.
 
-For a divisor supported on the distinguished places P_1..P_r, P_inf of
-the curve y^m = f(x)^lambda, the space L(G) has a monomial basis indexed
-by integer tuples (i, j_2..j_r): the exponents of z and of the linear
-factors x - alpha_mu.  The tuples fall into m runs, one per residue
-class of i mod m; those give the dimension, the basis and the divisor of
-each basis monomial, with exact integer arithmetic on the (m, r) profile
-alone; the field-level evaluation of the monomials lives in agcode.
+For a divisor G supported on the distinguished places P_1..P_r, P_inf of
+the curve y^m = f(x)^lambda, L(G) has a monomial basis indexed by integer
+tuples (i, j_2..j_r), the exponents of z and of the factors x - alpha_mu.
+They fall into runs by residue class of i mod m, which give the dimension,
+the basis and each monomial's divisor by exact integer arithmetic on the
+(m, r) profile alone; agcode evaluates the monomials over the field.
 """
 
 from __future__ import annotations
@@ -31,22 +30,22 @@ def ceil_div(a: int, b: int) -> int:
 
 
 class RamificationData:
-    """The (m, r) profile shared by all curves y^m = f(x)^lambda, deg f = r.
-
-    The lattice and semigroup layers need nothing else, so they accept a
-    bare profile when no valid curve exists over the field at hand.
-    """
+    """The (m, r) profile shared by all curves y^m = f(x)^lambda, deg f = r: all that
+    the lattice and semigroup layers read, so they accept a bare profile when no
+    valid curve exists over the field at hand."""
 
     def __init__(self, m: int, r: int):
         if m < 2 or r < 1 or math.gcd(m, r) != 1:
             raise ValueError(f"need m >= 2, r >= 1, gcd(m, r) = 1; got m={m}, r={r}")
-        self.m = m
-        self.r = r
+        self.m, self.r = m, r
         self.g = (r - 1) * (m - 1) // 2
-        # a*r + b*m = 1 with a the least nonnegative residue; pinning a
-        # makes the basis monomials byte-identical across runs.
+        # a*r + b*m = 1, a the least nonnegative residue: the basis stays byte-identical
         self.a = pow(r, -1, m)
         self.b = (1 - self.a * r) // m
+
+    def pole_order(self, i: int, j: Tuple[int, ...]) -> int:
+        """The pole order at P_inf of the monomial z^i prod (x - alpha_mu)^{j_mu}."""
+        return self.r * i + self.m * sum(j)
 
 
 class Divisor(NamedTuple):
@@ -98,36 +97,37 @@ class LatticePoint(NamedTuple):
 
 def monomial_divisor(curve: RamificationData, pt: LatticePoint) -> Divisor:
     """Principal divisor of the basis monomial indexed by pt (degree 0)."""
-    m, r = curve.m, curve.r
-    s = [pt.i] + [pt.i + m * j for j in pt.j]
-    return Divisor(tuple(s), -(r * pt.i + m * sum(pt.j)))
+    return Divisor((pt.i, *(pt.i + curve.m * j for j in pt.j)), -curve.pole_order(*pt))
 
 
 def residue_classes(curve: RamificationData, G: Divisor) -> List[Tuple[LatticePoint, int]]:
     """The basis index set of L(G) by class of i mod m (Maharaj's m Riemann-Roch spaces
-    of the rational function field): for each i0 in [-s_1, -s_1 + m), the point (i0, c),
-    c_mu = ceil((-i0 - s_mu)/m), and the number n of its class's points (i0 + m*u, c - u),
-    none if n <= 0.  A step in u adds m to the pole order at P_inf, which stays <= t.
-    The m*r ceilings are refused over DEFAULT_BUDGET before the first class."""
-    m, s = curve.m, G.s
-    if len(s) != curve.r:
-        raise ValueError(f"divisor has {len(s)} finite coefficients, curve has r={curve.r}")
-    check_budget(m * curve.r, "residue-class terms")
-    firsts = [LatticePoint(i0, tuple(ceil_div(-i0 - sm, m) for sm in s[1:]))
-              for i0 in range(-s[0], -s[0] + m)]
-    return [(pt, (G.t + monomial_divisor(curve, pt).t) // m + 1) for pt in firsts]
+    of the rational function field): for each i0 in [-s_1, -s_1 + m) whose class holds
+    a point, the point (i0, c), c_mu = ceil((-i0 - s_mu)/m), and the number n > 0 of its
+    class's points (i0 + m*u, c - u).  A step in u adds m to the pole order at P_inf,
+    which stays <= t.  The m*r ceilings are refused over DEFAULT_BUDGET first."""
+    if len(G.s) != curve.r:
+        raise ValueError(f"divisor has {len(G.s)} finite coefficients, curve has r={curve.r}")
+    check_budget(curve.m * curve.r, "residue-class terms")
+    m, (s1, *rest), classes = curve.m, G.s, []
+    for i0 in range(-s1, m - s1):
+        c = tuple([-((i0 + sm) // m) for sm in rest])  # ceil_div(-i0 - sm, m), no call a class
+        n = (G.t - curve.pole_order(i0, c)) // m + 1
+        if n > 0:
+            classes.append((LatticePoint(i0, c), n))
+    return classes
 
 
 def omega_enumerate(curve: RamificationData, G: Divisor) -> List[LatticePoint]:
     """All lattice points of the basis index set for L(G), sorted by i; refused when
     ell(G), the number of points it would make, exceeds DEFAULT_BUDGET."""
-    check_budget(dimension(curve, G), "basis monomials")
     classes = residue_classes(curve, G)
+    check_budget(sum(n for _, n in classes), "basis monomials")
     # i0 rises across the classes, so taking them u by u lists i in order.
-    return [pt.shift(curve.m, u) for u in range(max(n for _, n in classes))
+    return [pt.shift(curve.m, u) for u in range(max((n for _, n in classes), default=0))
             for pt, n in classes if u < n]
 
 
 def dimension(curve: RamificationData, G: Divisor) -> int:
     """ell(G): the sizes of the residue classes summed, O(m*r) at any degree."""
-    return sum(max(n, 0) for _, n in residue_classes(curve, G))
+    return sum(n for _, n in residue_classes(curve, G))

@@ -1,8 +1,7 @@
 """Closed-form Weierstrass semigroups, pure gaps, gap boxes, floors and their bounds.
 
-Everything here reads only the (m, r) profile of the curve (genus and
-Bezout pair a*r + b*m = 1), so a bare RamificationData serves as well
-as a KummerCurve.
+Everything here reads only the (m, r) profile of the curve (genus and Bezout pair
+a*r + b*m = 1), so a bare RamificationData serves as well as a KummerCurve.
 """
 
 from __future__ import annotations
@@ -200,7 +199,7 @@ def floor_divisor(curve, H: Divisor) -> Divisor:
     gcd (coordinate-wise minimum) of the basis monomials' divisors; needs ell(H) > 0.
     Each residue class attains it at its first point, at P_inf at its last one."""
     ends = [(monomial_divisor(curve, pt), monomial_divisor(curve, pt.shift(curve.m, n - 1)))
-            for pt, n in residue_classes(curve, H) if n > 0]
+            for pt, n in residue_classes(curve, H)]
     if not ends:
         raise ValueError("ell(H) = 0; floor undefined")
     return -Divisor(tuple(map(min, zip(*(a.s for a, _ in ends)))), min(b.t for _, b in ends))

@@ -290,6 +290,18 @@ def test_comega_checks_its_dimension_on_special_divisors(monkeypatch):
         build_comega(c, G, D)
 
 
+def test_cl_checks_its_dimension_on_special_divisors(monkeypatch):
+    # The twin of the C_Omega check: k_L = ell(G) whenever deg G < n.
+    c = EXAMPLES[2].curve()
+    G = Divisor.make(c.r, t=6)
+    D = evaluation_places(c, G)
+    assert (len(D), build_cl(c, G, D).k) == (125, 3)
+    monkeypatch.setattr("kummercodes.agcode.dimension", lambda curve, G: 4)
+    with pytest.raises(AssertionError,
+                       match="^dimension law violated: k_L=3, expected 4$"):
+        build_cl(c, G, D)
+
+
 def test_column_permutation_invariance():
     c = herm()
     G = Divisor((0, 0), 3)

@@ -482,6 +482,26 @@ def test_readme_job_config_runs(tmp_path, capsys):
     assert run_cli(capsys, "check-distance", "--config", str(path)) == (0, "119\n", "")
 
 
+GENUS_0_GF65521 = "\n".join([
+    "[field]", "p = 65521", "e = 1", "modulus = 65518,1",
+    "[curve]", "m = 2", "lambda = 1", "f = 0,1",
+    "[job]", "divisor = 0,30", ""])
+
+
+def test_check_distance_refuses_before_the_build(tmp_path, capsys, monkeypatch):
+    # deg G = 30 < n = 65521, so k is ell(G) = 31 for C_L and n - 31 for C_Omega:
+    # the codewords are counted and refused before evaluation and row reduction.
+    def no_rref(self):
+        raise AssertionError("rref ran")
+
+    monkeypatch.setattr("kummercodes.matrix.Matrix.rref", no_rref)
+    path = tmp_path / "job.ini"
+    for code, k in (("l", 31), ("omega", 65490)):
+        path.write_text(GENUS_0_GF65521 + f"code = {code}\n")
+        assert run_cli(capsys, "check-distance", "--config", str(path)) == (
+            1, "", f"error: 65521^{k} - 1 codewords exceed budget 16777216\n")
+
+
 def test_curve_from_roots_matches_curve_from_f(tmp_path, capsys):
     # roots = 0,1 names the roots of f = x^2 + x, so every output is the same.
     by_f = write_cfg(tmp_path)

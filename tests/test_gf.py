@@ -32,7 +32,8 @@ def gf64():
 # an 8-bit cell up to GF(256) and of a 16-bit cell for GF(2^10); for odd p a
 # digit is a byte while e(p - 1)^2 + p - 1 <= 255 (GF(3^4), GF(5^2), GF(3^6),
 # with q > 256 in the last), 2 bytes for GF(13^2), where one row operation
-# adds up to e(p - 1)^2 = 288 to a digit, and 3 bytes for the prime GF(257).
+# adds up to e(p - 1)^2 = 288 to a digit, and 3 bytes for the primes GF(257)
+# and GF(191), whose 190^2 + 190 fits 2 bytes that hold one row operation only.
 KERNEL_FIELDS = [
     FiniteField(2, 1, [0, 1]),
     FiniteField(2, 2, [1, 1, 1]),
@@ -44,6 +45,7 @@ KERNEL_FIELDS = [
     FiniteField(3, 6, [1, 0, 0, 0, 1, 1, 1]),
     FiniteField(13, 2, [2, 0, 1]),  # x^2 + 2: -2 is not a square mod 13
     FiniteField(257, 1, [0, 1]),
+    FiniteField(191, 1, [0, 1]),
 ]
 
 
@@ -543,6 +545,19 @@ def test_kernel_matches_scalar_oracle_past_the_reduction_cap():
         M = Matrix(F, rows)
         assert len(M.rref()[1]) == 60
         assert_rref_matches_oracle(M)
+
+
+def test_every_wider_slot_holds_two_row_operations():
+    """A slot of several bytes with room for one row operation only would make rref
+    reduce every row, slot by slot, at every pivot, so such a slot takes one byte
+    more: 3 bytes for GF(191) and 5 for GF(65521), where e(p - 1)^2 + p - 1
+    fits in 2 and 4."""
+    from kummercodes.matrix import _layout
+    gf65521 = FiniteField(65521, 1, [65518, 1])
+    for F in KERNEL_FIELDS + [gf65521]:
+        w, p, e = _layout(F)[0], F.p, F.e
+        assert w <= 1 or 256 ** w - p >= 2 * e * (p - 1) ** 2, F
+    assert [_layout(F)[0] for F in (KERNEL_FIELDS[-1], gf65521)] == [3, 5]
 
 
 def test_gf_resolves_the_matrix_names_from_matrix():

@@ -104,8 +104,9 @@ def test_cli_catches_exactly_the_two_error_types_that_src_raises():
     """cli.main maps ConfigError to exit 2 and ValueError to exit 1 and catches
     nothing else, so every raise in src raises one of them or GcdViolationError,
     a ValueError.  Two kinds of raise are exempt, and main catches neither: the
-    AssertionError of build_comega's dimension law, an internal invariant, and
-    the AttributeError of a module __getattr__, which attribute lookup requires."""
+    AssertionError of the dimension law that build_cl and build_comega check, an
+    internal invariant, and the AttributeError of a module __getattr__, which
+    attribute lookup requires."""
     cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     main = next(n for n in cli.body if isinstance(n, ast.FunctionDef) and n.name == "main")
     (outer,) = [n for n in main.body if isinstance(n, ast.Try)]
@@ -121,7 +122,7 @@ def test_cli_catches_exactly_the_two_error_types_that_src_raises():
             else:
                 exempt[path.stem, function, kind] += 1
     assert set(raised) == allowed and sum(raised.values()) > 50
-    assert exempt == {("agcode", "build_comega", "AssertionError"): 1,
+    assert exempt == {("agcode", "_check_dimension", "AssertionError"): 1,
                       **{(module, "__getattr__", "AttributeError"): 1
                          for module in ("__init__", "cli", "gf")}}
 

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummercodes.agcode import evaluation_matrix
+from kummercodes import rrlattice
 from kummercodes.curve import KummerCurve, Place
 from kummercodes.rrlattice import (DEFAULT_BUDGET, Divisor, LatticePoint, RamificationData,
-                                   ceil_div, dimension, monomial_divisor, omega_enumerate)
+                                   ceil_div, dimension, monomial_divisor, omega_enumerate,
+                                   residue_classes)
 from kummercodes.verify import EXAMPLES
 from kummercodes.weierstrass import _member_conditions, floor_divisor
 from test_curve import curve_hermitian_gf4, f_at
@@ -66,6 +69,46 @@ def test_residue_classes_equal_the_scan(case):
         divs = [monomial_divisor(prof, pt) for pt in pts]
         assert floor_divisor(prof, G) == -Divisor(tuple(map(min, zip(*(d.s for d in divs)))),
                                                   min(d.t for d in divs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_and_divisor())
+def test_residue_classes_are_the_non_empty_runs_of_the_scan(case):
+    # One (first point, size) per class of i mod m that holds a point, in i order;
+    # a class without one is left out, so every size is positive.
+    prof, G = case
+    runs = {}
+    for pt in scan_basis(prof, G):
+        runs.setdefault((pt.i + G.s[0]) % prof.m, []).append(pt)
+    assert residue_classes(prof, G) == sorted((run[0], len(run)) for run in runs.values())
+
+
+def test_negative_degree_has_no_residue_class():
+    prof = RamificationData(3, 2)
+    for G in (Divisor((0, 0), -1), Divisor((-1, 0), 0), Divisor((0, 0), -10 ** 12)):
+        assert residue_classes(prof, G) == []
+
+
+def test_omega_enumerate_builds_the_classes_once(monkeypatch):
+    calls = []
+    classes = rrlattice.residue_classes
+    monkeypatch.setattr(rrlattice, "residue_classes",
+                        lambda *args: calls.append(args) or classes(*args))
+    c = EXAMPLES[2].curve()
+    G = Divisor.make(c.r, {1: 26, 2: 1})
+    assert len(omega_enumerate(c, G)) == 18
+    assert calls == [(c, G)]
+
+
+def test_empty_classes_make_no_point_and_no_divisor(monkeypatch):
+    # Of the 65537 classes of i mod m on the profile (65537, 2), L(10 P_inf) fills
+    # the six with 2 i0 <= 10, one point each; the others make nothing.
+    prof, G, made = RamificationData(2 ** 16 + 1, 2), Divisor((0, 0), 10), Counter()
+    for name in ("LatticePoint", "Divisor"):
+        monkeypatch.setattr(rrlattice, name, lambda *args, name=name, real=getattr(
+            rrlattice, name): made.update([name]) or real(*args))
+    assert residue_classes(prof, G) == [(LatticePoint(i, (0,)), 1) for i in range(6)]
+    assert made == {"LatticePoint": 6}
 
 
 @settings(max_examples=150, deadline=None)
