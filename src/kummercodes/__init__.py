@@ -3,7 +3,7 @@
 The submodules are lazy (importlib.util.LazyLoader): each runs on the first
 access to one of its attributes, so a CLI job runs only the modules its
 command calls.  The exports below resolve through their home modules.
-ConfigError and _int live here, for cli and commands to share: under
+ConfigError and _int live here, for cli, commands and config to share: under
 `python -m kummercodes.cli` the running cli is __main__, and a module that
 imported kummercodes.cli would run a second cli with its own ConfigError.
 """
@@ -51,8 +51,9 @@ def _lazy(name: str):
 
 
 # Every module but cli, which `python -m kummercodes.cli` runs as __main__.
-agcode, commands, curve, gf, matrix, rrlattice, verify, weierstrass = map(_lazy, (
-    "agcode", "commands", "curve", "gf", "matrix", "rrlattice", "verify", "weierstrass"))
+agcode, commands, config, curve, gf, matrix, rrlattice, verify, weierstrass = map(_lazy, (
+    "agcode", "commands", "config", "curve", "gf", "matrix", "rrlattice", "verify",
+    "weierstrass"))
 
 
 def __getattr__(name: str):

@@ -2,9 +2,10 @@
 
 `parse_args` reads the command line and `main` runs it: `verify-example`
 through `verify`, `--help` here, and the ten config commands through the
-lazy `commands` module, which reads the job config and returns the output
-lines and notes for `main` to write (`_emit`) and to end with an exit code.
-So `verify-example` and `--help` never run `commands`.
+lazy `commands` module, which runs the command on the job config that
+`config` reads and returns the output lines and notes for `main` to write
+(`_emit`) and to end with an exit code.  So `verify-example` and `--help`
+run neither `commands` nor `config`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 from typing import Dict, Iterable, Optional, Sequence
 
-from . import ConfigError, _int, commands, verify  # commands and verify run when main calls them
+from . import ConfigError, _int, commands, config, verify  # lazy: each runs when called
 
 
 def _emit(out: Optional[str], lines: Iterable[str], notes: Sequence[str]) -> None:
@@ -150,10 +151,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def __getattr__(name: str):
-    """commands' load_config and build_curve, which perfbench/setup_probe.py
-    calls through cli; reading them runs commands."""
+    """config's load_config and build_curve, which perfbench/setup_probe.py
+    calls through cli; reading them runs config, not commands."""
     if name in ("load_config", "build_curve"):
-        return getattr(commands, name)
+        return getattr(config, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from kummercodes import ConfigError, cli, commands, verify
 from kummercodes.cli import EXAMPLE_RANGE, FLAGS, HELP, main, parse_args
-from kummercodes.commands import COMMANDS, build_curve, job_reader, load_config
+from kummercodes.commands import COMMANDS
+from kummercodes.config import build_curve, job_reader, load_config
 from kummercodes.curve import KummerCurve
 from kummercodes.gf import FiniteField
 from kummercodes.rrlattice import RamificationData
@@ -721,8 +722,8 @@ def test_example_range_text_matches_the_examples():
 
 def test_cli_resolves_the_set_up_names_from_commands():
     # perfbench/setup_probe.py calls cli.build_curve(cli.load_config(path)).
-    assert cli.load_config is commands.load_config
-    assert cli.build_curve is commands.build_curve
+    assert cli.load_config is load_config  # config's, so set-up does not run commands
+    assert cli.build_curve is build_curve
     for name in ("job_reader", "COMMANDS", "no_such_name"):
         with pytest.raises(AttributeError, match=name):
             getattr(cli, name)

@@ -7,7 +7,8 @@ ConfigError and ValueError and src raises nothing else, every function in src is
 named in src or demos (test_every_function_in_src_is_named_in_src_or_demos),
 the CLI writes its output along one path, nothing relies on interpreter
 teardown, no module imports cli, importing cli registers every other module
-unrun, and a CLI job runs only the package modules its command calls."""
+unrun, a CLI job runs only the package modules its command calls, and no job
+loads configparser."""
 
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ import kummercodes
 PACKAGE = Path(kummercodes.__file__).resolve().parent
 DEMOS = PACKAGE.parent.parent / "demos"
 FIELD_LEVEL = {"curve", "gf", "matrix", "agcode"}
-CALLED_LATE = {"agcode", "commands", "verify", "weierstrass"}  # run only by jobs that call them
+# run only by jobs that call them
+CALLED_LATE = {"agcode", "commands", "config", "verify", "weierstrass"}
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
@@ -297,7 +299,7 @@ def test_matrix_imports_only_gf_from_the_package():
 
 
 def test_only_agcode_imports_matrix():
-    """cli, the modules every config job runs (commands, curve, gf, rrlattice)
+    """cli, the modules every config job runs (commands, config, curve, gf, rrlattice)
     and verify name no matrix, so only a command that reduces a matrix
     compiles it; gf's lazy hook is checked below."""
     for path in sorted(PACKAGE.glob("*.py")):
@@ -334,7 +336,7 @@ def test_gf_imports_the_package_only_inside_its_getattr():
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
     """The value classes are NamedTuples, packed rows are struct cells,
     row reduction is the lazy matrix module's, the command line is parsed
-    by hand and only load_config imports configparser, so a fresh
+    by hand and the job config is read by config's own reader, so a fresh
     interpreter (without site, whose .pth files vary by install) imports
     none of dataclasses, inspect, array, struct, argparse, getopt, gettext,
     locale and configparser."""
@@ -358,13 +360,15 @@ def _imported_from(node: ast.ImportFrom):
 
 
 def test_cli_and_verify_import_late_modules_only_as_modules():
-    """cli calls commands and verify, and commands and verify call agcode and
-    weierstrass, through the module (`agcode.build_cl(...)`), so a lazy
+    """cli calls commands, config and verify, commands calls config, and
+    commands and verify call agcode and weierstrass, through the module
+    (`agcode.build_cl(...)`, `config.load_config(...)`), so a lazy
     module runs only when a call reaches it; verify's EXAMPLES table, built of
     GapBox and PlaceTuple at import, is the one exception.  cli imports no
     other module of the package, so importing it runs cli alone."""
     allowed = {("verify", "weierstrass"): {"GapBox", "PlaceTuple"}}
-    late = {"cli": {"commands", "verify"}, "commands": {"agcode", "weierstrass"},
+    late = {"cli": {"commands", "config", "verify"},
+            "commands": {"agcode", "config", "weierstrass"},
             "verify": {"agcode", "weierstrass"}}
     bound = {}
     for name, called in late.items():
@@ -376,7 +380,7 @@ def test_cli_and_verify_import_late_modules_only_as_modules():
                     alias.name for alias in node.names)
     assert bound == allowed
     assert package_imports((PACKAGE / "cli.py").read_text(encoding="utf-8")) == {
-        "__init__", "commands", "verify"}
+        "__init__", "commands", "config", "verify"}
 
 
 RAN_MODULES = """
@@ -412,7 +416,7 @@ code = l
 """
 
 
-CONFIG_JOB = {"commands", "curve", "gf", "rrlattice"}  # run by every config command
+CONFIG_JOB = {"commands", "config", "curve", "gf", "rrlattice"}  # run by every config command
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -424,10 +428,10 @@ CONFIG_JOB = {"commands", "curve", "gf", "rrlattice"}  # run by every config com
 ])
 def test_a_job_runs_only_the_modules_its_command_calls(tmp_path, command, extra):
     """`import kummercodes.cli` runs cli alone; each job adds only the
-    modules it calls: a config command runs commands, curve, gf and
+    modules it calls: a config command runs commands, config, curve, gf and
     rrlattice, and only check-distance, which reduces its generator matrix,
     runs matrix; verify-example 3 runs what verify calls before the curve is
-    rejected, without commands, and --help runs nothing more (fresh
+    rejected, without commands or config, and --help runs nothing more (fresh
     interpreter without site)."""
     config = tmp_path / "job.ini"
     config.write_text(TINY_JOB)
@@ -461,29 +465,49 @@ def test_import_of_cli_registers_every_module_unrun():
     assert proc.stdout.strip() == repr(expected)
 
 
+SET_UP = """
+import sys, types, kummercodes.cli as cli
+cli.build_curve(cli.load_config(sys.argv[1]))
+print(sorted(name.split(".", 1)[1] for name, module in sys.modules.items()
+             if name.startswith("kummercodes.") and type(module) is types.ModuleType))
+"""
+
+
+def test_set_up_runs_config_and_not_commands(tmp_path):
+    """perfbench/setup_probe.py's set-up, cli.build_curve(cli.load_config(path)),
+    runs config and what it builds the curve with, never commands (fresh
+    interpreter without site)."""
+    config = tmp_path / "job.ini"
+    config.write_text(TINY_JOB)
+    proc = subprocess.run([sys.executable, "-S", "-c", SET_UP, str(config)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.stdout.strip() == repr(["cli", "config", "curve", "gf", "rrlattice"])
+
+
 LOADS_CONFIGPARSER = """
-import contextlib, io, sys, types, kummercodes.cli
+import contextlib, io, sys, kummercodes.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = kummercodes.cli.main(sys.argv[1:])
-print(type(sys.modules["kummercodes.commands"]) is types.ModuleType, file=sys.stderr)
 print(code, "configparser" in sys.modules, file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("command,expected", [(["verify-example", "3"], "1 False"),
-                                              (["curve-info", "--config", "JOB"], "0 True"),
-                                              (["--help"], "0 False")])
-def test_only_a_job_that_reads_a_config_loads_configparser(tmp_path, command, expected):
-    """configparser is loaded, and the commands module run, by the jobs that
-    read a config and by no other: neither by verify-example nor by --help."""
+@pytest.mark.parametrize("command,code", [(["verify-example", "3"], "1"),
+                                          (["curve-info", "--config", "JOB"], "0"),
+                                          (["--help"], "0")],
+                         ids=["verify-example", "config-job", "help"])
+def test_no_job_loads_configparser(tmp_path, command, code):
+    """config reads the job config itself, so configparser is loaded by no
+    job: neither by verify-example and --help nor by a job that reads a
+    config (fresh interpreter without site)."""
     config = tmp_path / "job.ini"
     config.write_text(TINY_JOB)
     argv = [str(config) if arg == "JOB" else arg for arg in command]
     proc = subprocess.run([sys.executable, "-S", "-c", LOADS_CONFIGPARSER, *argv],
                           capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
-    ran_commands, last = proc.stderr.splitlines()[-2:]
-    assert (ran_commands, last) == (expected.split()[1], expected)
+    assert proc.stderr.splitlines()[-1] == f"{code} False"
 
 
 # The package's exports at the time its submodules became lazy, by home module
