@@ -2,7 +2,8 @@
 
 C_L evaluates the monomial basis of L(G) at the chosen rational places;
 C_Omega = C_L^perp is the null space of that evaluation matrix.
-build_cl and build_comega attach the Goppa bounds (the pure-gap box and
+build_cl and build_comega are one routine on one RREF, which checks k
+against dimension_law and attaches the Goppa bound (the pure-gap box and
 floor-pair bounds are weierstrass's), and a brute-force weight enumerator
 verifies bounds where the codebook is small enough.
 """
@@ -31,24 +32,33 @@ def coefficient_at(G: Divisor, place: Place) -> int:
     return 0
 
 
+def evaluation_size(curve: KummerCurve, G: Divisor, n: Optional[int] = None) -> int:
+    """The number of places evaluation_places returns, counted without making one:
+    num_places() less the P_mu and P_inf in supp(G), or n, refused outside 0 to that."""
+    available = curve.num_places() - sum(map(bool, G.s + (G.t,)))
+    if n is not None and not 0 <= n <= available:
+        raise ValueError(f"asked for n={n} places; 0 to {available} are available")
+    return available if n is None else n
+
+
 def evaluation_places(curve: KummerCurve, G: Divisor,
                       n: Optional[int] = None, seed: Optional[int] = None) -> List[Place]:
     """Evaluation set: rational places outside supp(G), canonical order.
 
     With n given, places are dropped from the end of the canonical
     ordering (highest codec order first), so only the first n are made;
-    a seed instead selects a reproducible pseudo-random subset.
+    a seed instead selects a reproducible pseudo-random subset of all of
+    them.  The places made (all of them for a seed) and the r-entry log
+    vector that evaluation_matrix makes at each place taken are counted
+    first and refused over DEFAULT_BUDGET.
     """
-    pool = list(islice((p for p in curve.iter_places() if not coefficient_at(G, p)),
-                       n if n is not None and n >= 0 and seed is None else None))
-    if n is None:
-        return pool
-    if not 0 <= n <= len(pool):
-        raise ValueError(f"asked for n={n} places; 0 to {len(pool)} are available")
+    size = evaluation_size(curve, G, n)
+    made = size if seed is None else evaluation_size(curve, G)
+    check_budget(made + size * curve.r, "places and log entries")
+    pool = list(islice((p for p in curve.iter_places() if not coefficient_at(G, p)), made))
     if seed is None:
-        return pool[:n]
-    chosen = random.Random(seed).sample(range(len(pool)), n)
-    return [pool[i] for i in sorted(chosen)]
+        return pool
+    return [pool[i] for i in sorted(random.Random(seed).sample(range(made), size))]
 
 
 class LinearCode:
@@ -161,43 +171,33 @@ def dimension_law(curve: KummerCurve, G: Divisor, n: int, dual: bool) -> Optiona
     return n - ell if dual else ell
 
 
-def check_search(curve: KummerCurve, G: Divisor, n: int, dual: bool, budget: int) -> None:
-    """Refuse the distance search of the code on n places before it is built, where
-    dimension_law fixes k, with brute_force_distance's message for its q^k - 1 words."""
-    k = dimension_law(curve, G, n, dual)
-    if k is not None:
-        q = curve.field.q
-        check_budget(q ** k - 1, "codewords", budget, shown=f"{q}^{k} - 1")
-
-
 def _check_dimension(curve: KummerCurve, G: Divisor, code: LinearCode, dual: bool) -> None:
     """k against dimension_law, an internal invariant: no job can make them differ."""
-    expected = dimension_law(curve, G, code.n, dual)
-    if expected is not None and code.k != expected:
+    if (expected := dimension_law(curve, G, code.n, dual)) not in (None, code.k):
         raise AssertionError(f"dimension law violated: k_{'omega' if dual else 'L'}="
                              f"{code.k}, expected {expected}")
+
+
+def _build(curve: KummerCurve, G: Divisor, places: Sequence[Place], dual: bool) -> LinearCode:
+    reduced, pivots = evaluation_matrix(curve, G, places).rref()
+    code = LinearCode(reduced, pivots if dual else None)  # the row space, or the null space
+    _check_dimension(curve, G, code, dual)
+    bound = G.degree - (2 * curve.g - 2) if dual else code.n - G.degree
+    if code.k and bound > 0:  # the empty code has no nonzero word to bound
+        code.bounds.append(("goppa_omega" if dual else "goppa_L", bound))
+    return code
 
 
 def build_cl(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearCode:
     """The evaluation code C_L(D, G) with a canonical RREF generator; checks k = ell(G)
     when deg G < n."""
-    code = LinearCode(evaluation_matrix(curve, G, places).rref()[0])
-    _check_dimension(curve, G, code, False)
-    # The empty code has no nonzero word, so no distance bound applies.
-    if code.k and G.degree < code.n:
-        code.bounds.append(("goppa_L", code.n - G.degree))
-    return code
+    return _build(curve, G, places, False)
 
 
 def build_comega(curve: KummerCurve, G: Divisor, places: Sequence[Place]) -> LinearCode:
     """C_Omega(D, G) = C_L(D, G)^perp, the null space of the evaluation matrix;
     checks k = n - ell(G) when deg G < n."""
-    code = LinearCode(*evaluation_matrix(curve, G, places).rref())
-    _check_dimension(curve, G, code, True)
-    bound = G.degree - (2 * curve.g - 2)
-    if code.k and bound > 0:
-        code.bounds.append(("goppa_omega", bound))
-    return code
+    return _build(curve, G, places, True)
 
 
 def brute_force_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Optional[int]:

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import ConfigError, agcode, config, weierstrass  # lazy: each runs when a command calls it
 from .curve import KummerCurve
-from .rrlattice import Divisor, dimension, monomial_divisor, omega_enumerate
+from .rrlattice import Divisor, check_budget, dimension, monomial_divisor, omega_enumerate
 
 Output = Tuple[Iterable[str], Sequence[str]]  # (lines of the output, notes on it)
 
@@ -131,20 +131,25 @@ def cmd_floor(curve: KummerCurve, job: config.Job) -> Output:
 
 
 def _build_code(curve: KummerCurve, job: config.Job, budget: Optional[int] = None):
-    """The code the job names and its evaluation-set selection; given a distance
-    search's budget, agcode.check_search may refuse the search before the build."""
+    """The code the job names and its evaluation-set selection.  The set is counted,
+    not listed, for every check before the build: n's range, code=, and, given a
+    distance search's budget, its q^k - 1 words where dimension_law fixes k, with
+    brute_force_distance's message; then evaluation_places refuses its own
+    listing over budget before it makes a place."""
     G = parse_divisor(curve, job("divisor"))
     n, seed = config._number(job, "n", None), config._number(job, "seed", None)
     if seed is not None and n is None:
         raise ConfigError("seed selects n places and needs n= in [job]")
-    D = agcode.evaluation_places(curve, G, n=n, seed=seed)
+    size = agcode.evaluation_size(curve, G, n)
     kind = (job("code") or "omega").lower()
     build = {"l": agcode.build_cl, "omega": agcode.build_comega}.get(kind)
     if build is None:
         raise ConfigError(f"code= must be 'l' or 'omega', got {kind!r}")
-    if budget is not None:
-        agcode.check_search(curve, G, len(D), kind == "omega", budget)
-    code = build(curve, G, D)
+    k = None if budget is None else agcode.dimension_law(curve, G, size, kind == "omega")
+    if k is not None:
+        q = curve.field.q
+        check_budget(q ** k - 1, "codewords", budget, shown=f"{q}^{k} - 1")
+    code = build(curve, G, agcode.evaluation_places(curve, G, n=n, seed=seed))
     selection = "all" if n is None else ("drop-highest" if seed is None else f"seed={seed}")
     return code, selection
 

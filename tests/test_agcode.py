@@ -447,6 +447,23 @@ def test_designed_bounds():
     assert floor_pair_bound(c, Divisor.make(c.r, {1: 13})) == 2 * 13 - 18
 
 
+@pytest.mark.parametrize("dual, t, n, k, bounds", [
+    (False, 7, 8, 7, [("goppa_L", 1)]),  # deg G = n - 1
+    (False, 8, 8, 7, []),  # deg G = n: x^4 - x vanishes on D
+    (False, -1, 8, 0, []),  # n - deg G > 0, but the code is empty
+    (True, 1, 8, 7, [("goppa_omega", 1)]),  # deg G = 2g - 1
+    (True, 0, 9, 8, []),  # deg G = 2g - 2
+    (True, 9, 8, 0, []),  # deg G - (2g - 2) > 0, but the code is empty
+])
+def test_goppa_bound_is_attached_where_k_and_the_bound_are_positive(dual, t, n, k, bounds):
+    # On the GF(4) Hermitian curve (g = 1) at every place off G = t P_inf.
+    c = herm()
+    G = Divisor((0, 0), t)
+    D = evaluation_places(c, G)
+    code = (build_comega if dual else build_cl)(c, G, D)
+    assert (code.n, code.k, code.bounds) == (n, k, bounds)
+
+
 def test_designed_bound_refusals():
     c = EXAMPLES[2].curve()
     with pytest.raises(ValueError, match=r"^\(14, 2\) in the box is not a pure gap$"):

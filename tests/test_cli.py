@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -503,6 +504,32 @@ def test_check_distance_refuses_before_the_build(tmp_path, capsys, monkeypatch):
             1, "", f"error: 65521^{k} - 1 codewords exceed budget 16777216\n")
 
 
+HERMITIAN_GF65536 = "\n".join([
+    "[field]", "p = 2", "e = 16", "modulus = 1,1,0,1,0,0,0,0,0,0,0,0,1,0,0,0,1",
+    "[curve]", "m = 257", "lambda = 1", "f = 0,1" + ",0" * 254 + ",1",
+    "[job]", "divisor = " + "0," * 256 + "300", "code = l", ""])
+
+
+def test_a_build_on_sixteen_million_places_is_refused_before_it_lists_one(
+        tmp_path, capsys, monkeypatch):
+    # y^257 = x^256 + x over GF(2^16) has 2^24 places off G = 300 P_inf, and r = 256.
+    # Both jobs count the evaluation set: check-distance refuses its q^k - 1 words
+    # (k = ell(G) = 3) as before, and build-code the n (r + 1) places and log
+    # entries of the listing; a seed draws from, so lists, all 2^24 places.
+    def no_places(self):
+        raise AssertionError("a place was listed")
+
+    monkeypatch.setattr(KummerCurve, "iter_places", no_places)
+    path = tmp_path / "job.ini"
+    for command, job, refusal in (
+            ("build-code", "", "4311744512 places and log entries"),
+            ("build-code", "n = 10\nseed = 1\n", "16779776 places and log entries"),
+            ("check-distance", "", "65536^3 - 1 codewords")):
+        path.write_text(HERMITIAN_GF65536 + job)
+        assert run_cli(capsys, command, "--config", str(path)) == (
+            1, "", f"error: {refusal} exceed budget 16777216\n")
+
+
 def test_curve_from_roots_matches_curve_from_f(tmp_path, capsys):
     # roots = 0,1 names the roots of f = x^2 + x, so every output is the same.
     by_f = write_cfg(tmp_path)
@@ -781,6 +808,22 @@ def test_a_config_error_of_the_commands_exits_2_through_each_entry_point(tmp_pat
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "config error: divisor needs 3 coefficients (s1..s2, t), got 2\n")
+
+
+def test_a_build_on_sixteen_million_places_ends_in_one_line_under_a_memory_limit(tmp_path):
+    # The listing refused above used to end in a MemoryError traceback under
+    # a 2 GB address-space limit; a 1 GB limit leaves the refusal one line.
+    path = tmp_path / "job.ini"
+    path.write_text(HERMITIAN_GF65536)
+    argv, env = cli_command("build-code", "--config", str(path))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_help_golden_hash():
